@@ -307,8 +307,12 @@ mod tests {
     #[test]
     fn poisoned_lock_recovers_and_cache_keeps_serving() {
         // prime the cache, then kill a thread while it holds the lock —
-        // exactly what a crashed portfolio lane does mid-lookup
+        // exactly what a crashed portfolio lane does mid-lookup.  The
+        // counter is read before poisoning: a cache test running
+        // concurrently may be the lookup that heals the lock, and its
+        // recovery must count too
         let _ = compile_cached("(xy)+poison-test").unwrap();
+        let recoveries_before = OBS_POISON_RECOVERED.value();
         let join = std::thread::spawn(|| {
             let map = COMPILED.get().expect("cache primed above");
             let _guard = lock_recover(map);
@@ -318,7 +322,6 @@ mod tests {
         assert!(join.is_err(), "the poisoning thread must have panicked");
 
         // the next lookup recovers the lock (clearing the map once) …
-        let recoveries_before = OBS_POISON_RECOVERED.value();
         let a = compile_cached("(xy)+poison-test").unwrap();
         assert!(a.accepts_str("xyxypoison-test"));
         assert!(OBS_POISON_RECOVERED.value() > recoveries_before);

@@ -10,8 +10,9 @@
 //! `unsat` verdict, (b) every emitted proof document is accepted by the
 //! checker, (c) the direct LIA families each certify their refutation
 //! (those never fall back to a proofless layer), and (d) the flagship
-//! string family produces at least one document — the paper's headline
-//! instance must come back certified, not merely answered.
+//! string family and thefuck-0002 each produce at least one document — the
+//! paper's headline instance and the slowest Unsat of the generated
+//! traffic must come back certified, not merely answered.
 //!
 //! A machine-readable summary goes to `target/PROOFS_summary.json`
 //! (override with `POSR_PROOFS_SUMMARY`; the proof directory with
@@ -121,11 +122,12 @@ fn lia_families() -> Vec<(&'static str, Formula)> {
     out
 }
 
-/// The Unsat string families of the ablation set, solved through the full
-/// pipeline with proof production on.  The flagship family is required to
-/// come back with at least one LIA document; the others may legitimately
-/// be refuted by a proofless layer (automata intersection, syntactic
-/// simplification) on some pipeline evolutions.
+/// The Unsat string families of the ablation set plus thefuck-0002, solved
+/// through the full pipeline with proof production on.  The flagship
+/// family and thefuck-0002 are required to come back with at least one LIA
+/// document; the others may legitimately be refuted by a proofless layer
+/// (automata intersection, syntactic simplification) on some pipeline
+/// evolutions.
 fn string_families() -> Vec<(&'static str, StringFormula, bool)> {
     vec![
         (
@@ -135,6 +137,24 @@ fn string_families() -> Vec<(&'static str, StringFormula, bool)> {
                 .in_re("y", "(ab)*")
                 .diseq(StringTerm::var("x"), StringTerm::var("y"))
                 .len_eq("x", "y"),
+            true,
+        ),
+        (
+            // thefuck-0002 of the generated symbolic-execution traffic: its
+            // solve explains bound conflicts, interval theory propagations
+            // and GCD conflicts off the bound trail, so every kind of
+            // trail explanation must replay
+            "thefuck-0002-unsat",
+            StringFormula::new()
+                .in_re("cmd", "(ab)*")
+                .in_re("arg", "b*")
+                .diseq(StringTerm::var("cmd"), StringTerm::var("arg"))
+                .not_contains(
+                    StringTerm::concat(vec![StringTerm::var("cmd"), StringTerm::var("arg")]),
+                    StringTerm::lit("aa"),
+                )
+                .in_re("fix", "ab")
+                .diseq(StringTerm::var("fix"), StringTerm::lit("ab")),
             true,
         ),
         (

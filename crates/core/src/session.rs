@@ -199,9 +199,9 @@ impl SolverSession {
     /// The session's statistics as ordered key/value pairs, the payload
     /// behind SMT-LIB `(get-info :all-statistics)`: check count and wall
     /// time, the LIA search counters moved since session creation, and
-    /// the automata-cache / proof-sink activity this session's checks
-    /// caused (scope-exact even under concurrent solves elsewhere in the
-    /// process).
+    /// the automata-cache / CDCL(T) sub-layer time / proof-sink activity
+    /// this session's checks caused (scope-exact even under concurrent
+    /// solves elsewhere in the process).
     pub fn statistics(&self) -> Vec<(String, String)> {
         let lia = posr_lia::global_stats().since(&self.stats_base);
         let hits = self.scope.get(*posr_automata::cache::OBS_HITS);
@@ -230,6 +230,11 @@ impl SolverSession {
             ("automata-cache-misses".into(), misses.to_string()),
             ("automata-cache-hit-ratio".into(), hit_ratio),
         ];
+        // where the CDCL(T) search spent its time, one row per theory
+        // sub-layer (µs, scope-exact like the cache counters)
+        for (key, counter) in posr_lia::cdcl::layer_time_counters() {
+            stats.push((key.into(), self.scope.get(counter).to_string()));
+        }
         let proof_docs = self.scope.get(*crate::position::OBS_PROOF_DOCS);
         if proof_docs > 0 {
             stats.push(("proof-documents".into(), proof_docs.to_string()));

@@ -1,12 +1,29 @@
-//! Interval (bound) propagation over conjunctions of linear constraints.
+//! Interval (bound) propagation over conjunctions of linear constraints,
+//! kept on one backtrackable bound trail.
 //!
-//! A [`BoundEnv`] keeps one rational interval per variable and tightens the
+//! A [`BoundEnv`] keeps one integer interval per variable and tightens the
 //! intervals by iterating over the asserted constraints: for `Σ cᵢxᵢ + k ≤ 0`
 //! every variable can be bounded by the minimum of the remaining terms, and
 //! equalities propagate in both directions.  Because every solver variable
 //! ranges over the *integers*, inferred bounds are rounded inward
 //! (`⌈lo⌉`/`⌊hi⌋`), which refutes gaps like `1 ≤ 3x ≤ 2` without invoking
 //! the integer-feasibility backend.
+//!
+//! Every tightening is one entry on a **trail**: the new value, the entry
+//! it replaced and the index of the constraint that produced it — O(1)
+//! provenance per tightening.  The trail plays three roles:
+//!
+//! * **backtracking** — [`BoundEnv::push_level`] / [`BoundEnv::pop_to_level`]
+//!   unwind by truncating the trail and restoring each popped entry's
+//!   predecessor, so the search engines never clone an environment;
+//! * **explanation** — the bounds an entry's constraint read are the
+//!   latest *earlier* entries of its other variables, found by walking each
+//!   variable's chain.  Following those links back turns a refutation, a
+//!   pinned variable or an entailed atom into the constraints it rests on
+//!   ([`BoundEnv::conflict_core`], [`BoundEnv::explain_pinned`],
+//!   [`BoundEnv::explain_reads`]) without re-propagating anything;
+//! * **change tracking** — the entries since a mark are exactly the
+//!   tightenings since then ([`BoundEnv::changed_since`]).
 //!
 //! The engine is deliberately incomplete but very cheap — linear passes over
 //! the constraints, no tableau — and it is *sound for refutation*: if
@@ -15,23 +32,71 @@
 //! (dropping refuted disjuncts, asserting forced ones), reserving the exact
 //! simplex for the nodes propagation cannot decide.
 
-use std::collections::BTreeMap;
-use std::ops::Neg;
+use std::collections::VecDeque;
+use std::ops::Range;
 
-use crate::rational::Rat;
 use crate::simplex::{Rel, SimplexConstraint};
 use crate::term::{LinExpr, Var};
 
-/// One interval per variable; absent entries mean `(-∞, +∞)`.
+/// Trail link meaning "no entry": an unbounded side.
+const NONE: u32 = u32::MAX;
+
+/// One interval per variable, on a backtrackable trail of tightenings.
 #[derive(Clone, Debug, Default)]
 pub struct BoundEnv {
-    lo: BTreeMap<Var, Rat>,
-    hi: BTreeMap<Var, Rat>,
-    /// Number of variables pinned to a point (`lo = hi`), maintained by
-    /// the tighten operations: an O(1) change detector for the
-    /// divisibility check's substitution (all recorded bounds are integer
-    /// by construction, so this always equals `fixed().len()`).
+    /// Per variable: trail position of the current lower bound.
+    lo: Vec<u32>,
+    /// Per variable: trail position of the current upper bound.
+    hi: Vec<u32>,
+    /// Every tightening in order; also the undo log of the levels.
+    trail: Vec<Entry>,
+    /// Per open level: the state to restore when it is popped.
+    levels: Vec<Level>,
+    /// Number of variables pinned to a point (`lo = hi`): an O(1) change
+    /// detector for the divisibility check's substitution.
     pinned: usize,
+    /// Why propagation refuted, and the level it happened at.
+    conflict: Option<(Conflict, usize)>,
+    worklist: Worklist,
+}
+
+/// One tightening.  `row` names the producing half-space: the constraint's
+/// index in the caller's context, shifted left once, with the low bit set
+/// when the constraint is read negated (`Ge`, or the `≥` half of an `Eq`).
+/// Values fit an `i32` by the magnitude guard, keeping entries at 20 bytes.
+#[derive(Clone, Debug)]
+struct Entry {
+    value: i32,
+    var: u32,
+    /// The entry this one replaced (same variable and side).
+    prev: u32,
+    row: u32,
+    upper: bool,
+}
+
+#[derive(Clone, Copy, Debug)]
+struct Level {
+    trail: usize,
+    pinned: usize,
+}
+
+#[derive(Clone, Copy, Debug)]
+enum Conflict {
+    /// A half-space whose minimum under the current bounds is positive.
+    Row(u32),
+    /// A variable whose lower bound passed its upper bound.
+    Crossed(u32),
+}
+
+/// Worklist state reused across propagation calls, so a call costs what
+/// it visits rather than the size of the context.
+#[derive(Clone, Debug, Default)]
+struct Worklist {
+    queue: VecDeque<u32>,
+    queued: Vec<bool>,
+    /// Per variable: dependents fired in this call (see [`TIGHTEN_CAP`]).
+    fired: Vec<u32>,
+    fired_vars: Vec<u32>,
 }
 
 /// Result of asserting constraints into an environment.
@@ -43,23 +108,48 @@ pub enum BoundOutcome {
     Refuted,
 }
 
-/// Fixpoint rounds; propagation over the flow formulas converges in a few
-/// passes, and capping keeps the worst case linear.
-const MAX_ROUNDS: usize = 12;
+/// Round cap of the from-scratch passes of [`BoundEnv::assert_all`].  They
+/// re-check cores the incremental worklist derived, possibly across many
+/// levels, so they must reach as deep a fixpoint; the loop exits on
+/// convergence, so the cap only bounds divergent cycles.
+const MAX_ROUNDS: usize = 64;
 
 /// How many times a single variable's tightening may re-fire its dependent
-/// constraints within one [`BoundEnv::propagate`] call.  Genuine cascades
-/// tighten each variable once or twice; anything past the cap is a
-/// divergent loop inching towards the magnitude guard.
+/// constraints within one propagation call.  Genuine cascades tighten each
+/// variable once or twice; anything past the cap is a divergent loop
+/// inching towards the magnitude guard.
 const TIGHTEN_CAP: u32 = 8;
 
 /// Bounds beyond this magnitude are not recorded: divergent cascades
 /// (`x ≥ y + 1 ∧ y ≥ x` tightens forever) would otherwise grow values
-/// geometrically under the worklist propagation until the checked `i128`
-/// arithmetic overflows.  Dropping a tightening is always sound — the
-/// interval stays valid, just looser — and real bounds of the encodings
-/// are far below this.
-pub(crate) const MAGNITUDE_LIMIT: i128 = 1 << 24;
+/// geometrically under the worklist propagation.  Dropping a tightening is
+/// always sound — the interval stays valid, just looser — and real bounds
+/// of the encodings are far below this.
+const MAGNITUDE_LIMIT: i128 = 1 << 24;
+
+/// `⌊a / b⌋` for `b > 0`.
+fn div_floor(a: i128, b: i128) -> i128 {
+    a.div_euclid(b)
+}
+
+/// `⌈a / b⌉` for `b > 0`.
+fn div_ceil(a: i128, b: i128) -> i128 {
+    let q = a.div_euclid(b);
+    if a.rem_euclid(b) == 0 {
+        q
+    } else {
+        q + 1
+    }
+}
+
+/// The sign a half-space reads its constraint's expression with.
+fn row_sign(row: u32) -> i128 {
+    if row & 1 == 1 {
+        -1
+    } else {
+        1
+    }
+}
 
 impl BoundEnv {
     /// An unconstrained environment.
@@ -74,275 +164,449 @@ impl BoundEnv {
         (env, outcome)
     }
 
-    /// Asserts constraints and propagates to fixpoint (or the round cap).
+    /// Asserts constraints by round-robin passes to fixpoint (or the round
+    /// cap); provenance indexes `constraints`.
     pub fn assert_all(&mut self, constraints: &[SimplexConstraint]) -> BoundOutcome {
+        if self.conflict.is_some() {
+            return BoundOutcome::Refuted;
+        }
         for _ in 0..MAX_ROUNDS {
-            let mut changed_vars = Vec::new();
-            for c in constraints {
-                if self.assert_one(c, &mut changed_vars).is_err() {
+            let mark = self.trail.len();
+            for (i, c) in constraints.iter().enumerate() {
+                if self.assert_constraint(c, i as u32).is_err() {
                     return BoundOutcome::Refuted;
                 }
             }
-            if changed_vars.is_empty() {
+            if self.trail.len() == mark {
                 break;
             }
         }
         BoundOutcome::Open
     }
 
-    /// Asserts `extra` and then re-propagates only those `context`
-    /// constraints whose variables actually tightened, walking the
-    /// dependency `index` worklist-style.  `budget` caps the number of
-    /// constraint visits (a cut-off loses completeness, never soundness).
-    pub fn propagate(
+    /// Propagates the `fresh` constraints of `context` (those asserted
+    /// since the last call) and then, worklist-style, every context
+    /// constraint over a variable that tightened.  `index` must index
+    /// exactly `context`; `budget` caps the constraint visits (a cut-off
+    /// loses completeness, never soundness).
+    pub fn propagate_from(
         &mut self,
-        extra: &[SimplexConstraint],
         context: &[SimplexConstraint],
+        fresh: Range<usize>,
         index: &ConstraintIndex,
         budget: usize,
     ) -> BoundOutcome {
-        let mut scratch = Vec::new();
-        self.propagate_into(extra, context, index, budget, &mut scratch)
-    }
-
-    /// [`BoundEnv::propagate`] that also appends every variable whose
-    /// interval tightened to `changed_out` (possibly with duplicates) —
-    /// the CDCL(T) engine's theory propagation scans exactly those
-    /// variables' atoms for newly entailed literals.
-    pub fn propagate_into(
-        &mut self,
-        extra: &[SimplexConstraint],
-        context: &[SimplexConstraint],
-        index: &ConstraintIndex,
-        budget: usize,
-        changed_out: &mut Vec<Var>,
-    ) -> BoundOutcome {
-        let mut queue: std::collections::VecDeque<usize> = std::collections::VecDeque::new();
-        let mut queued = vec![false; context.len()];
-        // slow-divergence guard: a variable whose bound keeps tightening
-        // (`x ≥ y + 1 ∧ y ≥ x` walks off by one per visit, far below the
-        // magnitude guard) stops re-firing its dependents after a few
-        // rounds.  The recorded bounds stay valid — the cascade just stops
-        // chasing an unbounded fixpoint and leaves the interval looser,
-        // which burns O(cap) instead of the whole visit budget.
-        let mut tighten_counts: BTreeMap<Var, u32> = BTreeMap::new();
-        let mut enqueue_dependents = |vars: &[Var],
-                                      queue: &mut std::collections::VecDeque<usize>,
-                                      queued: &mut Vec<bool>| {
-            for v in vars {
-                let fired = tighten_counts.entry(*v).or_insert(0);
-                *fired += 1;
-                if *fired > TIGHTEN_CAP {
-                    continue;
-                }
-                for &i in index.dependents(*v) {
-                    if !queued[i] {
-                        queued[i] = true;
-                        queue.push_back(i);
-                    }
-                }
+        if self.conflict.is_some() {
+            return BoundOutcome::Refuted;
+        }
+        self.worklist.ensure(context.len(), self.lo.len());
+        for i in fresh {
+            if !self.worklist.queued[i] {
+                self.worklist.queued[i] = true;
+                self.worklist.queue.push_back(i as u32);
             }
-        };
+        }
+        let mut outcome = BoundOutcome::Open;
         let mut visits = 0usize;
-        // outer loop: the extra constraints must re-fire after the context
-        // tightened their variables, or the probe misses cascades the plain
-        // round-based fixpoint would find
-        for _ in 0..MAX_ROUNDS {
-            let mut changed_vars: Vec<Var> = Vec::new();
-            for _ in 0..MAX_ROUNDS {
-                let before = changed_vars.len();
-                for c in extra {
-                    if self.assert_one(c, &mut changed_vars).is_err() {
-                        return BoundOutcome::Refuted;
-                    }
-                }
-                if changed_vars.len() == before {
-                    break;
-                }
-            }
-            if changed_vars.is_empty() && visits > 0 {
+        while let Some(i) = self.worklist.queue.pop_front() {
+            self.worklist.queued[i as usize] = false;
+            visits += 1;
+            if visits > budget {
                 break;
             }
-            changed_out.extend_from_slice(&changed_vars);
-            enqueue_dependents(&changed_vars, &mut queue, &mut queued);
-            if queue.is_empty() {
+            let mark = self.trail.len();
+            if self.assert_constraint(&context[i as usize], i).is_err() {
+                outcome = BoundOutcome::Refuted;
                 break;
             }
-            while let Some(i) = queue.pop_front() {
-                queued[i] = false;
-                visits += 1;
-                if visits > budget {
-                    return BoundOutcome::Open;
-                }
-                changed_vars.clear();
-                if self.assert_one(&context[i], &mut changed_vars).is_err() {
-                    return BoundOutcome::Refuted;
-                }
-                changed_out.extend_from_slice(&changed_vars);
-                enqueue_dependents(&changed_vars, &mut queue, &mut queued);
-            }
+            self.enqueue_since(mark, context.len(), index);
         }
-        BoundOutcome::Open
+        self.reset_worklist();
+        outcome
     }
 
-    /// Asserts one constraint; tightened variables are appended to `changed`.
-    fn assert_one(
-        &mut self,
-        constraint: &SimplexConstraint,
-        changed: &mut Vec<Var>,
-    ) -> Result<(), ()> {
-        match constraint.rel {
-            Rel::Le => self.assert_le(&constraint.expr, changed)?,
-            Rel::Ge => {
-                let negated = negate(&constraint.expr);
-                self.assert_le(&negated, changed)?;
+    /// Queues the dependents of every variable tightened since `mark`.
+    /// Slow-divergence guard: a variable whose bound keeps tightening
+    /// (`x ≥ y + 1 ∧ y ≥ x` walks off by one per visit, far below the
+    /// magnitude guard) stops re-firing after [`TIGHTEN_CAP`] rounds; its
+    /// recorded bounds stay valid, the interval just stays looser.
+    fn enqueue_since(&mut self, mark: usize, context_len: usize, index: &ConstraintIndex) {
+        self.worklist.ensure(context_len, self.lo.len());
+        let w = &mut self.worklist;
+        for entry in &self.trail[mark..] {
+            let v = entry.var as usize;
+            if w.fired[v] == 0 {
+                w.fired_vars.push(entry.var);
             }
-            Rel::Eq => {
-                self.assert_le(&constraint.expr, changed)?;
-                let negated = negate(&constraint.expr);
-                self.assert_le(&negated, changed)?;
-            }
-        }
-        Ok(())
-    }
-
-    /// Propagates `expr ≤ 0`.
-    fn assert_le(&mut self, expr: &LinExpr, changed: &mut Vec<Var>) -> Result<(), ()> {
-        // refutation: the smallest possible value must not be positive
-        if let Some(min) = self.expr_min(expr) {
-            if min.is_positive() {
-                return Err(());
-            }
-        }
-        // tightening: c·v ≤ −(min of the rest)
-        for (v, c) in expr.terms() {
-            let Some(rest_min) = self.expr_min_excluding(expr, v) else {
+            w.fired[v] += 1;
+            if w.fired[v] > TIGHTEN_CAP {
                 continue;
+            }
+            for &i in index.dependents(Var(v)) {
+                if !w.queued[i] {
+                    w.queued[i] = true;
+                    w.queue.push_back(i as u32);
+                }
+            }
+        }
+    }
+
+    fn reset_worklist(&mut self) {
+        let w = &mut self.worklist;
+        for i in w.queue.drain(..) {
+            w.queued[i as usize] = false;
+        }
+        for v in w.fired_vars.drain(..) {
+            w.fired[v as usize] = 0;
+        }
+    }
+
+    /// Asserts one constraint (context index `i`), both halves of an
+    /// equality.
+    fn assert_constraint(&mut self, c: &SimplexConstraint, i: u32) -> Result<(), ()> {
+        match c.rel {
+            Rel::Le => self.assert_half(&c.expr, i << 1),
+            Rel::Ge => self.assert_half(&c.expr, (i << 1) | 1),
+            Rel::Eq => {
+                self.assert_half(&c.expr, i << 1)?;
+                self.assert_half(&c.expr, (i << 1) | 1)
+            }
+        }
+    }
+
+    /// Propagates the half-space `row_sign(row) · expr ≤ 0`: refutes it
+    /// when its minimum is positive, else bounds every variable by the
+    /// minimum of the other terms.  One pass computes the total minimum;
+    /// each variable's "rest" is the total minus its own term, and with a
+    /// single unbounded term only that variable can tighten.  Arithmetic
+    /// that overflows gives up on the row, which is sound.
+    fn assert_half(&mut self, expr: &LinExpr, row: u32) -> Result<(), ()> {
+        let sign = row_sign(row);
+        let Some(mut total) = expr.constant_part().checked_mul(sign) else {
+            return Ok(());
+        };
+        let mut free: Option<(Var, i128)> = None;
+        for (v, c) in expr.terms() {
+            let Some(a) = c.checked_mul(sign) else {
+                return Ok(());
             };
-            let bound = -rest_min / Rat::from_int(c);
-            if c > 0 {
-                // v ≤ bound; integer variables round down
-                if self.tighten_hi(v, Rat::from_int(bound.floor()))? {
-                    changed.push(v);
-                }
-            } else {
-                // v ≥ bound; integer variables round up
-                if self.tighten_lo(v, Rat::from_int(bound.ceil()))? {
-                    changed.push(v);
-                }
+            match self.term_min(v, a) {
+                Some(m) => match total.checked_add(m) {
+                    Some(t) => total = t,
+                    None => return Ok(()),
+                },
+                None if free.is_none() => free = Some((v, a)),
+                None => return Ok(()), // two unbounded terms: nothing to derive
+            }
+        }
+        if let Some((v, a)) = free {
+            return self.tighten(v, a, total, row);
+        }
+        if total > 0 {
+            self.refute(Conflict::Row(row));
+            return Err(());
+        }
+        for (v, c) in expr.terms() {
+            // each variable occurs once, so its own term is still the one
+            // the total summed
+            let a = c * sign;
+            if let Some(rest) = self.term_min(v, a).and_then(|own| total.checked_sub(own)) {
+                self.tighten(v, a, rest, row)?;
             }
         }
         Ok(())
     }
 
-    fn tighten_lo(&mut self, v: Var, value: Rat) -> Result<bool, ()> {
-        if value > Rat::from_int(MAGNITUDE_LIMIT) || value < Rat::from_int(-MAGNITUDE_LIMIT) {
-            return Ok(false);
-        }
-        let tightened = match self.lo.get(&v) {
-            Some(&current) if current >= value => false,
-            _ => {
-                self.lo.insert(v, value);
-                // a variable already pinned before this strict tightening
-                // would now have lo > hi, caught as Err below — so this
-                // transition-to-pinned count cannot double-count
-                if self.hi.get(&v) == Some(&value) {
-                    self.pinned += 1;
-                }
-                true
+    /// From `a·v + rest ≤ 0` (with `rest` the minimum of the other terms):
+    /// `v ≤ ⌊−rest / a⌋` for `a > 0`, `v ≥ ⌈rest / −a⌉` for `a < 0`.
+    fn tighten(&mut self, v: Var, a: i128, rest: i128, row: u32) -> Result<(), ()> {
+        let (upper, value) = if a > 0 {
+            match rest.checked_neg() {
+                Some(neg) => (true, div_floor(neg, a)),
+                None => return Ok(()),
+            }
+        } else {
+            match a.checked_neg() {
+                Some(pos) => (false, div_ceil(rest, pos)),
+                None => return Ok(()),
             }
         };
-        if let (Some(&lo), Some(&hi)) = (self.lo.get(&v), self.hi.get(&v)) {
-            if lo > hi {
+        if !(-MAGNITUDE_LIMIT..=MAGNITUDE_LIMIT).contains(&value) {
+            return Ok(());
+        }
+        let value = value as i32; // exact: within the magnitude guard
+        self.ensure_var(v);
+        let vi = v.index();
+        let (cur, other) = if upper {
+            (self.hi[vi], self.lo[vi])
+        } else {
+            (self.lo[vi], self.hi[vi])
+        };
+        if cur != NONE {
+            let old = self.trail[cur as usize].value;
+            if (upper && old <= value) || (!upper && old >= value) {
+                return Ok(());
+            }
+        }
+        let pos = self.trail.len() as u32;
+        self.trail.push(Entry {
+            value,
+            var: vi as u32,
+            prev: cur,
+            row,
+            upper,
+        });
+        if upper {
+            self.hi[vi] = pos;
+        } else {
+            self.lo[vi] = pos;
+        }
+        if other != NONE {
+            let bound = self.trail[other as usize].value;
+            if bound == value {
+                self.pinned += 1;
+            } else if (upper && bound > value) || (!upper && bound < value) {
+                self.refute(Conflict::Crossed(vi as u32));
                 return Err(());
             }
         }
-        Ok(tightened)
+        Ok(())
     }
 
-    fn tighten_hi(&mut self, v: Var, value: Rat) -> Result<bool, ()> {
-        if value > Rat::from_int(MAGNITUDE_LIMIT) || value < Rat::from_int(-MAGNITUDE_LIMIT) {
-            return Ok(false);
+    fn refute(&mut self, conflict: Conflict) {
+        self.conflict = Some((conflict, self.levels.len()));
+    }
+
+    fn ensure_var(&mut self, v: Var) {
+        if v.index() >= self.lo.len() {
+            self.lo.resize(v.index() + 1, NONE);
+            self.hi.resize(v.index() + 1, NONE);
         }
-        let tightened = match self.hi.get(&v) {
-            Some(&current) if current <= value => false,
-            _ => {
-                self.hi.insert(v, value);
-                if self.lo.get(&v) == Some(&value) {
-                    self.pinned += 1;
-                }
-                true
-            }
+    }
+
+    /// Opens a backtracking level.
+    pub fn push_level(&mut self) {
+        self.levels.push(Level {
+            trail: self.trail.len(),
+            pinned: self.pinned,
+        });
+    }
+
+    /// Closes levels until `level` remain open, restoring exactly the
+    /// intervals (and refutation state) the environment had when level
+    /// `level + 1` was pushed.
+    pub fn pop_to_level(&mut self, level: usize) {
+        let Some(&Level { trail, pinned }) = self.levels.get(level) else {
+            return;
         };
-        if let (Some(&lo), Some(&hi)) = (self.lo.get(&v), self.hi.get(&v)) {
-            if lo > hi {
-                return Err(());
-            }
+        for entry in self.trail.drain(trail..).rev() {
+            let slot = if entry.upper {
+                &mut self.hi
+            } else {
+                &mut self.lo
+            };
+            slot[entry.var as usize] = entry.prev;
         }
-        Ok(tightened)
+        self.pinned = pinned;
+        self.levels.truncate(level);
+        if matches!(self.conflict, Some((_, at)) if at > level) {
+            self.conflict = None;
+        }
+    }
+
+    /// The number of open levels.
+    pub fn level(&self) -> usize {
+        self.levels.len()
+    }
+
+    /// The trail length: a mark for [`BoundEnv::changed_since`] and
+    /// [`BoundEnv::explain_reads`].
+    pub fn mark(&self) -> usize {
+        self.trail.len()
+    }
+
+    /// The variables tightened since `mark` (possibly repeated).
+    pub fn changed_since(&self, mark: usize) -> impl Iterator<Item = Var> + '_ {
+        self.trail[mark..].iter().map(|e| Var(e.var as usize))
+    }
+
+    /// `true` while the environment holds a refutation.
+    pub fn is_refuted(&self) -> bool {
+        self.conflict.is_some()
     }
 
     /// The interval of `expr` under the current bounds: `(min, max)`, with
-    /// `None` for an unbounded side.
-    pub fn expr_range(&self, expr: &LinExpr) -> (Option<Rat>, Option<Rat>) {
-        let min = self.expr_min(expr);
-        let max = self.expr_min(&negate(expr)).map(Neg::neg);
+    /// `None` for an unbounded (or overflowing) side.
+    pub fn expr_range(&self, expr: &LinExpr) -> (Option<i128>, Option<i128>) {
+        let mut min = Some(expr.constant_part());
+        let mut max = Some(expr.constant_part());
+        for (v, c) in expr.terms() {
+            min = min.and_then(|m| m.checked_add(self.term_min(v, c)?));
+            max = max.and_then(|m| m.checked_sub(self.term_min(v, -c)?));
+        }
         (min, max)
     }
 
-    /// Lower bound of `expr` under the current intervals (`None` = −∞).
-    fn expr_min(&self, expr: &LinExpr) -> Option<Rat> {
-        let mut total = Rat::from_int(expr.constant_part());
-        for (v, c) in expr.terms() {
-            total += self.term_min(v, c)?;
-        }
-        Some(total)
-    }
-
-    /// Lower bound of `expr − c·v` (`None` = −∞).
-    fn expr_min_excluding(&self, expr: &LinExpr, excluded: Var) -> Option<Rat> {
-        let mut total = Rat::from_int(expr.constant_part());
-        for (v, c) in expr.terms() {
-            if v != excluded {
-                total += self.term_min(v, c)?;
-            }
-        }
-        Some(total)
-    }
-
     /// The current interval of a single variable (`None` = unbounded side).
-    pub fn var_range(&self, v: Var) -> (Option<Rat>, Option<Rat>) {
-        (self.lo.get(&v).copied(), self.hi.get(&v).copied())
+    pub fn var_range(&self, v: Var) -> (Option<i128>, Option<i128>) {
+        (self.bound(v, false), self.bound(v, true))
     }
 
     /// The number of point-pinned variables — O(1), maintained by the
-    /// tighten operations; equals `self.fixed().len()`.
+    /// tightenings and restored by the level pops.
     pub fn pinned_count(&self) -> usize {
         self.pinned
     }
 
-    /// Variables pinned to a single integer value (`lo = hi ∈ ℤ`), used by
-    /// the divisibility refutation to substitute constants before the GCD
-    /// test.
-    pub fn fixed(&self) -> BTreeMap<Var, i128> {
-        let mut out = BTreeMap::new();
-        for (&v, &lo) in &self.lo {
-            if self.hi.get(&v) == Some(&lo) {
-                if let Some(value) = lo.to_integer() {
-                    out.insert(v, value);
-                }
+    /// The value `v` is pinned to (`lo = hi`), if any — the substitution
+    /// the divisibility refutation makes before its GCD test.
+    pub fn pinned_value(&self, v: Var) -> Option<i128> {
+        match self.var_range(v) {
+            (Some(lo), Some(hi)) if lo == hi => Some(lo),
+            _ => None,
+        }
+    }
+
+    fn bound(&self, v: Var, upper: bool) -> Option<i128> {
+        let slots = if upper { &self.hi } else { &self.lo };
+        match slots.get(v.index()) {
+            Some(&e) if e != NONE => Some(self.trail[e as usize].value.into()),
+            _ => None,
+        }
+    }
+
+    /// Lower bound of the term `a·v` (`None` = −∞ or overflow).
+    fn term_min(&self, v: Var, a: i128) -> Option<i128> {
+        self.bound(v, a < 0)?.checked_mul(a)
+    }
+
+    /// The entry of `v`'s lower (upper) bound that was current just before
+    /// trail position `at`.
+    fn entry_before(&self, v: Var, upper: bool, at: usize) -> u32 {
+        let slots = if upper { &self.hi } else { &self.lo };
+        let mut e = slots.get(v.index()).copied().unwrap_or(NONE);
+        while e != NONE && e as usize >= at {
+            e = self.trail[e as usize].prev;
+        }
+        e
+    }
+
+    /// Pushes the entries the minimum of half-space `sign · expr` read as
+    /// of trail position `at` (every term but `skip`'s).
+    fn push_reads(
+        &self,
+        expr: &LinExpr,
+        sign: i128,
+        skip: Option<u32>,
+        at: usize,
+        out: &mut Vec<u32>,
+    ) {
+        for (v, c) in expr.terms() {
+            if Some(v.index() as u32) != skip {
+                out.push(self.entry_before(v, c * sign < 0, at));
             }
         }
+    }
+
+    /// The context indices the given entries rest on, sorted: each entry's
+    /// own constraint plus, recursively, the earlier entries it read.
+    fn explain_entries(
+        &self,
+        mut stack: Vec<u32>,
+        context: &[SimplexConstraint],
+        out: &mut Vec<usize>,
+    ) {
+        let mut seen = vec![0u64; self.trail.len().div_ceil(64)];
+        while let Some(e) = stack.pop() {
+            // skipping a read would make the explanation unsound
+            assert_ne!(e, NONE, "a derived bound read an unbounded side");
+            let (word, bit) = (e as usize / 64, 1u64 << (e % 64));
+            if seen[word] & bit != 0 {
+                continue;
+            }
+            seen[word] |= bit;
+            let entry = &self.trail[e as usize];
+            let i = (entry.row >> 1) as usize;
+            out.push(i);
+            self.push_reads(
+                &context[i].expr,
+                row_sign(entry.row),
+                Some(entry.var),
+                e as usize,
+                &mut stack,
+            );
+        }
+        out.sort_unstable();
+        out.dedup();
+    }
+
+    /// The refutation's core: sorted indices of a subset of `context` (the
+    /// constraints propagation was run over) that is bound-infeasible on
+    /// its own.  Empty when the environment is not refuted.
+    pub fn conflict_core(&self, context: &[SimplexConstraint]) -> Vec<usize> {
+        let mut out = Vec::new();
+        let mut stack = Vec::new();
+        match self.conflict {
+            None => return out,
+            Some((Conflict::Row(row), _)) => {
+                let i = (row >> 1) as usize;
+                out.push(i);
+                self.push_reads(
+                    &context[i].expr,
+                    row_sign(row),
+                    None,
+                    self.trail.len(),
+                    &mut stack,
+                );
+            }
+            Some((Conflict::Crossed(v), _)) => {
+                stack.push(self.lo[v as usize]);
+                stack.push(self.hi[v as usize]);
+            }
+        }
+        self.explain_entries(stack, context, &mut out);
         out
     }
 
-    fn term_min(&self, v: Var, c: i128) -> Option<Rat> {
-        let bound = if c > 0 {
-            self.lo.get(&v)
-        } else {
-            self.hi.get(&v)
-        };
-        bound.map(|&b| b * Rat::from_int(c))
+    /// The sorted context indices that pin the given variables.
+    pub fn explain_pinned(&self, vars: &[Var], context: &[SimplexConstraint]) -> Vec<usize> {
+        let mut stack = Vec::with_capacity(2 * vars.len());
+        for v in vars {
+            stack.push(self.lo[v.index()]);
+            stack.push(self.hi[v.index()]);
+        }
+        let mut out = Vec::new();
+        self.explain_entries(stack, context, &mut out);
+        out
+    }
+
+    /// For a `≤`/`≥` `constraint` the bounds current at trail position
+    /// `at` refuted (e.g. the negation of an atom entailed then): the
+    /// sorted context indices those bounds rest on, which entail the
+    /// negation.
+    pub fn explain_reads(
+        &self,
+        constraint: &SimplexConstraint,
+        at: usize,
+        context: &[SimplexConstraint],
+    ) -> Vec<usize> {
+        let mut stack = Vec::new();
+        let sign = if constraint.rel == Rel::Ge { -1 } else { 1 };
+        self.push_reads(&constraint.expr, sign, None, at, &mut stack);
+        let mut out = Vec::new();
+        self.explain_entries(stack, context, &mut out);
+        out
+    }
+}
+
+impl Worklist {
+    fn ensure(&mut self, constraints: usize, vars: usize) {
+        if self.queued.len() < constraints {
+            self.queued.resize(constraints, false);
+        }
+        if self.fired.len() < vars {
+            self.fired.resize(vars, 0);
+        }
     }
 }
 
@@ -351,13 +615,12 @@ impl BoundEnv {
 ///
 /// Besides the one-shot [`ConstraintIndex::build`], the index supports
 /// stack-shaped incremental maintenance ([`ConstraintIndex::push`] /
-/// [`ConstraintIndex::pop`]): the CDCL(T) engine keeps it in lock-step with
-/// its theory-literal trail instead of rebuilding it at every fixpoint.
+/// [`ConstraintIndex::pop`]): the search engines keep it in lock-step with
+/// their constraint stacks instead of rebuilding it.
 #[derive(Clone, Debug, Default)]
 pub struct ConstraintIndex {
-    by_var: BTreeMap<Var, Vec<usize>>,
+    by_var: Vec<Vec<usize>>,
     len: usize,
-    empty: Vec<usize>,
 }
 
 impl ConstraintIndex {
@@ -384,7 +647,10 @@ impl ConstraintIndex {
     pub fn push(&mut self, constraint: &SimplexConstraint) {
         let i = self.len;
         for v in constraint.expr.variables() {
-            self.by_var.entry(v).or_default().push(i);
+            if v.index() >= self.by_var.len() {
+                self.by_var.resize_with(v.index() + 1, Vec::new);
+            }
+            self.by_var[v.index()].push(i);
         }
         self.len += 1;
     }
@@ -395,27 +661,15 @@ impl ConstraintIndex {
         debug_assert!(self.len > 0);
         self.len -= 1;
         for v in constraint.expr.variables() {
-            let entries = self.by_var.get_mut(&v).expect("pushed variable");
-            debug_assert_eq!(entries.last(), Some(&self.len));
-            entries.pop();
+            let popped = self.by_var[v.index()].pop();
+            debug_assert_eq!(popped, Some(self.len));
         }
     }
 
     /// Constraints mentioning `v`.
     pub fn dependents(&self, v: Var) -> &[usize] {
-        self.by_var
-            .get(&v)
-            .map(Vec::as_slice)
-            .unwrap_or(&self.empty)
+        self.by_var.get(v.index()).map_or(&[], Vec::as_slice)
     }
-}
-
-fn negate(expr: &LinExpr) -> LinExpr {
-    let mut out = LinExpr::constant(-expr.constant_part());
-    for (v, c) in expr.terms() {
-        out.add_term(v, -c);
-    }
-    out
 }
 
 #[cfg(test)]
@@ -446,8 +700,10 @@ mod tests {
             ge(LinExpr::var(y) - LinExpr::var(x)),
             le(LinExpr::var(y) - LinExpr::constant(2)),
         ];
-        let (_, outcome) = BoundEnv::from_constraints(&constraints);
+        let (env, outcome) = BoundEnv::from_constraints(&constraints);
         assert_eq!(outcome, BoundOutcome::Refuted);
+        // all three constraints are needed
+        assert_eq!(env.conflict_core(&constraints), vec![0, 1, 2]);
     }
 
     #[test]
@@ -470,6 +726,14 @@ mod tests {
         let mut constraints: Vec<SimplexConstraint> =
             xs.iter().map(|&v| ge(LinExpr::var(v))).collect();
         constraints.push(eq(LinExpr::sum_of_vars(xs.iter().copied())));
+        let (env, outcome) = BoundEnv::from_constraints(&constraints);
+        assert_eq!(outcome, BoundOutcome::Open);
+        assert_eq!(env.pinned_count(), 4);
+        // x1 is pinned by its own sign, the sum, and the other signs
+        assert_eq!(
+            env.explain_pinned(&[xs[1]], &constraints),
+            vec![0, 1, 2, 3, 4]
+        );
         // then x0 ≥ 1 contradicts the zero sum
         constraints.push(ge(LinExpr::var(xs[0]) - LinExpr::constant(1)));
         let (_, outcome) = BoundEnv::from_constraints(&constraints);
@@ -488,8 +752,75 @@ mod tests {
         ];
         let (env, outcome) = BoundEnv::from_constraints(&constraints);
         assert_eq!(outcome, BoundOutcome::Open);
+        assert!(env.conflict_core(&constraints).is_empty());
         // and the intervals are genuinely tightened: x ∈ [0, 5]
-        assert_eq!(env.lo.get(&x), Some(&Rat::from_int(0)));
-        assert_eq!(env.hi.get(&x), Some(&Rat::from_int(5)));
+        assert_eq!(env.var_range(x), (Some(0), Some(5)));
+    }
+
+    #[test]
+    fn core_excludes_irrelevant_constraints() {
+        let mut pool = VarPool::new();
+        let x = pool.fresh("x");
+        let y = pool.fresh("y");
+        let z = pool.fresh("z");
+        // x ≥ 3 ∧ x ≤ 2 clash; the z constraints are noise
+        let constraints = vec![
+            ge(LinExpr::var(z)),
+            ge(LinExpr::var(x) - LinExpr::constant(3)),
+            le(LinExpr::var(z) - LinExpr::constant(9)),
+            le(LinExpr::var(x) - LinExpr::constant(2)),
+            ge(LinExpr::var(y) - LinExpr::var(z)),
+        ];
+        let (env, outcome) = BoundEnv::from_constraints(&constraints);
+        assert_eq!(outcome, BoundOutcome::Refuted);
+        assert_eq!(env.conflict_core(&constraints), vec![1, 3]);
+    }
+
+    #[test]
+    fn levels_undo_tightenings_and_refutations() {
+        let mut pool = VarPool::new();
+        let x = pool.fresh("x");
+        let y = pool.fresh("y");
+        let mut context = vec![
+            ge(LinExpr::var(x)),
+            le(LinExpr::var(x) + LinExpr::var(y) - LinExpr::constant(4)),
+        ];
+        let mut index = ConstraintIndex::build(&context);
+        let mut env = BoundEnv::new();
+        assert_eq!(
+            env.propagate_from(&context, 0..2, &index, 64),
+            BoundOutcome::Open
+        );
+        assert_eq!(env.var_range(x), (Some(0), None));
+        env.push_level();
+        let mark = env.mark();
+        context.push(ge(LinExpr::var(y) - LinExpr::constant(1)));
+        index.push(&context[2]);
+        assert_eq!(
+            env.propagate_from(&context, 2..3, &index, 64),
+            BoundOutcome::Open
+        );
+        assert_eq!(env.var_range(x), (Some(0), Some(3)));
+        assert!(env.changed_since(mark).any(|v| v == x));
+        // x ≤ 3 is entailed: the bounds its negation x ≥ 4 reads rest on
+        // the sum and y's lower bound
+        let negation = ge(LinExpr::var(x) - LinExpr::constant(4));
+        assert_eq!(
+            env.explain_reads(&negation, env.mark(), &context),
+            vec![1, 2]
+        );
+        context.push(ge(LinExpr::var(x) - LinExpr::constant(4)));
+        index.push(&context[3]);
+        assert_eq!(
+            env.propagate_from(&context, 3..4, &index, 64),
+            BoundOutcome::Refuted
+        );
+        assert_eq!(env.conflict_core(&context), vec![1, 2, 3]);
+        env.pop_to_level(0);
+        index.pop(&context.pop().unwrap());
+        index.pop(&context.pop().unwrap());
+        assert!(!env.is_refuted());
+        assert_eq!(env.var_range(x), (Some(0), None));
+        assert_eq!(env.var_range(y), (None, Some(4)));
     }
 }

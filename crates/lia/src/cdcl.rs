@@ -30,24 +30,29 @@
 //! * every assigned theory literal contributes one bound constraint (both
 //!   polarities are exact over ℤ, see [`crate::cnf`]);
 //! * at every propagation fixpoint that added theory literals, interval
-//!   propagation ([`crate::bounds`]) checks the conjunction incrementally
-//!   (a persistent [`ConstraintIndex`] kept in lock-step with the trail
-//!   drives the worklist cascade), and the divisibility test
+//!   propagation checks the conjunction incrementally on one backtrackable
+//!   bound trail ([`BoundEnv`]: a level per decision level, popped on
+//!   backjump; a persistent [`ConstraintIndex`] kept in lock-step with the
+//!   trail drives the worklist cascade), and the divisibility test
 //!   ([`crate::eqelim`]) re-runs when the set of bound-pinned variables
 //!   actually changed (pinning is monotone within a decision level, so the
 //!   pinned-count is an exact change detector; a periodic re-run covers
-//!   equality pairs that complete without new pinning).  Refutations are
-//!   narrowed to a minimal core by [`crate::explain`] and learned as
-//!   clauses, which is what prunes the symmetric K≥2 mismatch case splits
-//!   of the tag-automaton encodings;
+//!   equality pairs that complete without new pinning).  Every bound on
+//!   the trail names the constraint that produced it, so refutations are
+//!   explained by reading the trail back — the GCD test substitutes the
+//!   pinned values and the trail explains the pins — then trimmed by
+//!   budgeted deletion ([`crate::explain`]) and learned as clauses, which
+//!   is what prunes the symmetric K≥2 mismatch case splits of the
+//!   tag-automaton encodings;
 //! * after each consistent fixpoint, **theory propagation** scans the
 //!   variables whose intervals tightened against the atom→bound registry
 //!   (atoms grouped by constant-stripped form, sorted by threshold) and
 //!   enqueues every entailed literal with a *lazy* explanation — the
-//!   entailing bound core is only materialised if conflict analysis later
-//!   resolves on the literal — so bound/parity conflicts are cut off
-//!   levels early instead of being rediscovered as full conflicts
-//!   (`SolverConfig::theory_propagation`, on by default);
+//!   bound-trail position it was entailed at; the entailing bounds are
+//!   only read back if conflict analysis later resolves on the literal —
+//!   so bound/parity conflicts are cut off levels early instead of being
+//!   rediscovered as full conflicts (`SolverConfig::theory_propagation`,
+//!   on by default);
 //! * at the leaves (a full assignment, or every original clause already
 //!   satisfied) a **persistent, backtrackable simplex**
 //!   ([`crate::simplex::IncrementalSimplex`]) re-checks rational
@@ -70,6 +75,7 @@
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::LazyLock;
+use std::time::{Duration, Instant};
 
 use crate::bounds::{BoundEnv, BoundOutcome, ConstraintIndex};
 use crate::cnf::{constraint_of_meaning, split_meaning, Clausifier, Lit};
@@ -153,6 +159,31 @@ static OBS_GUIDED_RAISED: LazyLock<posr_obs::Counter> =
 /// Times the guided budgets were halved after repeated exhaustion.
 static OBS_GUIDED_LOWERED: LazyLock<posr_obs::Counter> =
     LazyLock::new(|| posr_obs::counter("cdcl.guided_budget_lowered"));
+
+/// Wall time of the theory sub-layers inside `cdcl.solve`, in µs, flushed
+/// once per [`Engine::solve`]: interval propagation, the divisibility
+/// test, explanation (reading cores back and minimising them), the
+/// rational simplex checks and the branch-and-bound of the integer leaves.
+static OBS_BOUND_US: LazyLock<posr_obs::Counter> =
+    LazyLock::new(|| posr_obs::counter("cdcl.bound_us"));
+static OBS_GCD_US: LazyLock<posr_obs::Counter> = LazyLock::new(|| posr_obs::counter("cdcl.gcd_us"));
+static OBS_EXPLAIN_US: LazyLock<posr_obs::Counter> =
+    LazyLock::new(|| posr_obs::counter("cdcl.explain_us"));
+static OBS_SIMPLEX_US: LazyLock<posr_obs::Counter> =
+    LazyLock::new(|| posr_obs::counter("cdcl.simplex_us"));
+static OBS_BNB_US: LazyLock<posr_obs::Counter> = LazyLock::new(|| posr_obs::counter("cdcl.bnb_us"));
+
+/// The sub-layer time counters as `(statistics key, counter)` pairs, in
+/// µs — what `(get-info :all-statistics)` lists.
+pub fn layer_time_counters() -> [(&'static str, posr_obs::Counter); 5] {
+    [
+        ("bound-propagation-us", *OBS_BOUND_US),
+        ("gcd-us", *OBS_GCD_US),
+        ("explain-us", *OBS_EXPLAIN_US),
+        ("simplex-us", *OBS_SIMPLEX_US),
+        ("branch-and-bound-us", *OBS_BNB_US),
+    ]
+}
 
 /// Distribution of pivots per simplex `check()` (leaf and guided).
 static HIST_CHECK_PIVOTS: LazyLock<posr_obs::Histogram> =
@@ -345,13 +376,23 @@ struct Clause {
     proof_id: u64,
 }
 
-/// Everything the theory layer must restore on backjump, snapshotted per
-/// decision level so no fixpoint is ever recomputed from scratch.
-#[derive(Clone)]
-struct TheorySnapshot {
+/// The theory bookkeeping restored on backjump, one per decision level
+/// (the bounds themselves unwind on their own trail).
+#[derive(Clone, Copy)]
+struct TheoryLevel {
     checked: usize,
-    env: BoundEnv,
-    gcd_fixed: usize,
+    gcd_pinned: usize,
+}
+
+/// Accumulated wall time per theory sub-layer, and the part of it already
+/// flushed into the `obs` counters.
+#[derive(Clone, Copy, Default)]
+struct LayerTimes {
+    bound: Duration,
+    gcd: Duration,
+    explain: Duration,
+    simplex: Duration,
+    bnb: Duration,
 }
 
 /// The atoms of one constant-stripped linear form, sorted by threshold:
@@ -457,9 +498,10 @@ pub(crate) struct Engine {
     simplex: IncrementalSimplex,
     /// The atom→bound registry of theory propagation.
     atom_table: AtomTable,
-    /// Per Boolean variable: the `theory_stack` length at the moment the
-    /// variable was theory-propagated — the prefix its lazy explanation is
-    /// drawn from.  Only meaningful while `reason[var] == TPROP_REASON`.
+    /// Per Boolean variable: the bound-trail length at the moment the
+    /// variable was theory-propagated by the interval scan — its lazy
+    /// explanation is read off the trail as of this mark.  Only
+    /// meaningful while `reason[var] == TPROP_REASON`.
     tprop_mark: Vec<usize>,
     /// Per Boolean variable: the theory-stack tags of the asserted bounds
     /// whose tableau row entailed an assignment-*guided* propagation, or
@@ -493,16 +535,15 @@ pub(crate) struct Engine {
     pivot_scope: posr_obs::CounterScope,
     /// Prefix length of `theory_stack` known bound- and GCD-consistent.
     theory_checked: usize,
-    /// Interval environment of `theory_stack[..theory_checked]`, updated
-    /// incrementally as the trail grows.
-    cur_env: BoundEnv,
+    /// The bound trail of `theory_stack[..theory_checked]`, one level per
+    /// decision level; its entries index `theory_stack`.
+    bounds: BoundEnv,
     /// Number of bound-pinned variables at the last divisibility check
     /// (pinning is monotone within a level, so a changed count is an exact
     /// "the substitution changed" detector).
-    gcd_fixed_count: usize,
-    /// Per decision level: the theory state at decision time, restored on
-    /// backjump.
-    env_snapshots: Vec<TheorySnapshot>,
+    gcd_pinned: usize,
+    /// Per decision level: the theory bookkeeping at decision time.
+    theory_levels: Vec<TheoryLevel>,
     /// Prefix length known rationally feasible.
     simplex_checked: usize,
     // VSIDS
@@ -529,11 +570,9 @@ pub(crate) struct Engine {
     solve_base_conflicts: u64,
     saw_resource_out: bool,
     cancelled: bool,
-    bound_time: std::time::Duration,
-    gcd_time: std::time::Duration,
-    simplex_time: std::time::Duration,
-    explain_time: std::time::Duration,
-    trace: bool,
+    times: LayerTimes,
+    /// The part of `times` already flushed into the `obs` counters.
+    flushed_times: LayerTimes,
     /// The proof log (`SolverConfig::proof_logging`); `None` = logging off.
     proof: Option<ProofBuilder>,
     /// Proof id to name in the `final` step of an Unsat answer: the derived
@@ -585,9 +624,9 @@ impl Engine {
             guided_productive_streak: 0,
             pivot_scope: posr_obs::CounterScope::new(),
             theory_checked: 0,
-            cur_env: BoundEnv::new(),
-            gcd_fixed_count: 0,
-            env_snapshots: Vec::new(),
+            bounds: BoundEnv::new(),
+            gcd_pinned: 0,
+            theory_levels: Vec::new(),
             simplex_checked: 0,
             activity: Vec::new(),
             var_inc: 1.0,
@@ -603,11 +642,8 @@ impl Engine {
             solve_base_conflicts: 0,
             saw_resource_out: false,
             cancelled: false,
-            bound_time: std::time::Duration::ZERO,
-            gcd_time: std::time::Duration::ZERO,
-            simplex_time: std::time::Duration::ZERO,
-            explain_time: std::time::Duration::ZERO,
-            trace: std::env::var_os("POSR_CDCL_STATS").is_some(),
+            times: LayerTimes::default(),
+            flushed_times: LayerTimes::default(),
             proof,
             last_final_id: 0,
             last_core: None,
@@ -873,11 +909,11 @@ impl Engine {
         self.trail.truncate(keep);
         self.trail_lim.truncate(target as usize);
         self.qhead = keep;
-        let snapshot = self.env_snapshots[target as usize].clone();
-        self.env_snapshots.truncate(target as usize);
-        self.theory_checked = snapshot.checked;
-        self.cur_env = snapshot.env;
-        self.gcd_fixed_count = snapshot.gcd_fixed;
+        let level = self.theory_levels[target as usize];
+        self.theory_levels.truncate(target as usize);
+        self.theory_checked = level.checked;
+        self.gcd_pinned = level.gcd_pinned;
+        self.bounds.pop_to_level(target as usize);
         self.simplex_checked = self.simplex_checked.min(self.theory_stack.len());
         // retract the bounds of the popped theory literals; only relaxes
         // intervals, so the warm basis and assignment stay valid
@@ -885,11 +921,11 @@ impl Engine {
     }
 
     fn new_decision_level(&mut self) {
-        self.env_snapshots.push(TheorySnapshot {
+        self.theory_levels.push(TheoryLevel {
             checked: self.theory_checked,
-            env: self.cur_env.clone(),
-            gcd_fixed: self.gcd_fixed_count,
+            gcd_pinned: self.gcd_pinned,
         });
+        self.bounds.push_level();
         self.trail_lim.push(self.trail.len());
     }
 
@@ -939,47 +975,34 @@ impl Engine {
     }
 
     /// Checks the theory at a propagation fixpoint: *incremental* interval
-    /// propagation of the constraints asserted since the last check (the
-    /// worklist cascade of [`BoundEnv::propagate`] re-fires only the
-    /// context constraints whose variables actually tightened, walking the
-    /// persistent `theory_index`), then the divisibility test — but only
-    /// when the set of bound-pinned variables changed since the last run
-    /// (or periodically, for equality pairs that complete without new
-    /// pinning) — each with a tracked/minimised explanation on refutation.
-    /// On backjump the environment is restored from the decision-level
-    /// snapshot, so no fixpoint is ever recomputed from scratch.
+    /// propagation of the constraints asserted since the last check on the
+    /// bound trail (the worklist cascade of [`BoundEnv::propagate_from`]
+    /// re-fires only the context constraints whose variables actually
+    /// tightened, walking the persistent `theory_index`), then the
+    /// divisibility test — but only when the set of bound-pinned variables
+    /// changed since the last run (or periodically, for equality pairs that
+    /// complete without new pinning).  Refutations are explained from the
+    /// trail; on backjump the trail pops its levels, so no fixpoint is ever
+    /// recomputed from scratch.
     fn theory_check(&mut self) -> Step {
         if self.theory_stack.len() <= self.theory_checked {
             return Step::Ok;
         }
         self.stats.bound_checks += 1;
-        let t0 = std::time::Instant::now();
-        let extra = self.theory_stack[self.theory_checked..].to_vec();
+        let t0 = Instant::now();
         let budget = 32 * self.theory_stack.len().max(8);
-        let mut env = std::mem::take(&mut self.cur_env);
-        let mut changed: Vec<Var> = Vec::new();
-        let outcome = env.propagate_into(
-            &extra,
+        let mark = self.bounds.mark();
+        let outcome = self.bounds.propagate_from(
             &self.theory_stack,
+            self.theory_checked..self.theory_stack.len(),
             &self.theory_index,
             budget,
-            &mut changed,
         );
-        self.cur_env = env;
-        self.bound_time += t0.elapsed();
+        self.times.bound += t0.elapsed();
         if outcome == BoundOutcome::Refuted {
-            let t0 = std::time::Instant::now();
-            let core = match explain::bound_conflict_core(&self.theory_stack) {
-                Some(core) => core,
-                None => {
-                    self.proof_incomplete("bound conflict without a tracked core");
-                    (0..self.theory_stack.len()).collect()
-                }
-            };
+            let t0 = Instant::now();
+            let core = self.bounds.conflict_core(&self.theory_stack);
             let core = if core.len() <= MINIMIZE_CAP {
-                // the *checker* need not track provenance — it only has to
-                // prove subsets infeasible — so the cheap untracked
-                // propagation replaces the tracked one of the initial pass
                 explain::minimize_core_budgeted(
                     &self.theory_stack,
                     core,
@@ -989,29 +1012,28 @@ impl Engine {
             } else {
                 core
             };
-            self.explain_time += t0.elapsed();
+            if self.proof.is_some() && !explain::bound_infeasible(&self.core_constraints(&core)) {
+                // the trail's derivation can chain more rounds than a
+                // from-scratch replay runs
+                self.proof_incomplete("bound conflict deeper than a replayable chain");
+            }
+            self.times.explain += t0.elapsed();
             let conflict = self.core_to_conflict(&core);
             let pid = self.log_lemma(&conflict, CertKind::Bounds);
             return Step::Conflict(conflict, pid);
         }
-        let pinned = self.cur_env.pinned_count();
+        let pinned = self.bounds.pinned_count();
         let run_gcd =
-            pinned != self.gcd_fixed_count || self.stats.bound_checks.is_multiple_of(GCD_PERIOD);
-        if !run_gcd {
-            self.theory_checked = self.theory_stack.len();
-            self.theory_propagate(&changed);
-            return Step::Ok;
-        }
-        let step = self.gcd_check();
-        match step {
-            Step::Ok => {
-                self.gcd_fixed_count = pinned;
-                self.theory_checked = self.theory_stack.len();
-                self.theory_propagate(&changed);
-                Step::Ok
+            pinned != self.gcd_pinned || self.stats.bound_checks.is_multiple_of(GCD_PERIOD);
+        if run_gcd {
+            if let Step::Conflict(conflict, pid) = self.gcd_check() {
+                return Step::Conflict(conflict, pid);
             }
-            conflict => conflict,
+            self.gcd_pinned = pinned;
         }
+        self.theory_checked = self.theory_stack.len();
+        self.theory_propagate(mark);
+        Step::Ok
     }
 
     /// Assignment-guided theory propagation at the propagation fixpoint
@@ -1115,7 +1137,7 @@ impl Engine {
         }
         self.stats.simplex_checks += 1;
         let _span = posr_obs::span!("simplex", "simplex.check");
-        let t0 = std::time::Instant::now();
+        let t0 = Instant::now();
         let pivots_before = self.simplex.pivots();
         let mut outcome = Some(Ok(()));
         for i in self.simplex.num_asserted()..self.theory_stack.len() {
@@ -1130,7 +1152,7 @@ impl Engine {
         if let Some(Ok(())) = outcome {
             outcome = self.simplex.check_budgeted(max_pivots);
         }
-        self.simplex_time += t0.elapsed();
+        self.times.simplex += t0.elapsed();
         HIST_CHECK_PIVOTS.record(self.simplex.pivots().saturating_sub(pivots_before));
         match outcome {
             Some(Ok(())) => {
@@ -1211,7 +1233,6 @@ impl Engine {
             }
             self.stats.theory_props += 1;
             self.stats.tprop_entailed += 1;
-            self.tprop_mark[lit.var()] = self.theory_stack.len();
             self.tprop_guided[lit.var()] = Some(tags);
             self.enqueue(lit, TPROP_REASON);
             // mirror the interval path: a root-level propagation must be
@@ -1248,14 +1269,14 @@ impl Engine {
     /// a literal the intervals already decide never becomes a decision,
     /// so whole refutation subtrees are skipped instead of being
     /// re-learned clause by clause.
-    fn theory_propagate(&mut self, changed: &[Var]) {
-        if !self.config.theory_propagation || changed.is_empty() {
+    fn theory_propagate(&mut self, mark: usize) {
+        if !self.config.theory_propagation || self.bounds.mark() == mark {
             return;
         }
         self.atom_table.cur_stamp += 1;
         let stamp = self.atom_table.cur_stamp;
         let mut entailed: Vec<Lit> = Vec::new();
-        for &v in changed {
+        for v in self.bounds.changed_since(mark) {
             let Some(form_ids) = self.atom_table.by_var.get(&v) else {
                 continue;
             };
@@ -1265,14 +1286,13 @@ impl Engine {
                 }
                 self.atom_table.stamps[fi] = stamp;
                 let form = &self.atom_table.forms[fi];
-                let (min, max) = self.cur_env.expr_range(&form.expr);
+                let (min, max) = self.bounds.expr_range(&form.expr);
                 // form + k ≤ 0 is entailed true iff k ≤ −max(form) and
                 // entailed false iff k ≥ 1 − min(form); the sorted atom
                 // list makes both a run from one end
                 if let Some(max) = max {
-                    let cut = -max;
                     for &(k, b) in &form.atoms {
-                        if Rat::from_int(k) > cut {
+                        if k > -max {
                             break;
                         }
                         if self.assign[b] == 0 {
@@ -1281,9 +1301,8 @@ impl Engine {
                     }
                 }
                 if let Some(min) = min {
-                    let cut = Rat::ONE - min;
                     for &(k, b) in form.atoms.iter().rev() {
-                        if Rat::from_int(k) < cut {
+                        if k < 1 - min {
                             break;
                         }
                         if self.assign[b] == 0 {
@@ -1301,7 +1320,7 @@ impl Engine {
                 continue;
             }
             self.stats.theory_props += 1;
-            self.tprop_mark[lit.var()] = self.theory_stack.len();
+            self.tprop_mark[lit.var()] = self.bounds.mark();
             self.tprop_guided[lit.var()] = None;
             self.enqueue(lit, TPROP_REASON);
             // a level-0 theory propagation extends the *root* trail, which
@@ -1324,16 +1343,14 @@ impl Engine {
     /// the negated literal — interval propagation cannot replay a
     /// multi-variable row entailment.
     ///
-    /// An *interval* propagation re-derives its core: the negated
-    /// literal's constraint is jointly bound-infeasible with the
-    /// theory-stack prefix recorded at propagation time, so the tracked
-    /// propagator's conflict core over that set — minus the negated
-    /// constraint itself — is a set of asserted literals implying `lit`.
-    /// Falls back to the whole prefix when the from-scratch pass cannot
-    /// reproduce the incremental fixpoint (round-capped): sound, just
-    /// less sharp.
+    /// An *interval* propagation is read off the bound trail: the scan
+    /// found the negated literal's constraint refuted by the bounds current
+    /// at its mark, so the constraints those bounds rest on — walked back
+    /// through the trail as of the mark — are asserted literals implying
+    /// `lit`.  Every entry below the mark outlives the literal (both sit on
+    /// the literal's decision level or below).
     fn explain_tprop(&mut self, lit: Lit) -> (Vec<Lit>, CertKind) {
-        let t0 = std::time::Instant::now();
+        let t0 = Instant::now();
         if let Some(tags) = self.tprop_guided[lit.var()].clone() {
             let mut idx: Vec<usize> = tags.iter().map(|&t| t as usize).collect();
             idx.sort_unstable();
@@ -1361,77 +1378,47 @@ impl Engine {
             } else {
                 CertKind::Bounds
             };
-            self.explain_time += t0.elapsed();
+            self.times.explain += t0.elapsed();
             return (lits, kind);
         }
-        let mark = self.tprop_mark[lit.var()].min(self.theory_stack.len());
         let neg = self.lit_constraint[lit.negate().code()]
-            .clone()
+            .as_ref()
             .expect("theory-propagated literals carry a constraint");
-        let mut constraints = self.theory_stack[..mark].to_vec();
-        constraints.push(neg);
+        let core = self
+            .bounds
+            .explain_reads(neg, self.tprop_mark[lit.var()], &self.theory_stack);
         let mut lits = vec![lit];
-        match explain::bound_conflict_core(&constraints) {
-            Some(core) => {
-                for i in core {
-                    if i < mark {
-                        lits.push(self.theory_lits[i].negate());
-                    }
-                }
-            }
-            None => {
-                self.proof_incomplete("theory propagation without a reproducible core");
-                for i in 0..mark {
-                    lits.push(self.theory_lits[i].negate());
-                }
-            }
-        }
-        self.explain_time += t0.elapsed();
+        lits.extend(core.iter().map(|&i| self.theory_lits[i].negate()));
+        self.times.explain += t0.elapsed();
         (lits, CertKind::Bounds)
     }
 
     /// Divisibility check over the asserted equality subsystem with the
     /// bound-pinned variables substituted out (the parity conflicts of
-    /// loopy Parikh encodings); explanations come from the elimination's
-    /// and the tracked propagator's reason sets.
+    /// loopy Parikh encodings).  One elimination both detects and explains:
+    /// it reports the equations it combined and the pinned values it
+    /// used, and the bound trail explains the pins.
     fn gcd_check(&mut self) -> Step {
         self.stats.gcd_checks += 1;
-        let t0 = std::time::Instant::now();
-        // fast path: pinned values without provenance
-        let fixed_plain: crate::eqelim::FixedVars = self
-            .cur_env
-            .fixed()
-            .into_iter()
-            .map(|(v, k)| (v, (k, Default::default())))
-            .collect();
-        let refuted = crate::eqelim::conflict_core_fixed(&self.theory_stack, &fixed_plain);
-        self.gcd_time += t0.elapsed();
-        if refuted.is_none() {
+        let t0 = Instant::now();
+        let bounds = &self.bounds;
+        let refuted =
+            crate::eqelim::conflict_core_pinned(&self.theory_stack, &|v| bounds.pinned_value(v));
+        self.times.gcd += t0.elapsed();
+        let Some(gcd) = refuted else {
             return Step::Ok;
-        }
-        // conflict: redo with tracked provenance so the fixing constraints
-        // enter the core (required for the learned clause to be sound)
-        let t0 = std::time::Instant::now();
-        let fixed_tracked = explain::fixed_reasons(&self.theory_stack);
-        // the minimisation checker only has to *prove* subsets infeasible,
-        // so it runs the untracked propagation (no provenance bookkeeping)
-        let core = match crate::eqelim::conflict_core_fixed(&self.theory_stack, &fixed_tracked) {
-            Some(core) if core.len() <= MINIMIZE_CAP => explain::minimize_core_budgeted(
-                &self.theory_stack,
-                core,
-                &gcd_refutes,
-                MINIMIZE_BUDGET,
-            ),
-            Some(core) => core,
-            // the tracked propagator pins at least the variables the
-            // incremental environment pinned, so this is unreachable; fall
-            // back to the full stack
-            None => {
-                self.proof_incomplete("gcd conflict without a reproducible core");
-                (0..self.theory_stack.len()).collect()
-            }
         };
-        self.explain_time += t0.elapsed();
+        let t0 = Instant::now();
+        let mut core = self.bounds.explain_pinned(&gcd.pinned, &self.theory_stack);
+        core.extend(gcd.constraints);
+        core.sort_unstable();
+        core.dedup();
+        let core = if core.len() <= MINIMIZE_CAP {
+            explain::minimize_core_budgeted(&self.theory_stack, core, &gcd_refutes, MINIMIZE_BUDGET)
+        } else {
+            core
+        };
+        self.times.explain += t0.elapsed();
         let conflict = self.core_to_conflict(&core);
         let pid = self.log_lemma(&conflict, CertKind::Gcd);
         Step::Conflict(conflict, pid)
@@ -1455,7 +1442,7 @@ impl Engine {
         }
         self.stats.simplex_checks += 1;
         let _span = posr_obs::span!("simplex", "simplex.check");
-        let t0 = std::time::Instant::now();
+        let t0 = Instant::now();
         // the scope sees every tableau this thread pivots (persistent or
         // scratch), so its delta is the per-check pivot count either way
         let pivots_before = self.pivot_scope.get(crate::simplex::obs_pivot_counter());
@@ -1464,7 +1451,7 @@ impl Engine {
         } else {
             self.scratch_simplex_check()
         };
-        self.simplex_time += t0.elapsed();
+        self.times.simplex += t0.elapsed();
         HIST_CHECK_PIVOTS.record(
             self.pivot_scope
                 .get(crate::simplex::obs_pivot_counter())
@@ -1551,6 +1538,11 @@ impl Engine {
         core.iter().map(|&i| self.theory_lits[i].negate()).collect()
     }
 
+    /// The asserted constraints a theory core names.
+    fn core_constraints(&self, core: &[usize]) -> Vec<SimplexConstraint> {
+        core.iter().map(|&i| self.theory_stack[i].clone()).collect()
+    }
+
     /// The conflict clause of a leaf theory core, certified when proof
     /// logging is on: the core is logged as a theory lemma whose
     /// certificate kind the independent checker replays — an interval
@@ -1562,8 +1554,7 @@ impl Engine {
         if self.proof.is_none() {
             return (self.core_to_conflict(&core), 0);
         }
-        let cs: Vec<SimplexConstraint> =
-            core.iter().map(|&i| self.theory_stack[i].clone()).collect();
+        let cs = self.core_constraints(&core);
         let kind = if explain::bound_infeasible(&cs) {
             CertKind::Bounds
         } else if gcd_refutes(&cs) {
@@ -1572,13 +1563,13 @@ impl Engine {
             // an irreducible rationally-infeasible subsystem has Farkas
             // multipliers that are unique up to scale, so minimise first
             // and recover them without a tableau
-            let t0 = std::time::Instant::now();
+            let t0 = Instant::now();
             if core.len() <= MINIMIZE_CAP {
                 core = explain::minimize_core(&self.theory_stack, core, &|cs| {
                     !check_feasibility(cs).is_feasible()
                 });
             }
-            self.explain_time += t0.elapsed();
+            self.times.explain += t0.elapsed();
             let rows: Vec<crate::term::LinExpr> = core
                 .iter()
                 .map(|&i| le_row(&self.theory_stack[i]))
@@ -1610,11 +1601,14 @@ impl Engine {
         self.stats.final_checks += 1;
         let mut int_config = self.config.int_config.clone();
         int_config.cancel = self.config.cancel.clone();
+        let t0 = Instant::now();
         let (result, _pivots) = solve_integer_with_pivots(&self.theory_stack, &int_config);
+        self.times.bnb += t0.elapsed();
         match result {
             IntFeasResult::Sat(values) => FinalOutcome::Model(Model::from_values(values)),
             IntFeasResult::Unsat => {
                 let core: Vec<usize> = (0..self.theory_stack.len()).collect();
+                let t0 = Instant::now();
                 let core = if core.len() <= MINIMIZE_CAP {
                     explain::minimize_core(&self.theory_stack, core, &|cs| {
                         explain::integer_infeasible(cs, EXPLAIN_INT_BUDGET)
@@ -1622,6 +1616,7 @@ impl Engine {
                 } else {
                     core
                 };
+                self.times.explain += t0.elapsed();
                 let (conflict, pid) = self.certified_conflict(core);
                 FinalOutcome::Conflict(conflict, pid)
             }
@@ -2066,9 +2061,6 @@ impl Engine {
                 self.cancelled = true;
                 return self.undecided_unknown();
             }
-            if self.trace {
-                self.trace_line();
-            }
             if self.stats.conflicts - self.solve_base_conflicts >= self.config.max_conflicts as u64
             {
                 return SolverResult::Unknown("resource limit reached".to_string());
@@ -2214,34 +2206,9 @@ impl Engine {
         }
     }
 
-    fn trace_line(&self) {
-        let s = self.stats();
-        let s = &s;
-        if (s.decisions + s.conflicts).is_multiple_of(256) && s.decisions + s.conflicts > 0 {
-            eprintln!(
-                "cdcl: decisions {} conflicts {} restarts {} trail {}/{} theory {} checks b{}/g{}/s{}/f{} tprops {} pivots {} time b{:?}/g{:?}/s{:?}/e{:?}",
-                s.decisions,
-                s.conflicts,
-                s.restarts,
-                self.trail.len(),
-                self.assign.len(),
-                self.theory_stack.len(),
-                s.bound_checks,
-                s.gcd_checks,
-                s.simplex_checks,
-                s.final_checks,
-                s.theory_props,
-                s.simplex_pivots,
-                self.bound_time,
-                self.gcd_time,
-                self.simplex_time,
-                self.explain_time,
-            );
-        }
-    }
-
     /// Pushes the counters accumulated since the last flush into the
-    /// process-wide totals.
+    /// process-wide totals, and the sub-layer times into their `obs`
+    /// counters.
     fn flush_global(&mut self) {
         let now = self.stats();
         let f = &self.flushed;
@@ -2260,6 +2227,17 @@ impl Engine {
         GLOBAL_ROW_TOUCHES.fetch_add(now.row_touches - f.row_touches, Ordering::Relaxed);
         GLOBAL_TPROP_ENTAILED.fetch_add(now.tprop_entailed - f.tprop_entailed, Ordering::Relaxed);
         self.flushed = now;
+        let (t, f) = (self.times, self.flushed_times);
+        for (counter, now, before) in [
+            (*OBS_BOUND_US, t.bound, f.bound),
+            (*OBS_GCD_US, t.gcd, f.gcd),
+            (*OBS_EXPLAIN_US, t.explain, f.explain),
+            (*OBS_SIMPLEX_US, t.simplex, f.simplex),
+            (*OBS_BNB_US, t.bnb, f.bnb),
+        ] {
+            counter.add((now.as_micros() - before.as_micros()) as u64);
+        }
+        self.flushed_times = t;
     }
 }
 
@@ -2275,15 +2253,8 @@ enum FinalOutcome {
 /// refutation, the first arm here).
 fn gcd_refutes(cs: &[SimplexConstraint]) -> bool {
     let (env, outcome) = BoundEnv::from_constraints(cs);
-    if outcome == BoundOutcome::Refuted {
-        return true;
-    }
-    let fixed: crate::eqelim::FixedVars = env
-        .fixed()
-        .into_iter()
-        .map(|(v, k)| (v, (k, Default::default())))
-        .collect();
-    crate::eqelim::conflict_core_fixed(cs, &fixed).is_some()
+    outcome == BoundOutcome::Refuted
+        || crate::eqelim::conflict_core_pinned(cs, &|v| env.pinned_value(v)).is_some()
 }
 
 /// The `lhs ≤ 0` row of an asserted constraint — the orientation the

@@ -28,16 +28,70 @@
 //! same test to refute parity-infeasible conjunctions before attempting
 //! branch-and-bound.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 
-use crate::explain::{negate, union, Reasons};
 use crate::simplex::{Rel, SimplexConstraint};
 use crate::term::{LinExpr, Var};
 
-/// A variable pinned to an integer value, with the indices of the
-/// constraints responsible (empty when the caller does not need
-/// explanations, e.g. branch-and-bound pruning).
-pub type FixedVars = BTreeMap<Var, (i128, crate::explain::ReasonSet)>;
+/// A compact set of reason indices — the provenance each derived equation
+/// carries through the elimination.  A word bitset: unions are a few
+/// `u64` ORs instead of a sorted-vector merge.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+struct Reasons {
+    words: Vec<u64>,
+}
+
+impl Reasons {
+    fn singleton(i: usize) -> Reasons {
+        let mut set = Reasons::default();
+        set.insert(i);
+        set
+    }
+
+    fn insert(&mut self, i: usize) {
+        let word = i / 64;
+        if word >= self.words.len() {
+            self.words.resize(word + 1, 0);
+        }
+        self.words[word] |= 1u64 << (i % 64);
+    }
+
+    fn union(&self, other: &Reasons) -> Reasons {
+        let (mut out, other) = if self.words.len() >= other.words.len() {
+            (self.clone(), other)
+        } else {
+            (other.clone(), self)
+        };
+        for (w, &o) in out.words.iter_mut().zip(&other.words) {
+            *w |= o;
+        }
+        out
+    }
+
+    /// The members as sorted indices.
+    fn to_indices(&self) -> Vec<usize> {
+        let mut out = Vec::new();
+        for (wi, &word) in self.words.iter().enumerate() {
+            let mut bits = word;
+            while bits != 0 {
+                out.push(wi * 64 + bits.trailing_zeros() as usize);
+                bits &= bits - 1;
+            }
+        }
+        out
+    }
+}
+
+/// A divisibility refutation: the constraints the derived equation
+/// combines, and the pinned variables whose values it substituted (their
+/// pinning constraints complete the core).
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct GcdCore {
+    /// Sorted constraint indices.
+    pub constraints: Vec<usize>,
+    /// The substituted pinned variables, ascending.
+    pub pinned: Vec<Var>,
+}
 
 /// Fill-in cap: substitutions that would grow an equation beyond this many
 /// terms are skipped (partial elimination stays sound, it only refutes
@@ -66,24 +120,17 @@ fn equation_infeasible(expr: &LinExpr) -> bool {
     }
 }
 
-/// Substitutes the pinned variables of `fixed` into `expr`, accumulating
-/// the fixing constraints into `reasons`.  All arithmetic is *checked*:
-/// a learned clause from a wrapped coefficient would be unsound in release
-/// builds (where plain `i128` ops wrap silently), so on overflow the
-/// substitution is abandoned (`None`) and the caller drops the equation —
-/// sound, just less complete.
-fn substitute_fixed(expr: &LinExpr, fixed: &FixedVars, reasons: &mut Reasons) -> Option<LinExpr> {
-    if fixed.is_empty() {
-        return Some(expr.clone());
-    }
+/// Substitutes the pinned variables into `expr`.  All arithmetic is
+/// *checked*: a learned clause from a wrapped coefficient would be unsound
+/// in release builds (where plain `i128` ops wrap silently), so on overflow
+/// the substitution is abandoned (`None`) and the caller drops the
+/// equation — sound, just less complete.
+fn substitute_pinned(expr: &LinExpr, pinned: &dyn Fn(Var) -> Option<i128>) -> Option<LinExpr> {
     let mut constant = expr.constant_part();
     let mut out = LinExpr::zero();
     for (v, c) in expr.terms() {
-        match fixed.get(&v) {
-            Some((value, why)) => {
-                constant = constant.checked_add(c.checked_mul(*value)?)?;
-                reasons.union_with(why);
-            }
+        match pinned(v) {
+            Some(value) => constant = constant.checked_add(c.checked_mul(value)?)?,
             None => out.add_term(v, c),
         }
     }
@@ -91,7 +138,7 @@ fn substitute_fixed(expr: &LinExpr, fixed: &FixedVars, reasons: &mut Reasons) ->
 }
 
 /// `eq − factor·pivot` with checked arithmetic; `None` on overflow (the
-/// elimination step is skipped, see [`substitute_fixed`]).
+/// elimination step is skipped, see [`substitute_pinned`]).
 fn combine_checked(eq: &LinExpr, pivot: &LinExpr, factor: i128) -> Option<LinExpr> {
     let constant = eq
         .constant_part()
@@ -111,61 +158,75 @@ fn combine_checked(eq: &LinExpr, pivot: &LinExpr, factor: i128) -> Option<LinExp
 
 /// Collects the equality subsystem: explicit `Rel::Eq` constraints plus
 /// complementary pairs of `≤`-forms (`e ≤ 0` together with `−e ≤ 0`),
-/// with the `fixed` variables substituted out first (interval propagation
+/// with the pinned variables substituted out first (interval propagation
 /// pins e.g. the 0/1 mismatch counters, and only then do the flow
 /// equations expose their parity).
 fn collect_equations(
     constraints: &[SimplexConstraint],
-    fixed: &FixedVars,
+    pinned: &dyn Fn(Var) -> Option<i128>,
 ) -> Vec<(LinExpr, Reasons)> {
     let mut eqs: Vec<(LinExpr, Reasons)> = Vec::new();
-    let mut le_seen: HashMap<LinExpr, (u32, Reasons)> = HashMap::new();
+    let mut le_seen: HashMap<LinExpr, Reasons> = HashMap::new();
     for (i, c) in constraints.iter().enumerate() {
-        let i = i as u32;
-        let mut reasons = Reasons::singleton(i);
-        match c.rel {
+        let reasons = Reasons::singleton(i);
+        let raw = match c.rel {
             Rel::Eq => {
-                if let Some(e) = substitute_fixed(&c.expr, fixed, &mut reasons) {
+                if let Some(e) = substitute_pinned(&c.expr, pinned) {
                     eqs.push((e, reasons));
                 }
+                continue;
             }
-            Rel::Le | Rel::Ge => {
-                let raw = if c.rel == Rel::Le {
-                    c.expr.clone()
-                } else {
-                    negate(&c.expr)
-                };
-                let Some(e) = substitute_fixed(&raw, fixed, &mut reasons) else {
-                    continue;
-                };
-                if let Some((_, other_reasons)) = le_seen.get(&negate(&e)) {
-                    // e ≤ 0 ∧ −e ≤ 0 ⟺ e = 0
-                    eqs.push((e.clone(), union(&reasons, other_reasons)));
-                }
-                le_seen.entry(e).or_insert((i, reasons));
-            }
+            Rel::Le => c.expr.clone(),
+            Rel::Ge => -c.expr.clone(),
+        };
+        let Some(e) = substitute_pinned(&raw, pinned) else {
+            continue;
+        };
+        if let Some(other) = le_seen.get(&-e.clone()) {
+            // e ≤ 0 ∧ −e ≤ 0 ⟺ e = 0
+            eqs.push((e.clone(), reasons.union(other)));
         }
+        le_seen.entry(e).or_insert(reasons);
     }
     eqs
 }
 
-/// [`conflict_core_fixed`] without pinned variables.
+/// [`conflict_core_pinned`] without pinned variables: the sorted indices
+/// of an infeasible subset of `constraints`, if the elimination derives a
+/// divisibility conflict.
 pub fn conflict_core(constraints: &[SimplexConstraint]) -> Option<Vec<usize>> {
-    conflict_core_fixed(constraints, &FixedVars::new())
+    conflict_core_pinned(constraints, &|_| None).map(|core| core.constraints)
 }
 
 /// Runs unit-pivot elimination with GCD tests over the equality subsystem,
-/// substituting the pinned variables of `fixed` first.  On refutation
-/// returns the indices of an infeasible subset of `constraints` (sorted);
-/// `None` if no divisibility conflict was derived.
-pub fn conflict_core_fixed(
+/// substituting the values of the `pinned` variables first.  On
+/// refutation returns the combined constraints and the substituted pinned
+/// variables — one pass both detects and explains; `None` if no
+/// divisibility conflict was derived.
+pub fn conflict_core_pinned(
     constraints: &[SimplexConstraint],
-    fixed: &FixedVars,
-) -> Option<Vec<usize>> {
-    let mut eqs = collect_equations(constraints, fixed);
+    pinned: &dyn Fn(Var) -> Option<i128>,
+) -> Option<GcdCore> {
+    // every pinned variable of a combined constraint was substituted into
+    // the equation it contributed, so those are the pins the core used
+    let split = |reasons: &Reasons| {
+        let constraints_used = reasons.to_indices();
+        let mut pinned_used: Vec<Var> = constraints_used
+            .iter()
+            .flat_map(|&i| constraints[i].expr.variables())
+            .filter(|&v| pinned(v).is_some())
+            .collect();
+        pinned_used.sort_unstable();
+        pinned_used.dedup();
+        GcdCore {
+            constraints: constraints_used,
+            pinned: pinned_used,
+        }
+    };
+    let mut eqs = collect_equations(constraints, pinned);
     for (e, reasons) in &eqs {
         if equation_infeasible(e) {
-            return Some(reasons.to_indices());
+            return Some(split(reasons));
         }
     }
     let mut used = vec![false; eqs.len()];
@@ -201,9 +262,9 @@ pub fn conflict_core_fixed(
             if derived.terms().count() > MAX_TERMS {
                 continue; // skip: fill-in cap (sound, just less complete)
             }
-            let reasons = union(&eqs[q].1, &pivot_reasons);
+            let reasons = eqs[q].1.union(&pivot_reasons);
             if equation_infeasible(&derived) {
-                return Some(reasons.to_indices());
+                return Some(split(&reasons));
             }
             eqs[q] = (derived, reasons);
         }
@@ -288,6 +349,28 @@ mod tests {
         ];
         assert_eq!(conflict_core(&constraints), None);
         assert!(!infeasible(&constraints));
+    }
+
+    #[test]
+    fn pinned_substitutions_enter_the_core() {
+        let mut pool = VarPool::new();
+        let x = pool.fresh("x");
+        let y = pool.fresh("y");
+        let z = pool.fresh("z");
+        // 2x + y = 4 with y pinned to 1 leaves 2x = 3; z is noise
+        let constraints = vec![
+            ge(LinExpr::var(z)),
+            eq(LinExpr::scaled_var(x, 2) + LinExpr::var(y) - LinExpr::constant(4)),
+        ];
+        assert_eq!(conflict_core(&constraints), None);
+        let core = conflict_core_pinned(&constraints, &|v| (v == y).then_some(1));
+        assert_eq!(
+            core,
+            Some(GcdCore {
+                constraints: vec![1],
+                pinned: vec![y],
+            })
+        );
     }
 
     #[test]

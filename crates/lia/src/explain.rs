@@ -1,294 +1,28 @@
-//! Theory-conflict explanations: minimal infeasible subsets of asserted
-//! constraints.
+//! Deletion-based minimisation of theory-conflict cores.
 //!
-//! The CDCL(T) engine ([`crate::cdcl`]) needs more than a yes/no answer from
-//! the theory: when the asserted constraint conjunction is infeasible it
-//! must know *which* constraints clash, so the clashing literals can be
-//! turned into a learned clause that prunes every branch sharing the same
-//! mistake.  This module produces such explanations in two steps:
-//!
-//! 1. **Tracked bound propagation** ([`bound_conflict_core`]) re-runs the
-//!    interval propagation of [`crate::bounds`] while recording, for every
-//!    variable bound, the set of constraint indices that contributed to it.
-//!    When propagation derives a contradiction the union of the contributing
-//!    sets is an infeasible subset — usually a small fraction of the
-//!    asserted constraints, at a cost linear in the propagation work.
-//! 2. **Deletion-based minimisation** ([`minimize_core`]) shrinks a core to
-//!    a *minimal* one (every proper subset feasible w.r.t. the given
-//!    checker) by attempting to drop each member once.  Checkers are
-//!    provided for bound propagation, rational simplex and budgeted integer
-//!    feasibility; dropping a constraint is only allowed when the remainder
-//!    is *proven* infeasible, so a checker that gives up (resource-out)
-//!    keeps the constraint and the explanation stays sound.
+//! The CDCL(T) engine ([`crate::cdcl`]) turns every theory refutation into
+//! a learned clause over the constraints that clash.  Interval refutations
+//! arrive with their cores already attached — the bound trail of
+//! [`crate::bounds`] records which constraint produced every bound, so the
+//! engine reads cores off it — and the simplex contributes Farkas cores.
+//! This module shrinks such a core to a *minimal* one (every proper subset
+//! feasible w.r.t. the given checker) by attempting to drop each member
+//! once.  Checkers are provided for bound propagation and budgeted integer
+//! feasibility; dropping a constraint is only allowed when the remainder
+//! is *proven* infeasible, so a checker that gives up (resource-out) keeps
+//! the constraint and the explanation stays sound.
 //!
 //! Soundness invariant used by the learner: any superset of an infeasible
 //! set is infeasible, so every core returned here — minimal or not — yields
 //! a valid learned clause.
 
+use crate::bounds::{BoundEnv, BoundOutcome};
 use crate::intfeas::{solve_integer, IntFeasConfig, IntFeasResult};
-use crate::rational::Rat;
-use crate::simplex::{check_feasibility, Rel, SimplexConstraint};
-use crate::term::{LinExpr, Var};
-
-/// Fixpoint round cap.  Higher than [`crate::bounds`]' own cap because the
-/// CDCL engine's *incremental* worklist propagation can reach a deeper
-/// fixpoint than 12 from-scratch rounds; the explanation pass must be at
-/// least as strong as the detector or conflicts would lose their cores.
-/// The loop exits on convergence, so the cap only bounds pathologies.
-const MAX_ROUNDS: usize = 64;
-
-/// A compact set of constraint indices — the per-bound provenance carried
-/// through tracked propagation and the divisibility elimination.  A word
-/// bitset: unions are a few `u64` ORs instead of a sorted-vector merge,
-/// which is what keeps per-conflict explanation cost flat as the theory
-/// stack grows.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct ReasonSet {
-    words: Vec<u64>,
-}
-
-impl ReasonSet {
-    /// The empty set.
-    pub fn new() -> ReasonSet {
-        ReasonSet::default()
-    }
-
-    /// The singleton `{i}`.
-    pub fn singleton(i: u32) -> ReasonSet {
-        let mut set = ReasonSet::new();
-        set.insert(i);
-        set
-    }
-
-    /// Adds an index.
-    pub fn insert(&mut self, i: u32) {
-        let word = (i / 64) as usize;
-        if word >= self.words.len() {
-            self.words.resize(word + 1, 0);
-        }
-        self.words[word] |= 1u64 << (i % 64);
-    }
-
-    /// In-place union.
-    pub fn union_with(&mut self, other: &ReasonSet) {
-        if other.words.len() > self.words.len() {
-            self.words.resize(other.words.len(), 0);
-        }
-        for (w, &o) in self.words.iter_mut().zip(&other.words) {
-            *w |= o;
-        }
-    }
-
-    /// The members as sorted indices.
-    pub fn to_indices(&self) -> Vec<usize> {
-        let mut out = Vec::new();
-        for (wi, &word) in self.words.iter().enumerate() {
-            let mut bits = word;
-            while bits != 0 {
-                let b = bits.trailing_zeros() as usize;
-                out.push(wi * 64 + b);
-                bits &= bits - 1;
-            }
-        }
-        out
-    }
-}
-
-pub(crate) type Reasons = ReasonSet;
-
-/// The union of two reason sets (shared with [`crate::eqelim`]).
-pub(crate) fn union(a: &Reasons, b: &Reasons) -> Reasons {
-    let mut out = a.clone();
-    out.union_with(b);
-    out
-}
-
-/// Interval propagation with per-bound provenance.  Bounds live in dense
-/// per-variable slots (variables are dense indices) — the tracked pass runs
-/// once per conflict over the whole theory stack, so constant-time slot
-/// access matters more than sparsity.
-#[derive(Default)]
-struct TrackedEnv {
-    lo: Vec<Option<(Rat, Reasons)>>,
-    hi: Vec<Option<(Rat, Reasons)>>,
-}
-
-impl TrackedEnv {
-    fn lo_of(&self, v: Var) -> Option<&(Rat, Reasons)> {
-        self.lo.get(v.index()).and_then(Option::as_ref)
-    }
-
-    fn hi_of(&self, v: Var) -> Option<&(Rat, Reasons)> {
-        self.hi.get(v.index()).and_then(Option::as_ref)
-    }
-
-    fn set(slots: &mut Vec<Option<(Rat, Reasons)>>, v: Var, entry: (Rat, Reasons)) {
-        if v.index() >= slots.len() {
-            slots.resize(v.index() + 1, None);
-        }
-        slots[v.index()] = Some(entry);
-    }
-
-    /// Lower bound of `expr` with the reasons it rests on (`None` = −∞).
-    fn expr_min(&self, expr: &LinExpr, excluded: Option<Var>) -> Option<(Rat, Reasons)> {
-        let mut total = Rat::from_int(expr.constant_part());
-        let mut reasons = Reasons::new();
-        for (v, c) in expr.terms() {
-            if excluded == Some(v) {
-                continue;
-            }
-            let entry = if c > 0 { self.lo_of(v) } else { self.hi_of(v) };
-            let (bound, r) = entry?;
-            total += *bound * Rat::from_int(c);
-            reasons.union_with(r);
-        }
-        Some((total, reasons))
-    }
-
-    /// Propagates `expr ≤ 0` (constraint index `ci`); `Ok(changed)` or the
-    /// conflict core on contradiction.
-    fn assert_le(&mut self, ci: u32, expr: &LinExpr) -> Result<bool, Reasons> {
-        if let Some((min, mut reasons)) = self.expr_min(expr, None) {
-            if min.is_positive() {
-                reasons.insert(ci);
-                return Err(reasons);
-            }
-        }
-        let mut changed = false;
-        for (v, c) in expr.terms() {
-            let Some((rest_min, mut reasons)) = self.expr_min(expr, Some(v)) else {
-                continue;
-            };
-            reasons.insert(ci);
-            let bound = -rest_min / Rat::from_int(c);
-            if c > 0 {
-                // v ≤ ⌊bound⌋ over the integers
-                let value = Rat::from_int(bound.floor());
-                if value < Rat::from_int(-crate::bounds::MAGNITUDE_LIMIT) {
-                    continue; // magnitude guard, mirrors `crate::bounds`
-                }
-                let tightens = match self.hi_of(v) {
-                    Some((current, _)) => *current > value,
-                    None => true,
-                };
-                if tightens {
-                    Self::set(&mut self.hi, v, (value, reasons));
-                    changed = true;
-                }
-            } else {
-                let value = Rat::from_int(bound.ceil());
-                if value > Rat::from_int(crate::bounds::MAGNITUDE_LIMIT) {
-                    continue;
-                }
-                let tightens = match self.lo_of(v) {
-                    Some((current, _)) => *current < value,
-                    None => true,
-                };
-                if tightens {
-                    Self::set(&mut self.lo, v, (value, reasons));
-                    changed = true;
-                }
-            }
-            if let (Some((lo, rl)), Some((hi, rh))) = (self.lo_of(v), self.hi_of(v)) {
-                if lo > hi {
-                    return Err(union(rl, rh));
-                }
-            }
-        }
-        Ok(changed)
-    }
-
-    fn assert_one(&mut self, ci: u32, constraint: &SimplexConstraint) -> Result<bool, Reasons> {
-        match constraint.rel {
-            Rel::Le => self.assert_le(ci, &constraint.expr),
-            Rel::Ge => self.assert_le(ci, &negate(&constraint.expr)),
-            Rel::Eq => {
-                let a = self.assert_le(ci, &constraint.expr)?;
-                let b = self.assert_le(ci, &negate(&constraint.expr))?;
-                Ok(a || b)
-            }
-        }
-    }
-}
-
-/// `−expr` without consuming it (shared with [`crate::eqelim`]).
-pub(crate) fn negate(expr: &LinExpr) -> LinExpr {
-    -expr.clone()
-}
-
-/// Runs tracked interval propagation; on refutation returns the indices of
-/// an infeasible subset of `constraints` (sorted), `None` if propagation
-/// cannot refute the conjunction.
-pub fn bound_conflict_core(constraints: &[SimplexConstraint]) -> Option<Vec<usize>> {
-    let mut env = TrackedEnv::default();
-    for _ in 0..MAX_ROUNDS {
-        let mut changed = false;
-        for (i, c) in constraints.iter().enumerate() {
-            match env.assert_one(i as u32, c) {
-                Ok(ch) => changed |= ch,
-                Err(core) => return Some(core.to_indices()),
-            }
-        }
-        if !changed {
-            break;
-        }
-    }
-    None
-}
-
-/// Runs tracked propagation to a fixpoint and returns the variables pinned
-/// to a single integer value, each with the indices of the constraints
-/// that pinned it.  Assumes the conjunction is bound-consistent (callers
-/// check first); on an unexpected refutation the map built so far is
-/// returned.
-pub fn fixed_reasons(constraints: &[SimplexConstraint]) -> crate::eqelim::FixedVars {
-    let mut env = TrackedEnv::default();
-    'rounds: for _ in 0..MAX_ROUNDS {
-        let mut changed = false;
-        for (i, c) in constraints.iter().enumerate() {
-            match env.assert_one(i as u32, c) {
-                Ok(ch) => changed |= ch,
-                Err(_) => break 'rounds,
-            }
-        }
-        if !changed {
-            break;
-        }
-    }
-    let mut out = crate::eqelim::FixedVars::new();
-    for (i, entry) in env.lo.iter().enumerate() {
-        let Some((lo, rl)) = entry else { continue };
-        let Some((hi, rh)) = env.hi.get(i).and_then(Option::as_ref) else {
-            continue;
-        };
-        if lo == hi {
-            if let Some(value) = lo.to_integer() {
-                out.insert(Var(i), (value, union(rl, rh)));
-            }
-        }
-    }
-    out
-}
+use crate::simplex::SimplexConstraint;
 
 /// `true` iff bound propagation alone refutes the conjunction.
 pub fn bound_infeasible(constraints: &[SimplexConstraint]) -> bool {
-    crate::bounds::BoundEnv::from_constraints(constraints).1 == crate::bounds::BoundOutcome::Refuted
-}
-
-/// `true` iff the conjunction is provably infeasible over ℤ by interval
-/// propagation or the rational simplex — the mid-strength checker of the
-/// deletion-minimisation family (between [`bound_infeasible`] and
-/// [`integer_infeasible`]).  A cheap bound-propagation pre-pass (linear,
-/// no pivoting) runs first, so the simplex only pivots when intervals
-/// alone cannot refute.  The pre-pass rounds to integers, so this checker
-/// is *integer*-sound rather than rational-exact — fine for every
-/// [`minimize_core`] use, whose soundness contract is ℤ-infeasibility
-/// (the solver's semantics); do not use it to certify that a *rational*
-/// Farkas certificate exists.  The engine's built-in conflict paths
-/// currently pick the two ends of the family; this one is part of the
-/// public minimisation toolkit (exercised by the unit tests).
-pub fn rational_infeasible(constraints: &[SimplexConstraint]) -> bool {
-    bound_infeasible(constraints) || !check_feasibility(constraints).is_feasible()
+    BoundEnv::from_constraints(constraints).1 == BoundOutcome::Refuted
 }
 
 /// `true` iff budgeted branch-and-bound *proves* integer infeasibility
@@ -299,29 +33,6 @@ pub fn integer_infeasible(constraints: &[SimplexConstraint], budget: usize) -> b
         ..IntFeasConfig::default()
     };
     matches!(solve_integer(constraints, &config), IntFeasResult::Unsat)
-}
-
-/// Shrinks a core to a fixpoint of its own extractor: re-running the
-/// (tracked) core computation on the core *subset* usually collapses it to
-/// a handful of constraints in one or two passes, after which the
-/// per-member deletion loop of [`minimize_core`] only has a few candidates
-/// left.  Sound because a tracked core is itself refutable by the same
-/// procedure — every recorded bound carries the constraints that produced
-/// it — so each pass yields a genuine infeasible subset.
-pub fn shrink_core(
-    constraints: &[SimplexConstraint],
-    mut core: Vec<usize>,
-    extract: &dyn Fn(&[SimplexConstraint]) -> Option<Vec<usize>>,
-) -> Vec<usize> {
-    loop {
-        let subset: Vec<SimplexConstraint> = core.iter().map(|&i| constraints[i].clone()).collect();
-        match extract(&subset) {
-            Some(sub) if sub.len() < core.len() => {
-                core = sub.into_iter().map(|j| core[j]).collect();
-            }
-            _ => return core,
-        }
-    }
 }
 
 /// Deletion-based minimisation: drops every core member whose removal keeps
@@ -374,7 +85,8 @@ pub fn minimize_core_budgeted(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::term::VarPool;
+    use crate::simplex::Rel;
+    use crate::term::{LinExpr, VarPool};
 
     fn le(expr: LinExpr) -> SimplexConstraint {
         SimplexConstraint { expr, rel: Rel::Le }
@@ -382,41 +94,6 @@ mod tests {
 
     fn ge(expr: LinExpr) -> SimplexConstraint {
         SimplexConstraint { expr, rel: Rel::Ge }
-    }
-
-    #[test]
-    fn core_excludes_irrelevant_constraints() {
-        let mut pool = VarPool::new();
-        let x = pool.fresh("x");
-        let y = pool.fresh("y");
-        let z = pool.fresh("z");
-        // x ≥ 3 ∧ x ≤ 2 clash; the z constraints are noise
-        let constraints = vec![
-            ge(LinExpr::var(z)),
-            ge(LinExpr::var(x) - LinExpr::constant(3)),
-            le(LinExpr::var(z) - LinExpr::constant(9)),
-            le(LinExpr::var(x) - LinExpr::constant(2)),
-            ge(LinExpr::var(y) - LinExpr::var(z)),
-        ];
-        let core = bound_conflict_core(&constraints).expect("refutable");
-        assert!(core.contains(&1) && core.contains(&3), "core {core:?}");
-        assert!(!core.contains(&0) && !core.contains(&2) && !core.contains(&4));
-    }
-
-    #[test]
-    fn transitive_chain_core_is_complete() {
-        let mut pool = VarPool::new();
-        let x = pool.fresh("x");
-        let y = pool.fresh("y");
-        // x ≥ 3, y ≥ x, y ≤ 2: all three constraints are needed
-        let constraints = vec![
-            ge(LinExpr::var(x) - LinExpr::constant(3)),
-            ge(LinExpr::var(y) - LinExpr::var(x)),
-            le(LinExpr::var(y) - LinExpr::constant(2)),
-        ];
-        let core = bound_conflict_core(&constraints).expect("refutable");
-        let minimal = minimize_core(&constraints, core, &bound_infeasible);
-        assert_eq!(minimal, vec![0, 1, 2]);
     }
 
     #[test]
@@ -434,16 +111,14 @@ mod tests {
     }
 
     #[test]
-    fn feasible_sets_have_no_core() {
+    fn feasible_sets_are_not_refuted() {
         let mut pool = VarPool::new();
         let x = pool.fresh("x");
         let constraints = vec![
             ge(LinExpr::var(x)),
             le(LinExpr::var(x) - LinExpr::constant(5)),
         ];
-        assert!(bound_conflict_core(&constraints).is_none());
         assert!(!bound_infeasible(&constraints));
-        assert!(!rational_infeasible(&constraints));
         assert!(!integer_infeasible(&constraints, 100));
     }
 

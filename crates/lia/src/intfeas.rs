@@ -15,10 +15,13 @@
 //! an O(1) assertion under a backtracking level that is popped when the
 //! DFS leaves the branch.  Each node's feasibility check warm-starts from
 //! the parent's basis, so a node typically costs a couple of pivots
-//! instead of a full tableau reconstruction.
+//! instead of a full tableau reconstruction.  The per-node interval
+//! propagation follows the same levels on one bound trail
+//! ([`BoundEnv`]), so a node propagates only its branch bound.
 
 use std::collections::BTreeMap;
 
+use crate::bounds::{BoundEnv, BoundOutcome, ConstraintIndex};
 use crate::cancel::CancelToken;
 use crate::rational::Rat;
 use crate::simplex::{IncrementalSimplex, Rel, SimplexConstraint};
@@ -76,13 +79,13 @@ impl IntFeasResult {
 }
 
 /// A branch-and-bound node: its branch constraint (`None` at the root),
-/// its depth in the DFS (= the simplex level it runs under), the inherited
-/// interval environment and the pinned-variable count at the last
+/// its depth in the DFS (= the level it runs under, on the tableau and on
+/// the bound trail alike) and the pinned-variable count at the last
 /// divisibility check along its branch.
 struct Node {
     branch: Option<SimplexConstraint>,
     depth: usize,
-    inherited: Option<(crate::bounds::BoundEnv, usize)>,
+    gcd_pinned: usize,
 }
 
 /// Decides integer feasibility of a conjunction of constraints.
@@ -97,8 +100,6 @@ pub fn solve_integer_with_pivots(
     constraints: &[SimplexConstraint],
     config: &IntFeasConfig,
 ) -> (IntFeasResult, u64) {
-    use crate::bounds::{BoundEnv, BoundOutcome, ConstraintIndex};
-
     // one tableau for the whole search: base constraints asserted once,
     // branch bounds pushed/popped as the DFS moves
     let mut simplex = IncrementalSimplex::new();
@@ -109,15 +110,18 @@ pub fn solve_integer_with_pivots(
         }
     }
     // the DFS path's constraints (base + branch bounds), for the interval
-    // and divisibility layers which reason over explicit conjunctions
+    // and divisibility layers which reason over explicit conjunctions; the
+    // bound trail and the dependency index follow the path level by level
     let mut path: Vec<SimplexConstraint> = constraints.to_vec();
+    let mut index = ConstraintIndex::build(&path);
+    let mut env = BoundEnv::new();
     let base = constraints.len();
 
     let mut nodes_left = config.max_nodes;
     let mut work: Vec<Node> = vec![Node {
         branch: None,
         depth: 0,
-        inherited: None,
+        gcd_pinned: usize::MAX, // forces the root GCD check
     }];
     let mut saw_resource_out = false;
 
@@ -131,51 +135,45 @@ pub fn solve_integer_with_pivots(
         nodes_left -= 1;
         // rewind to the node's parent, then enter the node's branch: a
         // level pop only relaxes bounds, so the warm basis stays valid
-        simplex.pop_to_level(node.depth.saturating_sub(1));
-        path.truncate(base + node.depth.saturating_sub(1));
-        if let Some(branch) = node.branch {
-            simplex.push_level();
-            if simplex.assert_constraint(&branch, 0).is_err() {
-                continue; // the branch bound clashes with an active bound
-            }
-            path.push(branch);
+        let parent = node.depth.saturating_sub(1);
+        simplex.pop_to_level(parent);
+        env.pop_to_level(parent);
+        while path.len() > base + parent {
+            index.pop(&path.pop().expect("branch constraint"));
         }
 
         // cheap refutations before the simplex: interval propagation with
-        // integer rounding (incremental: a child node re-propagates only
-        // its one branch constraint into the parent's environment), then —
-        // whenever propagation pinned a new variable — the divisibility
+        // integer rounding (incremental: a child node propagates only its
+        // one branch constraint on top of the parent's trail level), then
+        // — whenever propagation pinned a new variable — the divisibility
         // (GCD) test over the equality subsystem with the pinned variables
         // substituted out.  Without the latter, branch-and-bound diverges
         // on the parity conflicts of loopy Parikh encodings (`2s = 2t + 1`
         // admits ever-larger fractional relaxation points along the
         // unbounded counters).
-        let (env, outcome, mut last_gcd_fixed) = match node.inherited {
-            None => {
-                let (env, outcome) = BoundEnv::from_constraints(&path);
-                (env, outcome, usize::MAX) // MAX forces the root GCD check
-            }
-            Some((mut env, checked)) => {
-                let index = ConstraintIndex::build(&path);
-                let branch = std::slice::from_ref(path.last().expect("branch constraint"));
+        let outcome = match node.branch {
+            None => env.assert_all(&path),
+            Some(branch) => {
+                simplex.push_level();
+                env.push_level();
+                if simplex.assert_constraint(&branch, 0).is_err() {
+                    continue; // the branch bound clashes with an active bound
+                }
+                index.push(&branch);
+                path.push(branch);
                 let budget = 16 * path.len().max(8);
-                let outcome = env.propagate(branch, &path, &index, budget);
-                (env, outcome, checked)
+                env.propagate_from(&path, path.len() - 1..path.len(), &index, budget)
             }
         };
         if outcome == BoundOutcome::Refuted {
             continue;
         }
-        if last_gcd_fixed != env.pinned_count() {
-            let fixed_map: crate::eqelim::FixedVars = env
-                .fixed()
-                .into_iter()
-                .map(|(v, k)| (v, (k, Default::default())))
-                .collect();
-            if crate::eqelim::conflict_core_fixed(&path, &fixed_map).is_some() {
+        let mut gcd_pinned = node.gcd_pinned;
+        if gcd_pinned != env.pinned_count() {
+            if crate::eqelim::conflict_core_pinned(&path, &|v| env.pinned_value(v)).is_some() {
                 continue;
             }
-            last_gcd_fixed = env.pinned_count();
+            gcd_pinned = env.pinned_count();
         }
 
         let check = loop {
@@ -216,7 +214,7 @@ pub fn solve_integer_with_pivots(
                                 rel: Rel::Ge,
                             }),
                             depth: node.depth + 1,
-                            inherited: Some((env.clone(), last_gcd_fixed)),
+                            gcd_pinned,
                         });
                         // x ≤ floor branch
                         work.push(Node {
@@ -225,7 +223,7 @@ pub fn solve_integer_with_pivots(
                                 rel: Rel::Le,
                             }),
                             depth: node.depth + 1,
-                            inherited: Some((env, last_gcd_fixed)),
+                            gcd_pinned,
                         });
                     }
                 }
@@ -246,11 +244,8 @@ pub fn solve_integer_with_pivots(
 /// tag encodings) terminates, branching on unbounded flow counters need
 /// not.  Unbounded variables are only chosen when no bounded one is
 /// fractional.
-fn find_fractional(
-    model: &BTreeMap<Var, Rat>,
-    env: &crate::bounds::BoundEnv,
-) -> Option<(Var, Rat)> {
-    let mut best: Option<(Var, Rat, Option<Rat>)> = None;
+fn find_fractional(model: &BTreeMap<Var, Rat>, env: &BoundEnv) -> Option<(Var, Rat)> {
+    let mut best: Option<(Var, Rat, Option<i128>)> = None;
     for (&v, &r) in model {
         if r.is_integer() {
             continue;

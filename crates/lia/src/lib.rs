@@ -18,8 +18,10 @@
 //! * [`intfeas`] — integer feasibility by branch-and-bound on one
 //!   push/pop tableau, pruned per node by incremental interval
 //!   propagation and the divisibility test, with sound resource limits,
-//! * [`bounds`] — interval (bound) propagation with integer rounding, the
-//!   cheap propagation layer of both search engines,
+//! * [`bounds`] — interval (bound) propagation with integer rounding on
+//!   one backtrackable bound trail that records which constraint produced
+//!   every bound, the cheap propagation layer of both search engines and
+//!   of branch-and-bound,
 //! * [`cnf`] — clausification for the CDCL engine: structural hashing,
 //!   Plaisted–Greenbaum Tseitin encoding, half-space atom canonicalisation,
 //! * [`cdcl`] — the clause-learning **CDCL(T)** search engine (trail,
@@ -34,9 +36,9 @@
 //!   (`push`/`pop` via selector-guarded frames), assumption solving, and
 //!   learned-clause retention across calls — what the CEGAR loops and the
 //!   SMT-LIB `(check-sat)` streams run on,
-//! * [`explain`] / [`eqelim`] — theory-conflict *explanations*: provenance-
-//!   tracking bound propagation, deletion-minimised cores, and the
-//!   GCD/elimination refutation of parity-infeasible equality systems,
+//! * [`explain`] / [`eqelim`] — theory-conflict *explanations*:
+//!   deletion-minimised cores, and the GCD/elimination refutation of
+//!   parity-infeasible equality systems,
 //! * [`solver`] — the public satisfiability API for quantifier-free LIA
 //!   formulas with arbitrary Boolean structure (the stand-in for the LIA
 //!   backend of Z3 used by Z3-Noodler in the paper's implementation); the
@@ -51,10 +53,11 @@
 //! clause:
 //!
 //! 1. is the asserted conjunction bound-consistent?
-//!    ([`bounds::BoundEnv`]; cores from [`explain::bound_conflict_core`]),
+//!    ([`bounds::BoundEnv`]; cores read off the trail by
+//!    [`bounds::BoundEnv::conflict_core`]),
 //! 2. does the equality subsystem admit integer solutions?
-//!    ([`eqelim::conflict_core_fixed`], after substituting bound-pinned
-//!    variables),
+//!    ([`eqelim::conflict_core_pinned`], after substituting bound-pinned
+//!    variables, whose pins [`bounds::BoundEnv::explain_pinned`] explains),
 //! 3. is it rationally feasible / integer feasible at a leaf?
 //!    ([`simplex::check_feasibility_with_core`] Farkas certificates;
 //!    [`intfeas::solve_integer`] refutations minimised by deletion under a

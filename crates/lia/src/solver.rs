@@ -355,11 +355,11 @@ impl Search<'_> {
                 // disjunctions coupled through shared counters — take
                 // exponential search to refute.
                 if self.config.early_pruning {
-                    let (env, outcome) = BoundEnv::from_constraints(asserted);
+                    let (mut env, outcome) = BoundEnv::from_constraints(asserted);
                     if outcome == BoundOutcome::Refuted {
                         return None;
                     }
-                    let index = ConstraintIndex::build(asserted);
+                    let mut index = ConstraintIndex::build(asserted);
                     let mut forced = false;
                     let mut i = 0;
                     while i < worklist.len() {
@@ -374,7 +374,7 @@ impl Search<'_> {
                         }
                         parts.retain(|part| {
                             !falsified_by_bounds(&env, part)
-                                && !refuted_by_bounds(&env, asserted, &index, part)
+                                && !refuted_by_bounds(&mut env, asserted, &mut index, part)
                         });
                         match parts.len() {
                             0 => return None,
@@ -465,15 +465,14 @@ fn satisfied_by_bounds(env: &BoundEnv, formula: &Formula) -> bool {
     match formula {
         Formula::True => true,
         Formula::Atom(atom) => {
-            let zero = crate::rational::Rat::from_int(0);
             let (min, max) = env.expr_range(&atom.expr);
             match atom.cmp {
-                Cmp::Le => max.is_some_and(|m| m <= zero),
-                Cmp::Lt => max.is_some_and(|m| m < zero),
-                Cmp::Ge => min.is_some_and(|m| m >= zero),
-                Cmp::Gt => min.is_some_and(|m| m > zero),
-                Cmp::Eq => (min == Some(zero)) && (max == Some(zero)),
-                Cmp::Ne => max.is_some_and(|m| m < zero) || min.is_some_and(|m| m > zero),
+                Cmp::Le => max.is_some_and(|m| m <= 0),
+                Cmp::Lt => max.is_some_and(|m| m < 0),
+                Cmp::Ge => min.is_some_and(|m| m >= 0),
+                Cmp::Gt => min.is_some_and(|m| m > 0),
+                Cmp::Eq => (min == Some(0)) && (max == Some(0)),
+                Cmp::Ne => max.is_some_and(|m| m < 0) || min.is_some_and(|m| m > 0),
             }
         }
         Formula::And(parts) => parts.iter().all(|p| satisfied_by_bounds(env, p)),
@@ -492,15 +491,14 @@ fn falsified_by_bounds(env: &BoundEnv, formula: &Formula) -> bool {
     match formula {
         Formula::False => true,
         Formula::Atom(atom) => {
-            let zero = crate::rational::Rat::from_int(0);
             let (min, max) = env.expr_range(&atom.expr);
             match atom.cmp {
-                Cmp::Le => min.is_some_and(|m| m > zero),
-                Cmp::Lt => min.is_some_and(|m| m >= zero),
-                Cmp::Ge => max.is_some_and(|m| m < zero),
-                Cmp::Gt => max.is_some_and(|m| m <= zero),
-                Cmp::Eq => max.is_some_and(|m| m < zero) || min.is_some_and(|m| m > zero),
-                Cmp::Ne => (min == Some(zero)) && (max == Some(zero)),
+                Cmp::Le => min.is_some_and(|m| m > 0),
+                Cmp::Lt => min.is_some_and(|m| m >= 0),
+                Cmp::Ge => max.is_some_and(|m| m < 0),
+                Cmp::Gt => max.is_some_and(|m| m <= 0),
+                Cmp::Eq => max.is_some_and(|m| m < 0) || min.is_some_and(|m| m > 0),
+                Cmp::Ne => (min == Some(0)) && (max == Some(0)),
             }
         }
         Formula::And(parts) => parts.iter().any(|p| falsified_by_bounds(env, p)),
@@ -531,11 +529,13 @@ fn collect_probe(formula: &Formula, out: &mut Vec<SimplexConstraint>) -> bool {
 /// disjunct (bound refutation implies integer infeasibility).  The asserted
 /// context is re-propagated under the tightened bounds so the probe can
 /// cascade through the flow equalities, which is where most refutations of
-/// the Parikh encodings come from.
+/// the Parikh encodings come from.  The probe atoms are pushed onto the
+/// context and its index, propagated on a trail level of their own, and
+/// popped again, so all three are left as they were.
 fn refuted_by_bounds(
-    env: &BoundEnv,
-    asserted: &[SimplexConstraint],
-    index: &ConstraintIndex,
+    env: &mut BoundEnv,
+    asserted: &mut Vec<SimplexConstraint>,
+    index: &mut ConstraintIndex,
     disjunct: &Formula,
 ) -> bool {
     let mut probe = Vec::new();
@@ -545,9 +545,20 @@ fn refuted_by_bounds(
     if probe.is_empty() {
         return false;
     }
-    let mut local = env.clone();
-    let budget = 8 * asserted.len().max(8);
-    local.propagate(&probe, asserted, index, budget) == BoundOutcome::Refuted
+    let base = asserted.len();
+    for c in probe {
+        index.push(&c);
+        asserted.push(c);
+    }
+    let budget = 8 * base.max(8);
+    let level = env.level();
+    env.push_level();
+    let outcome = env.propagate_from(asserted, base..asserted.len(), index, budget);
+    env.pop_to_level(level);
+    while asserted.len() > base {
+        index.pop(&asserted.pop().expect("probe constraint"));
+    }
+    outcome == BoundOutcome::Refuted
 }
 
 enum AtomConstraints {

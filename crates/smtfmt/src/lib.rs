@@ -1225,6 +1225,12 @@ mod tests {
             ":automata-cache-hits",
             ":automata-cache-misses",
             ":automata-cache-hit-ratio",
+            // the CDCL(T) sub-layer times
+            ":bound-propagation-us",
+            ":gcd-us",
+            ":explain-us",
+            ":simplex-us",
+            ":branch-and-bound-us",
             // the flight recorder's latency histograms surface as
             // percentile rows; this unsat solve runs the CDCL engine, so
             // the session scope saw simplex check() pivot samples
