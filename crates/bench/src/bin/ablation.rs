@@ -1,14 +1,14 @@
 //! Ablation experiments: encoding sizes of the polynomial copy-tag
 //! construction vs. the naive mismatch-order enumeration, the PTime
 //! one-counter procedure vs. the LIA encoding for a single disequality,
-//! the CDCL(T) vs. structural LIA engine comparison on the flagship
-//! instance set, and the incremental-vs-scratch CEGAR comparison on the
-//! tag-encoding instances.
+//! the CDCL(T) verdicts on the flagship instance set, the CEGAR loops of
+//! the tag-encoding instances on one incremental session, and the
+//! BENCH_lia table of per-family LIA counters.
 //!
-//! The engine comparison and the CEGAR comparison double as the CI smoke
-//! gates: the binary exits non-zero unless (a) the CDCL engine decides
-//! every flagship instance with the expected verdict, (b) the incremental
-//! and scratch CEGAR drivers agree on every round's verdict, and (c) every
+//! The flagship and CEGAR tables double as the CI smoke gates: the binary
+//! exits non-zero unless (a) the CDCL engine decides every flagship
+//! instance with the expected verdict, (b) every CEGAR instance reaches
+//! the verdict its name states before any forced block, and (c) every
 //! CEGAR instance carries `> 0` learned clauses into its post-cut
 //! re-solves.  The reports go to `target/ablation-report.md` and
 //! `target/ablation-incremental.md` (override with `POSR_ABLATION_REPORT`
@@ -23,7 +23,7 @@ use posr_core::ast::{LenCmp, LenTerm, StringFormula, StringTerm};
 use posr_core::solver::{answer_status, SolverOptions, StringSolver};
 use posr_lia::formula::Formula;
 use posr_lia::incremental::IncrementalSolver;
-use posr_lia::solver::{SearchEngine, Solver, SolverConfig, SolverResult};
+use posr_lia::solver::SolverResult;
 use posr_lia::term::{LinExpr, VarPool};
 use posr_tagauto::diseq_simple::encode_simple_diseq;
 use posr_tagauto::onecounter_diseq::single_diseq_satisfiable;
@@ -31,7 +31,7 @@ use posr_tagauto::system::{PositionConstraint, SystemEncoder, SystemEncoding};
 use posr_tagauto::system_naive::encode_naive;
 use posr_tagauto::tags::VarTable;
 
-/// Per-instance wall clock of the engine comparison.
+/// Per-instance wall clock of the flagship and BENCH_lia solves.
 const ENGINE_TIMEOUT: Duration = Duration::from_secs(60);
 
 /// The flagship instance set: the loopy diseq+length family the CDCL(T)
@@ -96,7 +96,7 @@ fn flagship_instances() -> Vec<(&'static str, StringFormula, &'static str)> {
 /// equal-length constraint over two such variables drives the tag
 /// encoding through a product on the order of `n²` states — the regime
 /// where the occurrence-indexed sparse rows pay off over dense scans.
-/// Kept out of [`flagship_instances`] so the engine comparison and the
+/// Kept out of [`flagship_instances`] so the flagship table and the
 /// tracing-overhead guard stay fast.
 fn big_instances() -> Vec<(&'static str, StringFormula, &'static str)> {
     // an n-state cycle: exactly one word per accepted length (multiples
@@ -134,38 +134,32 @@ fn big_instances() -> Vec<(&'static str, StringFormula, &'static str)> {
     ]
 }
 
-fn solve_with_engine(formula: &StringFormula, engine: SearchEngine) -> (&'static str, Duration) {
+fn solve_flagship(formula: &StringFormula) -> (&'static str, Duration) {
     let start = Instant::now();
-    let mut options = SolverOptions {
+    let options = SolverOptions {
         deadline: Some(start + ENGINE_TIMEOUT),
         ..SolverOptions::default()
     };
-    options.position.lia.engine = engine;
     let answer = StringSolver::with_options(options).solve(formula);
     (answer_status(&answer), start.elapsed())
 }
 
-/// Runs the engine comparison; returns the markdown report and whether the
+/// Solves the flagship set; returns the markdown report and whether the
 /// CDCL engine got every expected verdict.
-fn engine_comparison() -> (String, bool) {
+fn flagship_table() -> (String, bool) {
     let mut report = String::new();
-    let _ = writeln!(report, "# Engine comparison: CDCL(T) vs structural DPLL(T)");
+    let _ = writeln!(report, "# Flagship set: CDCL(T) verdicts");
     let _ = writeln!(report);
-    let _ = writeln!(
-        report,
-        "| instance | expected | cdcl | cdcl time | structural | structural time |"
-    );
-    let _ = writeln!(report, "|---|---|---|---|---|---|");
+    let _ = writeln!(report, "| instance | expected | verdict | time |");
+    let _ = writeln!(report, "|---|---|---|---|");
     let mut all_ok = true;
     for (name, formula, expected) in flagship_instances() {
-        let (cdcl_status, cdcl_time) = solve_with_engine(&formula, SearchEngine::Cdcl);
-        let (structural_status, structural_time) =
-            solve_with_engine(&formula, SearchEngine::Structural);
-        let ok = cdcl_status == expected;
+        let (status, time) = solve_flagship(&formula);
+        let ok = status == expected;
         all_ok &= ok;
         let _ = writeln!(
             report,
-            "| {name} | {expected} | {cdcl_status}{} | {cdcl_time:.2?} | {structural_status} | {structural_time:.2?} |",
+            "| {name} | {expected} | {status}{} | {time:.2?} |",
             if ok { "" } else { " ❌" },
         );
     }
@@ -178,7 +172,7 @@ fn engine_comparison() -> (String, bool) {
     (report, all_ok)
 }
 
-/// One CEGAR tag-encoding instance of the incremental-vs-scratch table.
+/// One CEGAR tag-encoding instance.
 struct CegarInstance {
     name: &'static str,
     encoding: SystemEncoding,
@@ -186,7 +180,7 @@ struct CegarInstance {
 }
 
 /// The satisfiable tag-encoding families whose CEGAR loops the incremental
-/// layer exists to accelerate.
+/// layer exists to accelerate; each name states the instance's verdict.
 fn cegar_instances() -> Vec<CegarInstance> {
     let build = |specs: &[(&str, &str)],
                  constraints: &dyn Fn(&[posr_tagauto::tags::StrVar]) -> Vec<PositionConstraint>,
@@ -260,50 +254,44 @@ fn cegar_instances() -> Vec<CegarInstance> {
     out
 }
 
-/// Telemetry of one CEGAR run (either driver).
+/// The verdict a family's name states (`…-sat` / `…-unsat`).
+fn named_verdict(name: &str) -> &'static str {
+    if name.ends_with("-unsat") {
+        "unsat"
+    } else {
+        assert!(name.ends_with("-sat"), "family {name} names no verdict");
+        "sat"
+    }
+}
+
+/// Telemetry of one CEGAR run.
 struct CegarRun {
-    statuses: Vec<&'static str>,
+    /// The loop's last verdict, after the forced blocks.
+    final_verdict: &'static str,
+    /// The instance's own verdict: the first one the loop reached (a
+    /// connected model, unsat or unknown) before any forced block.
+    instance_verdict: &'static str,
     rounds: usize,
     conflicts: u64,
-    /// Learned clauses alive at the start of each round (incremental
-    /// driver only; the scratch driver starts every round from zero).
+    /// Learned clauses alive at the start of each round.
     learned_carried: Vec<u64>,
     wall: Duration,
 }
 
 /// Drives the connectivity-cut loop plus `forced_blocks` model-blocking
-/// rounds (the shape of the `¬contains` instantiation loop), either on one
-/// persistent incremental session or from scratch each round.
-fn run_cegar(instance: &CegarInstance, incremental: bool, forced_blocks: usize) -> CegarRun {
-    run_cegar_with(
-        instance,
-        incremental,
-        forced_blocks,
-        SolverConfig::default(),
-    )
-}
-
-/// [`run_cegar`] under an explicit LIA configuration (the BENCH_lia table
-/// re-runs the CEGAR families with the theory-side switches toggled).
-fn run_cegar_with(
-    instance: &CegarInstance,
-    incremental: bool,
-    forced_blocks: usize,
-    config: SolverConfig,
-) -> CegarRun {
+/// rounds (the shape of the `¬contains` instantiation loop) on one
+/// persistent incremental session.
+fn run_cegar(instance: &CegarInstance, forced_blocks: usize) -> CegarRun {
     let start = Instant::now();
     let conflicts_before = posr_lia::global_stats().conflicts;
-    let mut session = IncrementalSolver::with_config(config.clone());
-    let mut scratch_formula = Formula::and(vec![
+    let mut session = IncrementalSolver::new();
+    session.assert_formula(&Formula::and(vec![
         instance.encoding.formula.clone(),
         instance.extra.clone(),
-    ]);
-    if incremental {
-        session.assert_formula(&scratch_formula);
-    }
-    let scratch = Solver::with_config(config);
+    ]));
     let mut run = CegarRun {
-        statuses: Vec::new(),
+        final_verdict: "none",
+        instance_verdict: "none",
         rounds: 0,
         conflicts: 0,
         learned_carried: Vec::new(),
@@ -322,115 +310,97 @@ fn run_cegar_with(
             for flow in pending_flows.drain(..) {
                 posr_obs::flow_end("bench", "cegar.refine", flow);
             }
-            if incremental {
-                session.solve()
-            } else {
-                scratch.solve(&scratch_formula)
+            session.solve()
+        };
+        let status = match &result {
+            SolverResult::Sat(_) => "sat",
+            SolverResult::Unsat => "unsat",
+            SolverResult::Unknown(_) => "unknown",
+        };
+        run.final_verdict = status;
+        let SolverResult::Sat(model) = result else {
+            if run.instance_verdict == "none" {
+                run.instance_verdict = status;
+            }
+            break;
+        };
+        let refinement = match instance.encoding.extract_assignment(&model) {
+            None => match instance.encoding.connectivity_cut(&model) {
+                Some(cut) => cut,
+                None => break,
+            },
+            Some(_) => {
+                if run.instance_verdict == "none" {
+                    run.instance_verdict = "sat";
+                }
+                if blocks_left == 0 {
+                    break;
+                }
+                // connected model: block its Parikh image to force a
+                // genuine post-cut re-solve, CEGAR-style
+                blocks_left -= 1;
+                let parikh = instance.encoding.parikh.as_ref().expect("loopy instance");
+                Formula::or(
+                    parikh
+                        .trans_vars
+                        .iter()
+                        .map(|&tv| {
+                            Formula::ne(LinExpr::var(tv), LinExpr::constant(model.value(tv)))
+                        })
+                        .collect(),
+                )
             }
         };
-        match result {
-            SolverResult::Sat(model) => {
-                run.statuses.push("sat");
-                let refinement = match instance.encoding.extract_assignment(&model) {
-                    // connected model: block its Parikh image to force a
-                    // genuine post-cut re-solve, CEGAR-style
-                    Some(_) if blocks_left > 0 => {
-                        blocks_left -= 1;
-                        let parikh = instance.encoding.parikh.as_ref().expect("loopy instance");
-                        Formula::or(
-                            parikh
-                                .trans_vars
-                                .iter()
-                                .map(|&tv| {
-                                    Formula::ne(
-                                        LinExpr::var(tv),
-                                        LinExpr::constant(model.value(tv)),
-                                    )
-                                })
-                                .collect(),
-                        )
-                    }
-                    Some(_) => break,
-                    None => match instance.encoding.connectivity_cut(&model) {
-                        Some(cut) => cut,
-                        None => break,
-                    },
-                };
-                let flow = posr_obs::flow_id();
-                posr_obs::flow_start("bench", "cegar.refine", flow);
-                pending_flows.push(flow);
-                if incremental {
-                    session.assert_formula(&refinement);
-                } else {
-                    scratch_formula = Formula::and(vec![scratch_formula, refinement]);
-                }
-            }
-            SolverResult::Unsat => {
-                run.statuses.push("unsat");
-                break;
-            }
-            SolverResult::Unknown(_) => {
-                run.statuses.push("unknown");
-                break;
-            }
-        }
+        let flow = posr_obs::flow_id();
+        posr_obs::flow_start("bench", "cegar.refine", flow);
+        pending_flows.push(flow);
+        session.assert_formula(&refinement);
     }
     run.wall = start.elapsed();
     run.conflicts = posr_lia::global_stats().conflicts - conflicts_before;
     run
 }
 
-/// Runs the incremental-vs-scratch CEGAR comparison; returns the markdown
-/// report and whether verdicts agree and lemmas were carried everywhere.
-fn cegar_comparison() -> (String, bool) {
+/// Runs every CEGAR instance; returns the markdown report and whether each
+/// instance reached its named verdict and carried lemmas everywhere.
+fn cegar_table() -> (String, bool) {
     let mut report = String::new();
-    let _ = writeln!(
-        report,
-        "# CEGAR: incremental session vs from-scratch re-solving"
-    );
+    let _ = writeln!(report, "# CEGAR loops on one incremental session");
     let _ = writeln!(report);
     let _ = writeln!(
         report,
         "Each instance runs its connectivity-cut loop plus two forced \
-         model-blocking rounds (the `¬contains` CEGAR shape).  `carried` \
-         is the number of learned clauses alive at the start of each \
-         incremental round — `0` everywhere would mean the \"incremental\" \
-         path re-derives its conflicts from scratch."
+         model-blocking rounds (the `¬contains` CEGAR shape).  The instance \
+         verdict is the first one the loop reaches before any forced block; \
+         the final verdict is what the blocks leave.  `carried` is the \
+         number of learned clauses alive at the start of each round — `0` \
+         everywhere would mean the session re-derives its conflicts from \
+         scratch."
     );
     let _ = writeln!(report);
     let _ = writeln!(
         report,
-        "| instance | final verdict | inc rounds | inc conflicts | inc wall | scratch rounds | scratch conflicts | scratch wall | carried per round |"
+        "| instance | instance verdict | final verdict | rounds | conflicts | wall | carried per round |"
     );
-    let _ = writeln!(report, "|---|---|---|---|---|---|---|---|---|");
+    let _ = writeln!(report, "|---|---|---|---|---|---|---|");
     let mut all_ok = true;
     for instance in cegar_instances() {
-        let inc = run_cegar(&instance, true, 2);
-        let scr = run_cegar(&instance, false, 2);
-        // the drivers may need different numbers of connectivity-cut
-        // rounds (they find different models); soundness requires the
-        // *final* verdicts to agree
-        let verdicts_agree = inc.statuses.last() == scr.statuses.last();
+        let run = run_cegar(&instance, 2);
+        let verdict_ok = run.instance_verdict == named_verdict(instance.name);
         // every re-solve after the first round must start with lemmas
-        let carried_ok = inc.rounds > 1 && inc.learned_carried[1..].iter().all(|&c| c > 0);
-        all_ok &= verdicts_agree && carried_ok;
+        let carried_ok = run.rounds > 1 && run.learned_carried[1..].iter().all(|&c| c > 0);
+        all_ok &= verdict_ok && carried_ok;
         let _ = writeln!(
             report,
-            "| {} | {}{} | {} | {} | {:.2?} | {} | {} | {:.2?} | {:?}{} |",
+            "| {} | {}{} | {} | {} | {} | {:.2?} | {:?}{} |",
             instance.name,
-            inc.statuses.last().copied().unwrap_or("none"),
-            if verdicts_agree {
-                ""
-            } else {
-                " ≠ scratch ❌"
-            },
-            inc.rounds,
-            inc.conflicts,
-            inc.wall,
-            scr.rounds,
-            scr.conflicts,
-            scr.wall,
-            inc.learned_carried,
+            run.instance_verdict,
+            if verdict_ok { "" } else { " ❌" },
+            run.final_verdict,
+            run.rounds,
+            run.conflicts,
+            run.wall,
+            run.learned_carried,
             if carried_ok { "" } else { " ❌" },
         );
     }
@@ -439,9 +409,9 @@ fn cegar_comparison() -> (String, bool) {
         report,
         "{}",
         if all_ok {
-            "Verdicts agree and every post-cut re-solve retained learned clauses."
+            "Every instance reached its named verdict and every post-cut re-solve retained learned clauses."
         } else {
-            "MISMATCH: a verdict diverged or a re-solve started without lemmas."
+            "MISMATCH: an instance verdict contradicts its name or a re-solve started without lemmas."
         }
     );
     (report, all_ok)
@@ -451,7 +421,12 @@ fn cegar_comparison() -> (String, bool) {
 /// cumulative stats around the solve (the runs are sequential, so the
 /// deltas are exact).
 struct LiaMetrics {
+    /// The loop's final verdict (for the CEGAR families, after the forced
+    /// blocks).
     verdict: &'static str,
+    /// The instance's own verdict (for the CEGAR families, the first one
+    /// reached before any forced block; otherwise `verdict`).
+    instance_verdict: &'static str,
     wall: Duration,
     stats: posr_lia::SolverStats,
     /// Rows a dense tableau scan would have visited over the same run —
@@ -462,7 +437,7 @@ struct LiaMetrics {
 
 impl LiaMetrics {
     /// Bound + GCD + simplex + final checks: "how often was the theory
-    /// layer invoked" — the CI-gated reduction metric.
+    /// layer invoked".
     fn theory_checks(&self) -> u64 {
         self.stats.bound_checks
             + self.stats.gcd_checks
@@ -480,8 +455,9 @@ impl LiaMetrics {
     fn json(&self) -> String {
         let s = &self.stats;
         format!(
-            "{{\"verdict\":\"{}\",\"wall_ms\":{:.3},\"conflicts\":{},\"decisions\":{},\"propagations\":{},\"bound_checks\":{},\"gcd_checks\":{},\"simplex_checks\":{},\"final_checks\":{},\"theory_checks\":{},\"theory_props\":{},\"tprop_entailed\":{},\"simplex_pivots\":{},\"row_touches\":{},\"dense_row_touches\":{},\"learned\":{}}}",
+            "{{\"verdict\":\"{}\",\"instance_verdict\":\"{}\",\"wall_ms\":{:.3},\"conflicts\":{},\"decisions\":{},\"propagations\":{},\"bound_checks\":{},\"gcd_checks\":{},\"simplex_checks\":{},\"final_checks\":{},\"theory_checks\":{},\"theory_props\":{},\"tprop_entailed\":{},\"simplex_pivots\":{},\"row_touches\":{},\"dense_row_touches\":{},\"learned\":{}}}",
             self.verdict,
+            self.instance_verdict,
             self.wall.as_secs_f64() * 1e3,
             s.conflicts,
             s.decisions,
@@ -558,7 +534,7 @@ fn tracing_overhead() -> OverheadGuard {
     fn flagship_wall() -> f64 {
         let mut total = Duration::ZERO;
         for (_, formula, _) in flagship_instances() {
-            let (_, elapsed) = solve_with_engine(&formula, SearchEngine::Cdcl);
+            let (_, elapsed) = solve_flagship(&formula);
             total += elapsed;
         }
         total.as_secs_f64()
@@ -593,66 +569,37 @@ fn tracing_overhead() -> OverheadGuard {
     }
 }
 
-fn stats_delta(
-    after: posr_lia::SolverStats,
-    before: posr_lia::SolverStats,
-) -> posr_lia::SolverStats {
-    after.since(&before)
-}
-
-/// The LIA configuration of one BENCH_lia column: the full theory side
-/// (incremental tableau + theory propagation + assignment-guided scans)
-/// or the PR-4 baseline with all three switched off.
-fn lia_config(full: bool) -> SolverConfig {
-    SolverConfig {
-        theory_propagation: full,
-        incremental_simplex: full,
-        guided_propagation: full,
-        ..SolverConfig::default()
-    }
-}
-
 /// The dense-counterfactual row-touch counter; runs are sequential, so
 /// deltas of the process-wide value attribute exactly like `global_stats`.
 fn dense_row_touches_now() -> u64 {
     posr_obs::counter_value(posr_lia::simplex::obs_dense_row_touch_counter())
 }
 
-/// Runs one flagship (string-level) family under a theory configuration.
-fn run_flagship_family(formula: &StringFormula, full: bool) -> LiaMetrics {
+/// Runs one flagship (string-level) family.
+fn run_flagship_family(formula: &StringFormula) -> LiaMetrics {
     let before = posr_lia::global_stats();
     let dense_before = dense_row_touches_now();
-    let start = Instant::now();
-    let mut options = SolverOptions {
-        deadline: Some(start + ENGINE_TIMEOUT),
-        ..SolverOptions::default()
-    };
-    options.position.lia = lia_config(full);
-    let answer = StringSolver::with_options(options).solve(formula);
-    let wall = start.elapsed();
+    let (verdict, wall) = solve_flagship(formula);
     LiaMetrics {
-        verdict: answer_status(&answer),
+        verdict,
+        instance_verdict: verdict,
         wall,
-        stats: stats_delta(posr_lia::global_stats(), before),
+        stats: posr_lia::global_stats().since(&before),
         dense_row_touches: dense_row_touches_now() - dense_before,
     }
 }
 
 /// Runs one tagauto CEGAR family (connectivity cuts + two blocking
-/// rounds on a persistent session) under a theory configuration.
-fn run_tagauto_family(instance: &CegarInstance, full: bool) -> LiaMetrics {
+/// rounds on a persistent session).
+fn run_tagauto_family(instance: &CegarInstance) -> LiaMetrics {
     let before = posr_lia::global_stats();
     let dense_before = dense_row_touches_now();
-    let start = Instant::now();
-    let run = run_cegar_with(instance, true, 2, lia_config(full));
-    let wall = start.elapsed();
+    let run = run_cegar(instance, 2);
     LiaMetrics {
-        verdict: match run.statuses.last() {
-            Some(&s) => s,
-            None => "none",
-        },
-        wall,
-        stats: stats_delta(posr_lia::global_stats(), before),
+        verdict: run.final_verdict,
+        instance_verdict: run.instance_verdict,
+        wall: run.wall,
+        stats: posr_lia::global_stats().since(&before),
         dense_row_touches: dense_row_touches_now() - dense_before,
     }
 }
@@ -661,8 +608,8 @@ fn run_tagauto_family(instance: &CegarInstance, full: bool) -> LiaMetrics {
 /// the measured row-touches-per-pivot reduction of the sparse layout.
 const ROW_TOUCH_RATIO_REQUIRED: f64 = 2.0;
 
-/// Full-configuration runs per family: the first is the measured one, the
-/// rest only feed the wall-time percentiles.
+/// Runs per family: the first is the measured one, the rest only feed the
+/// wall-time percentiles.
 const WALL_SAMPLES: usize = 5;
 
 /// `(p50, p99)` of the sampled walls, in milliseconds.  With `n` samples
@@ -699,32 +646,29 @@ fn matched_flow_pairs(tracks: &[posr_obs::TrackSnapshot]) -> usize {
     starts.intersection(&ends).count()
 }
 
-/// The machine-readable LIA perf table: every gated family solved under
-/// the full theory side (incremental tableau + theory propagation +
-/// assignment-guided scans) and under the baseline with all three engine
-/// switches off — the PR-4 behaviour of the engine's theory hot paths
-/// (the shared branch-and-bound and structural-engine internals are not
-/// switchable) — with wall time, conflicts, theory checks, propagated
-/// theory literals, simplex pivots, and row touches.  Returns the JSON
-/// document, a human-readable table, and the gate verdict:
+/// The machine-readable LIA perf table: every gated family solved once
+/// for its counters (wall time, conflicts, theory checks, propagated
+/// theory literals, simplex pivots, row touches) and resampled for its
+/// wall-time percentiles.  Returns the JSON document, a human-readable
+/// table, and the gate verdict:
 ///
-/// * both configurations must agree on every family's verdict (and match
-///   the expected one where the family pins it) — the full theory side
-///   must never *regress* a verdict,
-/// * at least one family must show a ≥ 2× reduction in theory checks,
-///   the headline claim of the incremental theory layer, and
+/// * every family must reach its expected verdict — for the CEGAR
+///   families, the instance verdict before any forced block against the
+///   one the family's name states,
 /// * at least one *big* family (the [`big_instances`] product automata
-///   with hundreds of states) must show a ≥
-///   [`ROW_TOUCH_RATIO_REQUIRED`]× reduction in row touches per pivot
-///   against the dense counterfactual the simplex tracks alongside its
-///   actual visits — the headline claim of the sparse tableau layout.
+///   with hundreds of states) must show a ≥ [`ROW_TOUCH_RATIO_REQUIRED`]×
+///   reduction in row touches per pivot against the dense counterfactual
+///   the simplex tracks alongside its actual visits — the headline claim
+///   of the sparse tableau layout, and
+/// * every CEGAR family must leave matched refinement flow arrows in its
+///   trace.
 ///
 /// Every row additionally carries the per-phase self-time columns of its
-/// full-configuration run (decomposition / encoding / CDCL / simplex /
-/// proof), folded from the `posr-obs` spans; recording is force-enabled
-/// for the duration and the drained snapshots go to `tracks_out` so the
-/// caller can still export one whole-run trace.  The document closes with
-/// the [`tracing_overhead`] guard.
+/// measured run (decomposition / encoding / CDCL / simplex / proof), folded
+/// from the `posr-obs` spans; recording is force-enabled for the duration
+/// and the drained snapshots go to `tracks_out` so the caller can still
+/// export one whole-run trace.  The document closes with the
+/// [`tracing_overhead`] guard.
 fn bench_lia(tracks_out: &mut Vec<posr_obs::TrackSnapshot>) -> (String, String, bool, bool) {
     let obs_was_enabled = posr_obs::enabled();
     posr_obs::set_enabled(true);
@@ -737,8 +681,8 @@ fn bench_lia(tracks_out: &mut Vec<posr_obs::TrackSnapshot>) -> (String, String, 
             tracks_out.extend(tracks);
             (metrics, phases, flow_pairs)
         };
-    // extra full-configuration runs feeding only the percentile columns;
-    // their events are measurement noise and get dropped
+    // extra runs feeding only the percentile columns; their events are
+    // measurement noise and get dropped
     let resample = |run: &mut dyn FnMut() -> LiaMetrics, first: Duration| -> (f64, f64) {
         let mut walls = vec![first];
         for _ in 1..WALL_SAMPLES {
@@ -749,49 +693,31 @@ fn bench_lia(tracks_out: &mut Vec<posr_obs::TrackSnapshot>) -> (String, String, 
     };
     struct BenchRow {
         name: String,
-        expected: Option<&'static str>,
+        expected: &'static str,
         big: bool,
         /// `true` for the tagauto CEGAR-loop families, whose runs must
         /// leave matched refinement flow arrows in the trace.
         cegar: bool,
         full: LiaMetrics,
-        base: LiaMetrics,
         phases: PhaseBreakdown,
         wall_p50_ms: f64,
         wall_p99_ms: f64,
         flow_pairs: usize,
     }
     let mut rows: Vec<BenchRow> = Vec::new();
-    for (name, formula, expected) in flagship_instances() {
-        let (full, phases, flow_pairs) = captured(&mut || run_flagship_family(&formula, true));
-        let (wall_p50_ms, wall_p99_ms) =
-            resample(&mut || run_flagship_family(&formula, true), full.wall);
-        let (base, _, _) = captured(&mut || run_flagship_family(&formula, false));
+    let string_families = flagship_instances()
+        .into_iter()
+        .map(|family| (family, false))
+        .chain(big_instances().into_iter().map(|family| (family, true)));
+    for ((name, formula, expected), big) in string_families {
+        let (full, phases, flow_pairs) = captured(&mut || run_flagship_family(&formula));
+        let (wall_p50_ms, wall_p99_ms) = resample(&mut || run_flagship_family(&formula), full.wall);
         rows.push(BenchRow {
             name: name.to_string(),
-            expected: Some(expected),
-            big: false,
+            expected,
+            big,
             cegar: false,
             full,
-            base,
-            phases,
-            wall_p50_ms,
-            wall_p99_ms,
-            flow_pairs,
-        });
-    }
-    for (name, formula, expected) in big_instances() {
-        let (full, phases, flow_pairs) = captured(&mut || run_flagship_family(&formula, true));
-        let (wall_p50_ms, wall_p99_ms) =
-            resample(&mut || run_flagship_family(&formula, true), full.wall);
-        let (base, _, _) = captured(&mut || run_flagship_family(&formula, false));
-        rows.push(BenchRow {
-            name: name.to_string(),
-            expected: Some(expected),
-            big: true,
-            cegar: false,
-            full,
-            base,
             phases,
             wall_p50_ms,
             wall_p99_ms,
@@ -799,17 +725,14 @@ fn bench_lia(tracks_out: &mut Vec<posr_obs::TrackSnapshot>) -> (String, String, 
         });
     }
     for instance in cegar_instances() {
-        let (full, phases, flow_pairs) = captured(&mut || run_tagauto_family(&instance, true));
-        let (wall_p50_ms, wall_p99_ms) =
-            resample(&mut || run_tagauto_family(&instance, true), full.wall);
-        let (base, _, _) = captured(&mut || run_tagauto_family(&instance, false));
+        let (full, phases, flow_pairs) = captured(&mut || run_tagauto_family(&instance));
+        let (wall_p50_ms, wall_p99_ms) = resample(&mut || run_tagauto_family(&instance), full.wall);
         rows.push(BenchRow {
             name: format!("tagauto-{}", instance.name),
-            expected: None,
+            expected: named_verdict(instance.name),
             big: false,
             cegar: true,
             full,
-            base,
             phases,
             wall_p50_ms,
             wall_p99_ms,
@@ -819,58 +742,49 @@ fn bench_lia(tracks_out: &mut Vec<posr_obs::TrackSnapshot>) -> (String, String, 
     posr_obs::set_enabled(obs_was_enabled);
 
     let mut verdicts_ok = true;
-    let mut best_ratio = 0.0f64;
-    let mut best_family = String::new();
     let mut best_touch_ratio = 0.0f64;
     let mut touch_family = String::new();
     let mut table = String::new();
     let _ = writeln!(
         table,
-        "| family | expected | verdict | wall full/base | wall p50/p99 ms | conflicts full/base | theory checks full/base | tprops (guided) | pivots full/base | row touches sparse/dense | flows | decomp/enc/cdcl/simplex/proof ms |"
+        "| family | expected | instance verdict | final verdict | wall | wall p50/p99 ms | conflicts | theory checks | tprops (guided) | pivots | row touches sparse/dense | flows | decomp/enc/cdcl/simplex/proof ms |"
     );
-    let _ = writeln!(table, "|---|---|---|---|---|---|---|---|---|---|---|---|");
+    let _ = writeln!(
+        table,
+        "|---|---|---|---|---|---|---|---|---|---|---|---|---|"
+    );
     for row in &rows {
         let BenchRow {
             name,
             expected,
             big,
             full,
-            base,
             phases,
             wall_p50_ms,
             wall_p99_ms,
             flow_pairs,
             ..
         } = row;
-        let agree = full.verdict == base.verdict && expected.is_none_or(|e| full.verdict == e);
-        verdicts_ok &= agree;
-        let ratio = base.theory_checks() as f64 / (full.theory_checks().max(1)) as f64;
-        if ratio > best_ratio {
-            best_ratio = ratio;
-            best_family = name.clone();
-        }
+        let ok = full.instance_verdict == *expected;
+        verdicts_ok &= ok;
         if *big && full.row_touch_ratio() > best_touch_ratio {
             best_touch_ratio = full.row_touch_ratio();
             touch_family = name.clone();
         }
         let _ = writeln!(
             table,
-            "| {name} | {} | {}{} | {:.1?} / {:.1?} | {:.1} / {:.1} | {} / {} | {} / {} | {} ({}) | {} / {} | {} / {} | {} | {:.1}/{:.1}/{:.1}/{:.1}/{:.1} |",
-            expected.unwrap_or("-"),
+            "| {name} | {expected} | {}{} | {} | {:.1?} | {:.1} / {:.1} | {} | {} | {} ({}) | {} | {} / {} | {} | {:.1}/{:.1}/{:.1}/{:.1}/{:.1} |",
+            full.instance_verdict,
+            if ok { "" } else { " ❌" },
             full.verdict,
-            if agree { "" } else { " ❌" },
             full.wall,
-            base.wall,
             wall_p50_ms,
             wall_p99_ms,
             full.stats.conflicts,
-            base.stats.conflicts,
             full.theory_checks(),
-            base.theory_checks(),
             full.stats.theory_props,
             full.stats.tprop_entailed,
             full.stats.simplex_pivots,
-            base.stats.simplex_pivots,
             full.stats.row_touches,
             full.dense_row_touches,
             flow_pairs,
@@ -887,8 +801,7 @@ fn bench_lia(tracks_out: &mut Vec<posr_obs::TrackSnapshot>) -> (String, String, 
         .iter()
         .filter(|row| row.cegar)
         .all(|row| row.flow_pairs >= 1);
-    let gate_ok =
-        verdicts_ok && best_ratio >= 2.0 && best_touch_ratio >= ROW_TOUCH_RATIO_REQUIRED && flow_ok;
+    let gate_ok = verdicts_ok && best_touch_ratio >= ROW_TOUCH_RATIO_REQUIRED && flow_ok;
 
     println!("measuring tracing overhead (flagship set, 5 interleaved reps)…");
     let overhead = tracing_overhead();
@@ -900,30 +813,26 @@ fn bench_lia(tracks_out: &mut Vec<posr_obs::TrackSnapshot>) -> (String, String, 
         if overhead.ok { "ok" } else { "EXCEEDED" },
     );
 
-    let mut json = String::from("{\n  \"schema\": \"posr-bench-lia/v4\",\n  \"families\": [\n");
+    let mut json = String::from("{\n  \"schema\": \"posr-bench-lia/v5\",\n  \"families\": [\n");
     for (i, row) in rows.iter().enumerate() {
         let _ = writeln!(
             json,
-            "    {{\"name\":\"{}\",\"expected\":{},\"big\":{},\"cegar\":{},\"wall_p50_ms\":{:.3},\"wall_p99_ms\":{:.3},\"flow_pairs\":{},\"full\":{},\"baseline\":{},\"phases\":{}}}{}",
+            "    {{\"name\":\"{}\",\"expected\":\"{}\",\"big\":{},\"cegar\":{},\"wall_p50_ms\":{:.3},\"wall_p99_ms\":{:.3},\"flow_pairs\":{},\"full\":{},\"phases\":{}}}{}",
             row.name,
-            match row.expected {
-                Some(e) => format!("\"{e}\""),
-                None => "null".to_string(),
-            },
+            row.expected,
             row.big,
             row.cegar,
             row.wall_p50_ms,
             row.wall_p99_ms,
             row.flow_pairs,
             row.full.json(),
-            row.base.json(),
             row.phases.json(),
             if i + 1 < rows.len() { "," } else { "" },
         );
     }
     let _ = writeln!(
         json,
-        "  ],\n  \"gate\": {{\"verdicts_agree\":{verdicts_ok},\"max_theory_check_ratio\":{best_ratio:.2},\"best_family\":\"{best_family}\",\"required_ratio\":2.0,\"max_row_touch_ratio\":{best_touch_ratio:.2},\"row_touch_family\":\"{touch_family}\",\"required_row_touch_ratio\":{ROW_TOUCH_RATIO_REQUIRED},\"cegar_flow_pairs_ok\":{flow_ok},\"ok\":{gate_ok}}},"
+        "  ],\n  \"gate\": {{\"verdicts_ok\":{verdicts_ok},\"max_row_touch_ratio\":{best_touch_ratio:.2},\"row_touch_family\":\"{touch_family}\",\"required_row_touch_ratio\":{ROW_TOUCH_RATIO_REQUIRED},\"cegar_flow_pairs_ok\":{flow_ok},\"ok\":{gate_ok}}},"
     );
     let _ = write!(
         json,
@@ -1004,8 +913,8 @@ fn main() {
     }
 
     println!();
-    println!("== LIA engine comparison on the flagship instance set ==");
-    let (report, all_ok) = engine_comparison();
+    println!("== Flagship set: CDCL(T) verdicts ==");
+    let (report, all_ok) = flagship_table();
     println!("{report}");
     let path = std::env::var("POSR_ABLATION_REPORT")
         .unwrap_or_else(|_| "target/ablation-report.md".to_string());
@@ -1018,8 +927,8 @@ fn main() {
     }
 
     println!();
-    println!("== CEGAR: incremental session vs from-scratch re-solving ==");
-    let (cegar_report, cegar_ok) = cegar_comparison();
+    println!("== CEGAR loops on one incremental session ==");
+    let (cegar_report, cegar_ok) = cegar_table();
     println!("{cegar_report}");
     let cegar_path = std::env::var("POSR_ABLATION_INCREMENTAL")
         .unwrap_or_else(|_| "target/ablation-incremental.md".to_string());
@@ -1032,7 +941,7 @@ fn main() {
     }
 
     println!();
-    println!("== BENCH_lia: incremental theory layer vs PR-4 baseline ==");
+    println!("== BENCH_lia: LIA counters per family ==");
     all_tracks.extend(posr_obs::drain_tracks());
     let (bench_json, bench_table, bench_ok, overhead_ok) = bench_lia(&mut all_tracks);
     println!("{bench_table}");
@@ -1072,13 +981,13 @@ fn main() {
         std::process::exit(1);
     }
     if !cegar_ok {
-        eprintln!("FAIL: the incremental CEGAR comparison found a mismatch");
+        eprintln!("FAIL: a CEGAR instance missed its named verdict or re-solved without lemmas");
         std::process::exit(1);
     }
     if !bench_ok {
         eprintln!(
-            "FAIL: BENCH_lia gate — a family's verdict regressed under the full \
-             theory side, no family shows the required 2x theory-check reduction, \
+            "FAIL: BENCH_lia gate — a family missed its expected verdict, no big \
+             family shows the required {ROW_TOUCH_RATIO_REQUIRED}x row-touch reduction, \
              or a CEGAR family's trace carries no matched refinement flow arrows"
         );
         std::process::exit(1);

@@ -1,7 +1,8 @@
-//! Seeded differential smoke-fuzzing for CI: random LIA formulas from the
-//! same xorshift generator family as the engine differential suite, solved
-//! by both search engines, with every certified Unsat replayed through the
-//! independent `posr-check` verifier.
+//! Seeded smoke-fuzzing for CI: random LIA formulas from the same xorshift
+//! generator family as the LIA oracle suite, solved by the CDCL(T) engine
+//! with proof logging on and checked against exhaustive enumeration of the
+//! box every formula carries, with every certified Unsat replayed through
+//! the independent `posr-check` verifier.
 //!
 //! The run is time-boxed (`POSR_FUZZ_SECONDS`, default 300 — the per-PR
 //! smoke budget; the nightly dispatch passes a longer one) and seeded
@@ -10,8 +11,9 @@
 //! locally: the base seed and the offending round.
 //!
 //! Failure conditions (non-zero exit):
-//! * the engines disagree on a definite verdict (sat vs unsat),
-//! * a model claimed by either engine does not satisfy its formula,
+//! * a definite verdict disagrees with the enumeration (sat while the box
+//!   holds no point, unsat while it holds one),
+//! * a claimed model does not satisfy its formula,
 //! * a complete proof document is rejected by `posr-check`,
 //! * an incomplete proof document is *accepted* by `posr-check`, or
 //! * the generator drifts so far that no Unsat instances show up at all.
@@ -21,7 +23,7 @@ use std::time::{Duration, Instant};
 
 use posr_lia::cdcl::solve_cdcl_with_proof;
 use posr_lia::formula::{Atom, Cmp, Formula};
-use posr_lia::solver::{SearchEngine, Solver, SolverConfig, SolverResult};
+use posr_lia::solver::{SolverConfig, SolverResult};
 use posr_lia::term::{LinExpr, Var, VarPool};
 
 struct Rng(u64);
@@ -87,6 +89,10 @@ fn random_formula(rng: &mut Rng, vars: &[Var], depth: usize) -> Formula {
     }
 }
 
+/// The box every fuzz formula carries, and the enumeration ranges over.
+const LO: i128 = -8;
+const HI: i128 = 8;
+
 fn boxed(vars: &[Var], lo: i128, hi: i128) -> Vec<Formula> {
     vars.iter()
         .flat_map(|&v| {
@@ -112,10 +118,6 @@ fn main() {
 
     let mut pool = VarPool::new();
     let vars: Vec<Var> = (0..4).map(|i| pool.fresh(&format!("v{i}"))).collect();
-    let structural = Solver::with_config(SolverConfig {
-        engine: SearchEngine::Structural,
-        ..SolverConfig::default()
-    });
     let proving = SolverConfig {
         proof_logging: true,
         ..SolverConfig::default()
@@ -133,31 +135,29 @@ fn main() {
     while (Instant::now() < deadline || round < 200) && failures.len() < 10 {
         round += 1;
         let mut rng = Rng(seed.wrapping_add(round).wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1);
-        let mut parts = boxed(&vars, -8, 8);
+        let mut parts = boxed(&vars, LO, HI);
         for _ in 0..4 {
             parts.push(random_formula(&mut rng, &vars, 2));
         }
         let f = Formula::and(parts).nnf().simplify();
 
         let (rc, proof) = solve_cdcl_with_proof(&f, &proving);
-        let rs = structural.solve(&f);
-        match (&rs, &rc) {
-            (SolverResult::Sat(ms), SolverResult::Sat(mc)) => {
+        let witness = f.box_witness(&vars, LO, HI);
+        match (&rc, &witness) {
+            (SolverResult::Sat(model), Some(_)) => {
                 sat += 1;
-                if !ms.satisfies(&f) {
-                    failures.push(format!("round {round}: structural model fails its formula"));
-                }
-                if !mc.satisfies(&f) {
+                if !model.satisfies(&f) {
                     failures.push(format!("round {round}: cdcl model fails its formula"));
                 }
             }
-            (SolverResult::Unsat, SolverResult::Unsat) => unsat += 1,
-            (SolverResult::Unknown(_), _) | (_, SolverResult::Unknown(_)) => unknown += 1,
-            (s, c) => {
-                failures.push(format!(
-                    "round {round}: engines disagree: structural {s:?} vs cdcl {c:?}"
-                ));
-            }
+            (SolverResult::Unsat, None) => unsat += 1,
+            (SolverResult::Unknown(_), _) => unknown += 1,
+            (SolverResult::Sat(_), None) => failures.push(format!(
+                "round {round}: cdcl answered sat, but the box holds no point"
+            )),
+            (SolverResult::Unsat, Some(point)) => failures.push(format!(
+                "round {round}: cdcl answered unsat, but {point:?} satisfies the formula"
+            )),
         }
 
         if rc == SolverResult::Unsat {
@@ -222,5 +222,5 @@ fn main() {
         }
         std::process::exit(1);
     }
-    println!("no differential or certification failures");
+    println!("no enumeration or certification failures");
 }

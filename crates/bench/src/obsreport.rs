@@ -199,9 +199,11 @@ pub fn render_solve_log(text: &str) -> Result<String, String> {
     Ok(out)
 }
 
-/// Diffs two `BENCH_lia.json` documents family-by-family: full-config wall
-/// time, conflicts, and theory checks, with the relative change.  Families
-/// present in only one document are listed as added/removed.
+/// Diffs two `BENCH_lia.json` documents family-by-family: the wall time,
+/// conflicts, and theory checks of each family's `full` record, with the
+/// relative change.  Families present in only one document are listed as
+/// added/removed.  Every schema version so far (v3–v5) keeps the `full`
+/// record, so any two snapshots compare.
 ///
 /// # Errors
 /// Returns a message when either document is not a BENCH_lia report.
@@ -338,7 +340,7 @@ mod tests {
         let old = r#"{"schema":"posr-bench-lia/v3","families":[
             {"name":"f1","full":{"wall_ms":10.0,"conflicts":5,"theory_checks":20}},
             {"name":"gone","full":{"wall_ms":1.0,"conflicts":1,"theory_checks":1}}]}"#;
-        let new = r#"{"schema":"posr-bench-lia/v4","families":[
+        let new = r#"{"schema":"posr-bench-lia/v5","families":[
             {"name":"f1","full":{"wall_ms":5.0,"conflicts":4,"theory_checks":10}},
             {"name":"fresh","full":{"wall_ms":2.0,"conflicts":0,"theory_checks":3}}]}"#;
         let diff = diff_bench(old, new).unwrap();

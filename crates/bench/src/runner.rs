@@ -18,9 +18,6 @@ pub enum SolverKind {
     /// The paper's procedure (`posr` with the tag-automaton position engine,
     /// CDCL(T) LIA core — the production configuration).
     TagPos,
-    /// The same pipeline with the structural DPLL(T) LIA core (the
-    /// pre-clause-learning engine, kept for engine-comparison columns).
-    StructuralPos,
     /// Guess-and-check enumeration (cvc5-like on satisfiable inputs).
     Enumeration,
     /// The naive mismatch-order automata baseline.
@@ -36,7 +33,6 @@ impl SolverKind {
     pub fn all() -> Vec<SolverKind> {
         vec![
             SolverKind::TagPos,
-            SolverKind::StructuralPos,
             SolverKind::Enumeration,
             SolverKind::NaiveOrder,
             SolverKind::LengthAbstraction,
@@ -48,7 +44,6 @@ impl SolverKind {
     pub fn name(&self) -> &'static str {
         match self {
             SolverKind::TagPos => "posr-pos",
-            SolverKind::StructuralPos => "posr-structural",
             SolverKind::Enumeration => "enumeration",
             SolverKind::NaiveOrder => "naive-order",
             SolverKind::LengthAbstraction => "length-abs",
@@ -58,22 +53,11 @@ impl SolverKind {
 
     fn solve(&self, instance: &Instance, deadline: Instant) -> Answer {
         match self {
-            SolverKind::TagPos => {
-                let mut options = SolverOptions {
-                    deadline: Some(deadline),
-                    ..SolverOptions::default()
-                };
-                options.position.lia.engine = posr_lia::solver::SearchEngine::Cdcl;
-                StringSolver::with_options(options).solve(&instance.formula)
-            }
-            SolverKind::StructuralPos => {
-                let mut options = SolverOptions {
-                    deadline: Some(deadline),
-                    ..SolverOptions::default()
-                };
-                options.position.lia.engine = posr_lia::solver::SearchEngine::Structural;
-                StringSolver::with_options(options).solve(&instance.formula)
-            }
+            SolverKind::TagPos => StringSolver::with_options(SolverOptions {
+                deadline: Some(deadline),
+                ..SolverOptions::default()
+            })
+            .solve(&instance.formula),
             SolverKind::Enumeration => EnumerationSolver::default()
                 .solve(&instance.formula, &CancelToken::with_deadline(deadline)),
             SolverKind::NaiveOrder => {

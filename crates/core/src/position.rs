@@ -23,7 +23,7 @@ use posr_automata::Nfa;
 use posr_lia::cancel::CancelToken;
 use posr_lia::formula::Formula;
 use posr_lia::incremental::IncrementalSolver;
-use posr_lia::solver::{Model, Solver, SolverConfig, SolverResult};
+use posr_lia::solver::{Model, SolverConfig, SolverResult};
 use posr_lia::term::{LinExpr, Var, VarPool};
 use posr_tagauto::onecounter_diseq::single_diseq_satisfiable;
 use posr_tagauto::system::{PositionConstraint, PredicateKind, SystemEncoder, SystemEncoding};
@@ -58,8 +58,7 @@ impl PositionOutcome {
 /// the caller wants all documents of one query in one place.
 pub type ProofSink = std::sync::Arc<std::sync::Mutex<Vec<String>>>;
 
-/// Proof documents pushed into [`ProofSink`]s (obs counter, always live).
-/// Distribution of CEGAR round durations (one backend solve each), µs.
+/// Distribution of CEGAR round durations (one session solve each), µs.
 static HIST_CEGAR_ROUND: std::sync::LazyLock<posr_obs::Histogram> =
     std::sync::LazyLock::new(|| posr_obs::histogram("cegar.round_us"));
 
@@ -90,6 +89,7 @@ fn arm_watchdog(options: &PositionOptions) -> posr_obs::Watchdog {
     posr_obs::Watchdog::arm("position-solve", soft)
 }
 
+/// Proof documents pushed into [`ProofSink`]s (obs counter, always live).
 pub static OBS_PROOF_DOCS: std::sync::LazyLock<posr_obs::Counter> =
     std::sync::LazyLock::new(|| posr_obs::counter("proof.sink.docs"));
 /// Serialized proof bytes pushed into [`ProofSink`]s.
@@ -105,16 +105,10 @@ pub struct PositionOptions {
     pub max_cegar_rounds: usize,
     /// Configuration of the underlying LIA solver.
     pub lia: SolverConfig,
-    /// When set, the CEGAR loop turns on LIA proof logging (incremental
-    /// backend only) and pushes the serialized proof of every certified
-    /// Unsat into the sink — the engine behind SMT-LIB `(get-proof)`.
+    /// When set, the CEGAR loop turns on LIA proof logging and pushes the
+    /// serialized proof of every certified Unsat into the sink — the
+    /// engine behind SMT-LIB `(get-proof)`.
     pub proof_sink: Option<ProofSink>,
-    /// Drive the CEGAR loop through one persistent incremental LIA
-    /// session (connectivity cuts and blocking clauses asserted as
-    /// increments, learned clauses retained across rounds).  `false`
-    /// rebuilds the conjunction and re-solves from scratch each round —
-    /// kept for the ablation's incremental-vs-scratch comparison.
-    pub incremental_cegar: bool,
     /// Optional wall-clock deadline; checked between solver calls.
     pub deadline: Option<Instant>,
     /// Cooperative cancellation token; checked between solver calls and
@@ -129,7 +123,6 @@ impl Default for PositionOptions {
             max_cegar_rounds: 64,
             lia: SolverConfig::default(),
             proof_sink: None,
-            incremental_cegar: true,
             deadline: None,
             cancel: CancelToken::none(),
         }
@@ -478,48 +471,10 @@ fn satisfies_concretely(problem: &PositionProblem<'_>, strings: &BTreeMap<String
     true
 }
 
-/// How each CEGAR round is solved: one persistent incremental session
-/// (refinements asserted as increments, lemmas retained) or a from-scratch
-/// re-solve of the accumulated conjunction.
-enum CegarBackend {
-    Incremental(Box<IncrementalSolver>),
-    Scratch(Solver, Formula),
-}
-
-impl CegarBackend {
-    fn solve(&mut self) -> SolverResult {
-        match self {
-            CegarBackend::Incremental(session) => session.solve(),
-            CegarBackend::Scratch(solver, formula) => solver.solve(formula),
-        }
-    }
-
-    /// Conjoins a refinement (connectivity cut or blocking clause).
-    fn refine(&mut self, refinement: Formula) {
-        match self {
-            CegarBackend::Incremental(session) => session.assert_formula(&refinement),
-            CegarBackend::Scratch(_, formula) => {
-                let base = std::mem::replace(formula, Formula::True);
-                *formula = Formula::and(vec![base, refinement]);
-            }
-        }
-    }
-
-    /// The serialized proof log, when the backend kept one and the engine
-    /// certified every step (incomplete logs are withheld — the replayer
-    /// rejects them by design, so there is no point handing them out).
-    fn proof(&self) -> Option<String> {
-        match self {
-            CegarBackend::Incremental(session) if session.proof_is_complete() => session.proof(),
-            _ => None,
-        }
-    }
-}
-
 /// The main solve loop: lazy connectivity cuts plus the `¬contains`
-/// instantiation loop (blocking refuted candidate assignments).  With
-/// [`PositionOptions::incremental_cegar`] (the default) every round runs on
-/// the same persistent CDCL(T) session, so the conflicts refuting one
+/// instantiation loop (blocking refuted candidate assignments).  Every
+/// round runs on the same persistent CDCL(T) session — cuts and blocking
+/// clauses are asserted as increments — so the conflicts refuting one
 /// candidate keep pruning the next round's search.
 fn solve_with_cegar(
     encoding: &SystemEncoding,
@@ -534,18 +489,12 @@ fn solve_with_cegar(
     // the LIA search must observe the same flag/deadline the position loop polls
     let mut lia_config = options.lia.clone();
     lia_config.cancel = token.clone();
-    // proofs come from the persistent session's log (the Scratch ablation
-    // backend has no proof surface; it exists for timing comparisons only)
-    if options.proof_sink.is_some() && options.incremental_cegar {
+    // proofs come from the persistent session's log
+    if options.proof_sink.is_some() {
         lia_config.proof_logging = true;
     }
-    let mut backend = if options.incremental_cegar {
-        let mut session = IncrementalSolver::with_config(lia_config);
-        session.assert_formula(&base_formula);
-        CegarBackend::Incremental(Box::new(session))
-    } else {
-        CegarBackend::Scratch(Solver::with_config(lia_config), base_formula)
-    };
+    let mut session = IncrementalSolver::with_config(lia_config);
+    session.assert_formula(&base_formula);
     let mut cuts = 0usize;
     let mut rounds = 0usize;
     let flat = contains_goals.is_empty() || notcontains::all_flat(contains_goals, vars, automata);
@@ -576,7 +525,7 @@ fn solve_with_cegar(
             posr_obs::flow_end("core", "cegar.refine", id);
         }
         let round_start = Instant::now();
-        let solved = backend.solve();
+        let solved = session.solve();
         HIST_CEGAR_ROUND.record_duration(round_start.elapsed());
         drop(round_span);
         match solved {
@@ -588,7 +537,14 @@ fn solve_with_cegar(
                         "¬contains over non-flat languages: candidates exhausted".to_string(),
                     );
                 }
-                if let (Some(sink), Some(proof)) = (&options.proof_sink, backend.proof()) {
+                // an incomplete log is withheld: the replayer rejects it
+                // by design, so there is no point handing it out
+                let proof = if session.proof_is_complete() {
+                    session.proof()
+                } else {
+                    None
+                };
+                if let (Some(sink), Some(proof)) = (&options.proof_sink, proof) {
                     let _span = posr_obs::span!("core", "proof.sink");
                     OBS_PROOF_DOCS.incr();
                     OBS_PROOF_BYTES.add(proof.len() as u64);
@@ -645,7 +601,7 @@ fn solve_with_cegar(
                                     &[("kind", "connectivity-cut".into()), ("cuts", cuts.into())],
                                 );
                             }
-                            backend.refine(cut);
+                            session.assert_formula(&cut);
                             continue;
                         }
                         None => {
@@ -683,7 +639,7 @@ fn solve_with_cegar(
                             &[("kind", "block-candidate".into()), ("round", rounds.into())],
                         );
                     }
-                    backend.refine(blocking_clause(encoding, &model));
+                    session.assert_formula(&blocking_clause(encoding, &model));
                     continue;
                 }
                 let ints = int_vars

@@ -15,7 +15,8 @@
 //!
 //! * **backtracking** — [`BoundEnv::push_level`] / [`BoundEnv::pop_to_level`]
 //!   unwind by truncating the trail and restoring each popped entry's
-//!   predecessor, so the search engines never clone an environment;
+//!   predecessor, so neither CDCL(T) nor branch-and-bound ever clones an
+//!   environment;
 //! * **explanation** — the bounds an entry's constraint read are the
 //!   latest *earlier* entries of its other variables, found by walking each
 //!   variable's chain.  Following those links back turns a refutation, a
@@ -28,9 +29,8 @@
 //! The engine is deliberately incomplete but very cheap — linear passes over
 //! the constraints, no tableau — and it is *sound for refutation*: if
 //! propagation derives an empty interval, the conjunction has no integer
-//! solution.  The DPLL(T) search uses it as its unit-propagation oracle
-//! (dropping refuted disjuncts, asserting forced ones), reserving the exact
-//! simplex for the nodes propagation cannot decide.
+//! solution.  The CDCL(T) engine runs it at every propagation fixpoint,
+//! reserving the exact simplex for the leaves propagation cannot decide.
 
 use std::collections::VecDeque;
 use std::ops::Range;
@@ -611,12 +611,12 @@ impl Worklist {
 }
 
 /// Maps every variable to the indices of the constraints mentioning it, so
-/// probes can re-propagate only what a tightened bound can actually affect.
+/// propagation revisits only what a tightened bound can actually affect.
 ///
 /// Besides the one-shot [`ConstraintIndex::build`], the index supports
 /// stack-shaped incremental maintenance ([`ConstraintIndex::push`] /
-/// [`ConstraintIndex::pop`]): the search engines keep it in lock-step with
-/// their constraint stacks instead of rebuilding it.
+/// [`ConstraintIndex::pop`]): CDCL(T) and branch-and-bound keep it in
+/// lock-step with their constraint stacks instead of rebuilding it.
 #[derive(Clone, Debug, Default)]
 pub struct ConstraintIndex {
     by_var: Vec<Vec<usize>>,

@@ -1,9 +1,9 @@
 //! An iterative CDCL(T) search engine for quantifier-free LIA.
 //!
-//! This is the clause-learning successor of the recursive "structural
-//! DPLL(T)" in [`crate::solver`] (which is kept as a differential-testing
-//! oracle).  The formula is clausified by [`crate::cnf`] into an
-//! atom-indexed clause database; the search is the standard modern loop:
+//! The one search engine behind [`crate::solver::Solver`] and
+//! [`crate::incremental::IncrementalSolver`].  The formula is clausified by
+//! [`crate::cnf`] into an atom-indexed clause database; the search is the
+//! standard modern loop:
 //!
 //! * an **assignment trail** with decision levels and reason clauses,
 //! * **two-watched-literal** Boolean constraint propagation,
@@ -64,10 +64,10 @@
 //!   feasibility on its own push/pop tableau; integer-only conflicts are
 //!   explained by budgeted deletion minimisation and learned.
 //!
-//! Soundness matches the structural engine: `Sat` carries a model the
-//! caller can re-validate, `Unsat` is only reported when the search space
-//! was exhausted without any resource-out — and, in a persistent session,
-//! only while no search-heuristic blocking clause was ever learned (a
+//! Soundness: `Sat` carries a model the caller can re-validate, `Unsat` is
+//! only reported when the search space was exhausted without any
+//! resource-out — and, in a persistent session, only while no
+//! search-heuristic blocking clause was ever learned (a
 //! resource-out leaves the engine *tainted*: refutations from a tainted
 //! database surface as `Unknown`).  Cancellation, conflict budgets and
 //! integer resource-outs all surface as `Unknown`.
@@ -693,22 +693,15 @@ impl Engine {
             let neg = constraint_of_meaning(meaning, false);
             // register the atom once: pre-compile both polarities against
             // the persistent tableau (creating the owning column/slack)
-            // and index the atom for theory propagation — each gated on
-            // its switch so the oracle/baseline configurations measure
-            // the genuine PR-4 path, not registration they never use
-            if self.config.incremental_simplex {
-                let pos_prep = pos.as_ref().map(|c| self.simplex.prepare(c));
-                let neg_prep = neg.as_ref().map(|c| self.simplex.prepare(c));
-                if self.config.theory_propagation {
-                    self.register_guided(Lit::positive(var), pos_prep.as_ref());
-                    self.register_guided(Lit::negative(var), neg_prep.as_ref());
-                }
-                self.lit_prepared.push(pos_prep);
-                self.lit_prepared.push(neg_prep);
-            } else {
-                self.lit_prepared.push(None);
-                self.lit_prepared.push(None);
+            // and index the atom for theory propagation
+            let pos_prep = pos.as_ref().map(|c| self.simplex.prepare(c));
+            let neg_prep = neg.as_ref().map(|c| self.simplex.prepare(c));
+            if self.config.theory_propagation {
+                self.register_guided(Lit::positive(var), pos_prep.as_ref());
+                self.register_guided(Lit::negative(var), neg_prep.as_ref());
             }
+            self.lit_prepared.push(pos_prep);
+            self.lit_prepared.push(neg_prep);
             if self.config.theory_propagation {
                 if let Some(meaning) = meaning {
                     self.atom_table.register(var, meaning);
@@ -1047,9 +1040,7 @@ impl Engine {
     /// bound assertions, usually zero pivots), and a conflict it finds
     /// here is one the leaf would otherwise rediscover a subtree later.
     fn guided_step(&mut self) -> Step {
-        if !self.config.guided_propagation
-            || !self.config.incremental_simplex
-            || !self.config.theory_propagation
+        if !self.config.theory_propagation
             || self.guided.is_empty()
             || self.theory_stack.len() <= self.simplex_checked
         {
@@ -1131,9 +1122,6 @@ impl Engine {
     fn simplex_check_budgeted(&mut self, max_pivots: u64) -> Option<Step> {
         if self.theory_stack.len() <= self.simplex_checked {
             return Some(Step::Ok);
-        }
-        if !self.config.incremental_simplex {
-            return Some(self.simplex_check());
         }
         self.stats.simplex_checks += 1;
         let _span = posr_obs::span!("simplex", "simplex.check");
@@ -1428,14 +1416,12 @@ impl Engine {
     /// refutation's explanation is the Farkas certificate of the stuck
     /// tableau row — already irreducible, no minimisation loop needed.
     ///
-    /// The default path runs on the engine's *persistent* tableau: the
-    /// literals asserted since the last check are synced as O(1) bound
-    /// assertions (their atoms were registered at [`Engine::grow_theory`])
-    /// and the pivot loop warm-starts from the previous basis, so a
-    /// re-check after a handful of new bounds costs a few pivots instead
-    /// of a full from-scratch solve.  `incremental_simplex: false`
-    /// reconstructs a tableau per check — the differential oracle and the
-    /// ablation baseline.
+    /// The check runs on the engine's *persistent* tableau: the literals
+    /// asserted since the last check are synced as O(1) bound assertions
+    /// (their atoms were registered at [`Engine::grow_theory`]) and the
+    /// pivot loop warm-starts from the previous basis, so a re-check after
+    /// a handful of new bounds costs a few pivots instead of a full
+    /// from-scratch solve.
     fn simplex_check(&mut self) -> Step {
         if self.theory_stack.len() <= self.simplex_checked {
             return Step::Ok;
@@ -1443,20 +1429,10 @@ impl Engine {
         self.stats.simplex_checks += 1;
         let _span = posr_obs::span!("simplex", "simplex.check");
         let t0 = Instant::now();
-        // the scope sees every tableau this thread pivots (persistent or
-        // scratch), so its delta is the per-check pivot count either way
-        let pivots_before = self.pivot_scope.get(crate::simplex::obs_pivot_counter());
-        let outcome = if self.config.incremental_simplex {
-            self.incremental_simplex_check()
-        } else {
-            self.scratch_simplex_check()
-        };
+        let pivots_before = self.simplex.pivots();
+        let outcome = self.sync_and_check();
         self.times.simplex += t0.elapsed();
-        HIST_CHECK_PIVOTS.record(
-            self.pivot_scope
-                .get(crate::simplex::obs_pivot_counter())
-                .saturating_sub(pivots_before),
-        );
+        HIST_CHECK_PIVOTS.record(self.simplex.pivots() - pivots_before);
         match outcome {
             Some(Ok(())) => {
                 self.simplex_checked = self.theory_stack.len();
@@ -1487,7 +1463,7 @@ impl Engine {
     /// iteration poll.  `None` means cancelled: the tableau is left
     /// consistent mid-repair (a budget-exhausted check always is) and the
     /// remaining violations stay queued for whoever checks next.
-    fn incremental_simplex_check(&mut self) -> Option<Result<(), Vec<u32>>> {
+    fn sync_and_check(&mut self) -> Option<Result<(), Vec<u32>>> {
         for i in self.simplex.num_asserted()..self.theory_stack.len() {
             let prepared = self.lit_prepared[self.theory_lits[i].code()]
                 .clone()
@@ -1502,29 +1478,6 @@ impl Engine {
             }
             // a single check can pivot for seconds: keep the watchdog's
             // pivot gauge moving between search-loop iterations
-            PROGRESS_PIVOTS.set(crate::simplex::obs_pivot_counter().value());
-            if self.config.cancel.can_fire() && self.config.cancel.is_cancelled() {
-                return None;
-            }
-        }
-    }
-
-    /// The PR-4 baseline: a fresh tableau per check (kept as a
-    /// differential oracle; also what the ablation's incremental-vs-scratch
-    /// pivot comparison runs against).  Sliced against cancellation like
-    /// [`Engine::incremental_simplex_check`]; the abandoned tableau is
-    /// simply dropped.
-    fn scratch_simplex_check(&mut self) -> Option<Result<(), Vec<u32>>> {
-        let mut simplex = IncrementalSimplex::new();
-        for (i, c) in self.theory_stack.iter().enumerate() {
-            if let Err(core) = simplex.assert_constraint(c, i as u32) {
-                return Some(Err(core));
-            }
-        }
-        loop {
-            if let Some(result) = simplex.check_budgeted(LEAF_CANCEL_SLICE) {
-                return Some(result);
-            }
             PROGRESS_PIVOTS.set(crate::simplex::obs_pivot_counter().value());
             if self.config.cancel.can_fire() && self.config.cancel.is_cancelled() {
                 return None;
@@ -1990,8 +1943,8 @@ impl Engine {
         self.solve_base_conflicts = self.stats.conflicts;
         let result = {
             let _span = posr_obs::span!("cdcl", "cdcl.solve");
-            // every tableau this call touches (the persistent one, the
-            // scratch oracle, branch-and-bound, the one-shot certifiers)
+            // every tableau this call touches (the persistent one,
+            // branch-and-bound, the one-shot certifiers)
             // flushes its pivot/row-touch counts into the obs counters;
             // the attached scope is what `stats()` derives them from
             let _pivots = self.pivot_scope.attach();

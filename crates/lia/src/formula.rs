@@ -430,6 +430,32 @@ impl Formula {
         }
     }
 
+    /// Exhaustive search of the integer box `[lo, hi]^vars` for a point
+    /// satisfying this quantifier-free formula; variables outside `vars`
+    /// evaluate to 0.  Returns the first satisfying point (values in
+    /// `vars` order), or `None` when the box holds none.
+    ///
+    /// This is the reference oracle LIA verdicts are tested against on
+    /// formulas that pin every variable into a small box: it shares nothing
+    /// with the solver but [`Formula::eval`].
+    pub fn box_witness(&self, vars: &[Var], lo: i128, hi: i128) -> Option<Vec<i128>> {
+        if lo > hi && !vars.is_empty() {
+            return None;
+        }
+        let mut point = vec![lo; vars.len()];
+        loop {
+            let value = |v: Var| vars.iter().position(|&w| w == v).map_or(0, |i| point[i]);
+            if self.eval(&value) {
+                return Some(point);
+            }
+            // odometer step: the first coordinate below `hi` moves up, the
+            // ones before it wrap back to `lo`
+            let i = point.iter().position(|&x| x < hi)?;
+            point[i] += 1;
+            point[..i].fill(lo);
+        }
+    }
+
     /// Constant folding: replaces variable-free atoms by their truth value and
     /// simplifies the Boolean structure.
     pub fn simplify(&self) -> Formula {
@@ -694,5 +720,23 @@ mod tests {
         assert!(s.contains("and"));
         assert!(s.contains('x'));
         assert!(s.contains('y'));
+    }
+
+    #[test]
+    fn box_witness_enumerates_the_whole_box() {
+        let (_, x, y) = setup();
+        let sum_is = |k| Formula::eq(LinExpr::var(x) + LinExpr::var(y), LinExpr::constant(k));
+        // the first coordinate moves fastest: (3, 0) precedes (2, 1)
+        let phi = Formula::and(vec![
+            sum_is(3),
+            Formula::ge(LinExpr::var(x), LinExpr::constant(2)),
+        ]);
+        assert_eq!(phi.box_witness(&[x, y], 0, 3), Some(vec![3, 0]));
+        // the corner point is reached, and nothing beyond it
+        assert_eq!(sum_is(6).box_witness(&[x, y], 0, 3), Some(vec![3, 3]));
+        assert_eq!(sum_is(7).box_witness(&[x, y], 0, 3), None);
+        // a variable outside the box evaluates to 0
+        assert_eq!(sum_is(2).box_witness(&[x], -1, 1), None);
+        assert_eq!(Formula::True.box_witness(&[], 0, 0), Some(vec![]));
     }
 }

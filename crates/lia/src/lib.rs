@@ -13,20 +13,20 @@
 //! * [`simplex`] — the **incremental Dutertre–de Moura simplex**: a
 //!   persistent, backtrackable tableau ([`simplex::IncrementalSimplex`])
 //!   with one-time atom registration, O(1) bound assertions, warm-started
-//!   pivoting and Farkas-style infeasibility cores (one-shot and
-//!   prefix-sharing session wrappers included),
+//!   pivoting and Farkas-style infeasibility cores (one-shot wrappers
+//!   included),
 //! * [`intfeas`] — integer feasibility by branch-and-bound on one
 //!   push/pop tableau, pruned per node by incremental interval
 //!   propagation and the divisibility test, with sound resource limits,
 //! * [`bounds`] — interval (bound) propagation with integer rounding on
 //!   one backtrackable bound trail that records which constraint produced
-//!   every bound, the cheap propagation layer of both search engines and
+//!   every bound, the cheap propagation layer of the CDCL(T) engine and
 //!   of branch-and-bound,
 //! * [`cnf`] — clausification for the CDCL engine: structural hashing,
 //!   Plaisted–Greenbaum Tseitin encoding, half-space atom canonicalisation,
 //! * [`cdcl`] — the clause-learning **CDCL(T)** search engine (trail,
 //!   two-watched-literal propagation, 1UIP learning, backjumping, Luby
-//!   restarts, VSIDS), the default engine of [`solver::Solver`]; the
+//!   restarts, VSIDS), the one search engine of [`solver::Solver`]; the
 //!   theory side is equally incremental — **theory propagation** with
 //!   lazy explanations and the persistent simplex asserted in lock-step
 //!   with the trail — and the engine is persistent, exporting cumulative
@@ -41,9 +41,8 @@
 //!   parity-infeasible equality systems,
 //! * [`solver`] — the public satisfiability API for quantifier-free LIA
 //!   formulas with arbitrary Boolean structure (the stand-in for the LIA
-//!   backend of Z3 used by Z3-Noodler in the paper's implementation); the
-//!   [`solver::SearchEngine`] knob selects CDCL(T) (default) or the legacy
-//!   recursive structural DPLL(T) walk kept as a differential oracle.
+//!   backend of Z3 used by Z3-Noodler in the paper's implementation), a
+//!   thin front end to the CDCL(T) engine.
 //!
 //! # The explanation interface
 //!
@@ -111,5 +110,5 @@ pub use formula::{Atom, Cmp, Formula};
 pub use incremental::IncrementalSolver;
 pub use proof::{CertKind, ProofBuilder, ProofStep};
 pub use rational::{catch_overflow, Rat, OVERFLOW_MSG, OVERFLOW_UNKNOWN};
-pub use solver::{Model, SearchEngine, Solver, SolverConfig, SolverResult};
+pub use solver::{Model, Solver, SolverConfig, SolverResult};
 pub use term::{LinExpr, Var, VarPool};

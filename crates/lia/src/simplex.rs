@@ -61,9 +61,7 @@
 //!
 //! The one-shot [`check_feasibility`] / [`check_feasibility_with_core`]
 //! entry points survive as thin wrappers (register + assert + check on a
-//! fresh tableau); [`SessionSimplex`] adapts the incremental tableau to
-//! callers that present whole constraint *slices* that evolve
-//! prefix-wise, like the structural DPLL(T) walk.
+//! fresh tableau).
 //!
 //! Strict inequalities and disequalities never reach this layer: the
 //! integer setting lets the upper layers rewrite `<`/`>` into `≤`/`≥`
@@ -1067,52 +1065,6 @@ impl IncrementalSimplex {
     }
 }
 
-/// Adapts the incremental tableau to callers that re-check whole
-/// constraint *slices* that evolve prefix-wise (clone-and-extend DFS, like
-/// the structural DPLL(T) walk): each call retracts to the longest common
-/// prefix with the previous one and asserts only the new suffix.
-#[derive(Default)]
-pub struct SessionSimplex {
-    simplex: IncrementalSimplex,
-    asserted: Vec<SimplexConstraint>,
-}
-
-impl SessionSimplex {
-    /// An empty session.
-    pub fn new() -> SessionSimplex {
-        SessionSimplex::default()
-    }
-
-    /// Cumulative pivots of the underlying tableau.
-    pub fn pivots(&self) -> u64 {
-        self.simplex.pivots()
-    }
-
-    /// `true` iff the conjunction is rationally infeasible, reusing the
-    /// tableau state shared with the previous call's constraint prefix.
-    pub fn infeasible(&mut self, constraints: &[SimplexConstraint]) -> bool {
-        let common = self
-            .asserted
-            .iter()
-            .zip(constraints)
-            .take_while(|(a, b)| a == b)
-            .count();
-        self.simplex.retract_to(common);
-        self.asserted.truncate(common);
-        for c in &constraints[common..] {
-            if self
-                .simplex
-                .assert_constraint(c, self.asserted.len() as u32)
-                .is_err()
-            {
-                return true;
-            }
-            self.asserted.push(c.clone());
-        }
-        self.simplex.check().is_err()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1349,32 +1301,6 @@ mod tests {
             .is_ok());
         assert!(simplex.check().is_ok());
         assert!(simplex.model()[&x] >= Rat::from_int(9));
-    }
-
-    #[test]
-    fn session_simplex_matches_one_shot_checks() {
-        let mut pool = VarPool::new();
-        let x = pool.fresh("x");
-        let y = pool.fresh("y");
-        let base = vec![
-            ge(LinExpr::var(x)),
-            ge(LinExpr::var(y)),
-            le(LinExpr::var(x) + LinExpr::var(y) - LinExpr::constant(6)),
-        ];
-        let mut branch_a = base.clone();
-        branch_a.push(ge(LinExpr::var(x) - LinExpr::constant(7)));
-        let mut branch_b = base.clone();
-        branch_b.push(ge(LinExpr::var(x) - LinExpr::constant(4)));
-        let mut branch_b2 = branch_b.clone();
-        branch_b2.push(ge(LinExpr::var(y) - LinExpr::constant(3)));
-        let mut session = SessionSimplex::new();
-        for slice in [&base, &branch_a, &branch_b, &branch_b2, &base] {
-            assert_eq!(
-                session.infeasible(slice),
-                !check_feasibility(slice).is_feasible(),
-                "session disagrees with one-shot on {slice:?}"
-            );
-        }
     }
 
     #[test]

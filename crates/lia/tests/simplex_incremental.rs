@@ -1,54 +1,25 @@
 //! Randomized differential testing of the incremental theory layer.
 //!
-//! Two independent oracles guard the PR's two new mechanisms:
-//!
-//! 1. the **persistent tableau** ([`IncrementalSimplex`]) is driven
-//!    through random `assert` / `push_level` / `pop_level` sequences and
-//!    compared, after every step, against a from-scratch
-//!    [`check_feasibility`] over the flattened live constraint set — the
-//!    warm basis, the undo trail and the level bookkeeping must never
-//!    change a verdict;
-//! 2. the **theory-side config switches** are differential oracles by
-//!    construction: every on/off combination of
-//!    `SolverConfig::{theory_propagation, incremental_simplex,
-//!    guided_propagation}` must agree on random formulas, and every
-//!    `Sat` model must re-evaluate to true.
+//! The **persistent tableau** ([`IncrementalSimplex`]) is driven through
+//! random `assert` / `push_level` / `pop_level` sequences and compared,
+//! after every step, against a from-scratch [`check_feasibility`] over the
+//! flattened live constraint set — the warm basis, the undo trail and the
+//! level bookkeeping must never change a verdict.  The engine's pivot
+//! statistics must match an external counter scope over the same session.
 //!
 //! Seeds are fixed xorshift states, so failures reproduce exactly.
 
 use std::collections::BTreeMap;
 
-use posr_lia::formula::{Cmp, Formula};
+mod common;
+
+use common::{boxed, random_formula, Rng};
 use posr_lia::rational::Rat;
 use posr_lia::simplex::{
     check_feasibility, IncrementalSimplex, Rel, SimplexConstraint, SimplexResult,
 };
-use posr_lia::solver::{Solver, SolverConfig, SolverResult};
 use posr_lia::term::{LinExpr, Var, VarPool};
 use posr_lia::IncrementalSolver;
-
-/// A tiny deterministic xorshift generator (same shape as
-/// `tests/differential.rs`): no external crates, reproducible failures.
-struct Rng(u64);
-
-impl Rng {
-    fn next(&mut self) -> u64 {
-        let mut x = self.0;
-        x ^= x << 13;
-        x ^= x >> 7;
-        x ^= x << 17;
-        self.0 = x;
-        x
-    }
-
-    fn below(&mut self, n: u64) -> u64 {
-        self.next() % n
-    }
-
-    fn int(&mut self, lo: i128, hi: i128) -> i128 {
-        lo + self.below((hi - lo + 1) as u64) as i128
-    }
-}
 
 fn random_constraint(rng: &mut Rng, vars: &[Var]) -> SimplexConstraint {
     let mut expr = LinExpr::constant(rng.int(-8, 8));
@@ -195,129 +166,6 @@ fn incremental_conflict_cores_are_infeasible_subsets() {
         cores_seen >= 30,
         "too few conflicts generated: {cores_seen}"
     );
-}
-
-fn random_atom(rng: &mut Rng, vars: &[Var]) -> Formula {
-    let mut expr = LinExpr::constant(rng.int(-6, 6));
-    let terms = 1 + rng.below(3);
-    for _ in 0..terms {
-        let v = vars[rng.below(vars.len() as u64) as usize];
-        let coeff = match rng.below(8) {
-            0 => 2,
-            1 => -2,
-            2 => 3,
-            _ => *[-1i128, 1].get(rng.below(2) as usize).unwrap(),
-        };
-        expr += LinExpr::scaled_var(v, coeff);
-    }
-    let cmp = match rng.below(6) {
-        0 => Cmp::Le,
-        1 => Cmp::Lt,
-        2 => Cmp::Ge,
-        3 => Cmp::Gt,
-        4 => Cmp::Eq,
-        _ => Cmp::Ne,
-    };
-    Formula::Atom(posr_lia::formula::Atom { expr, cmp })
-}
-
-fn random_formula(rng: &mut Rng, vars: &[Var], depth: usize) -> Formula {
-    if depth == 0 || rng.below(3) == 0 {
-        return random_atom(rng, vars);
-    }
-    match rng.below(4) {
-        0 => {
-            let n = 2 + rng.below(3) as usize;
-            Formula::and(
-                (0..n)
-                    .map(|_| random_formula(rng, vars, depth - 1))
-                    .collect(),
-            )
-        }
-        1 => {
-            let n = 2 + rng.below(3) as usize;
-            Formula::or(
-                (0..n)
-                    .map(|_| random_formula(rng, vars, depth - 1))
-                    .collect(),
-            )
-        }
-        2 => Formula::not(random_formula(rng, vars, depth - 1)),
-        _ => random_atom(rng, vars),
-    }
-}
-
-/// A bounding box keeps every instance decidable well within the engines'
-/// resource limits, so verdicts are definite and comparable.
-fn boxed(vars: &[Var], formula: Formula) -> Formula {
-    let mut conjuncts = vec![formula];
-    for &v in vars {
-        conjuncts.push(Formula::ge(LinExpr::var(v), LinExpr::constant(-20)));
-        conjuncts.push(Formula::le(LinExpr::var(v), LinExpr::constant(20)));
-    }
-    Formula::and(conjuncts)
-}
-
-#[test]
-fn theory_config_matrix_agrees_on_random_formulas() {
-    let mut rng = Rng(0x0D15_EA5E_5EED_0007);
-    let mut pool = VarPool::new();
-    let vars: Vec<Var> = (0..4).map(|i| pool.fresh(&format!("m{i}"))).collect();
-
-    // every combination of the three theory-side switches; index 0 is
-    // the full configuration, the all-off row the PR-4 baseline (guided
-    // propagation is inert unless the other two are on, but the inert
-    // rows are kept — they must be *exactly* inert)
-    let mut solvers: Vec<Solver> = Vec::new();
-    for theory_propagation in [true, false] {
-        for incremental_simplex in [true, false] {
-            for guided_propagation in [true, false] {
-                solvers.push(Solver::with_config(SolverConfig {
-                    theory_propagation,
-                    incremental_simplex,
-                    guided_propagation,
-                    ..SolverConfig::default()
-                }));
-            }
-        }
-    }
-
-    let mut sat = 0usize;
-    let mut unsat = 0usize;
-    for round in 0..250 {
-        let formula = boxed(&vars, random_formula(&mut rng, &vars, 3));
-        let results: Vec<SolverResult> = solvers.iter().map(|s| s.solve(&formula)).collect();
-        let mut verdicts = Vec::new();
-        for (i, r) in results.iter().enumerate() {
-            match r {
-                SolverResult::Sat(m) => {
-                    assert!(
-                        m.satisfies(&formula),
-                        "round {round} config {i}: model fails on {formula:?}"
-                    );
-                    verdicts.push("sat");
-                }
-                SolverResult::Unsat => verdicts.push("unsat"),
-                SolverResult::Unknown(_) => verdicts.push("unknown"),
-            }
-        }
-        let definite: Vec<&str> = verdicts
-            .iter()
-            .copied()
-            .filter(|&v| v != "unknown")
-            .collect();
-        assert!(
-            definite.windows(2).all(|w| w[0] == w[1]),
-            "round {round}: configs disagree: {verdicts:?} on {formula:?}"
-        );
-        match definite.first() {
-            Some(&"sat") => sat += 1,
-            Some(&"unsat") => unsat += 1,
-            _ => {}
-        }
-    }
-    assert!(sat >= 30, "too few sat instances: {sat}");
-    assert!(unsat >= 15, "too few unsat instances: {unsat}");
 }
 
 /// The pivot-accounting contract of the satellite fix: the engine's

@@ -23,10 +23,9 @@ use crate::{run_isolated, PortfolioResult, PortfolioSolver, StrategyOutcome, Str
 /// host.
 const RETRY_BACKOFF: Duration = Duration::from_millis(25);
 
-/// The lane the retry pass pins: the structural-engine oracle, the most
-/// conservative full pipeline in the portfolio (plus the production lane
-/// the hint always keeps, see [`PortfolioSolver::solve_with`]).
-const RETRY_HINT: &str = "tag-pos";
+/// The lane the retry pass pins: the production lane alone (a hint keeps
+/// only the hinted lane and `cdcl-pos`, see [`PortfolioSolver::solve_with`]).
+const RETRY_HINT: &str = "cdcl-pos";
 
 /// Distribution of per-item wall times (one full race each), µs.  Scoped:
 /// a batch's own percentiles come out of its `CounterScope`.
@@ -131,8 +130,9 @@ pub struct BatchStats {
     /// crashed worker (the crash was absorbed; the item still has an
     /// outcome).
     pub crashed: usize,
-    /// Items re-run once on the structural-oracle lane after a crash or a
-    /// resource-out, with exponential backoff between retries.
+    /// Items re-run once on the `cdcl-pos` lane because an absorbed crash
+    /// left them undecided.  A retry gets only what is left of the item's
+    /// timeout, with exponential backoff between retries.
     pub retried: usize,
     /// Wins per strategy name.
     pub wins: std::collections::BTreeMap<&'static str, usize>,
@@ -233,16 +233,26 @@ pub fn solve_batch(
         })
         .collect();
 
-    // retry pass: an item whose race saw a crash (and still ended undecided)
-    // or ran out of a resource axis gets exactly one more chance, pinned to
-    // the structural-oracle lane, with exponential backoff between retries
+    // retry pass: an item whose race saw a crash and still ended undecided
+    // gets exactly one more chance, pinned to the production lane, within
+    // what is left of its timeout, with exponential backoff between retries;
+    // the backoff is spent out of that time, so an item with no more left
+    // than the backoff is not retried at all
     let mut retried = 0usize;
     for outcome in outcomes.iter_mut() {
         if !wants_retry(&outcome.result) {
             continue;
         }
+        let backoff = RETRY_BACKOFF.saturating_mul(1 << retried.min(6));
+        let left = options
+            .timeout
+            .map(|t| t.saturating_sub(outcome.result.elapsed));
+        if left.is_some_and(|left| left <= backoff) {
+            continue;
+        }
+        let left = left.map(|left| left - backoff);
         retried += 1;
-        std::thread::sleep(RETRY_BACKOFF.saturating_mul(1 << (retried - 1).min(6)));
+        std::thread::sleep(backoff);
         posr_obs::instant("batch", format!("batch.retry:{}", outcome.name));
         let formula = items
             .iter()
@@ -251,7 +261,7 @@ pub fn solve_batch(
         let Some(formula) = formula else { continue };
         let retry_start = Instant::now();
         let retry = run_isolated(&outcome.name, || {
-            portfolio.solve_with(formula, options.timeout, Some(RETRY_HINT))
+            portfolio.solve_with(formula, left, Some(RETRY_HINT))
         });
         if let Ok(result) = retry {
             if matches!(result.answer, Answer::Sat(_) | Answer::Unsat) {
@@ -337,27 +347,12 @@ fn crashed_somewhere(result: &PortfolioResult) -> bool {
         .any(|r| matches!(r.outcome, StrategyOutcome::Crashed { .. }))
 }
 
-/// Resource-outs worth a second try: the per-item deadline or a budget axis.
-fn resource_out(answer: &Answer) -> bool {
-    match answer {
-        Answer::Unknown(reason) => {
-            reason.contains(posr_lia::cancel::DEADLINE_MSG)
-                || reason.contains(posr_obs::MEM_BUDGET_MSG)
-                || reason.contains(posr_obs::CONFLICT_BUDGET_MSG)
-        }
-        _ => false,
-    }
-}
-
-/// An item is retried when it ended *undecided* and either a crash was
-/// absorbed along the way or a resource axis (deadline, memory, conflicts)
-/// ran out.  Decided items never retry — a crash that lost the race to a
-/// validated answer needs no second opinion.
+/// An item is retried when it ended *undecided* after an absorbed crash.
+/// Decided items never retry — a crash that lost the race to a validated
+/// answer needs no second opinion — and neither do items that ran out of
+/// time or budget: a second run would only charge the same axis again.
 fn wants_retry(result: &PortfolioResult) -> bool {
-    if matches!(result.answer, Answer::Sat(_) | Answer::Unsat) {
-        return false;
-    }
-    crashed_somewhere(result) || resource_out(&result.answer)
+    matches!(result.answer, Answer::Unknown(_)) && crashed_somewhere(result)
 }
 
 /// Parses named SMT-LIB sources and solves them as one batch, carrying each
@@ -434,13 +429,13 @@ mod tests {
         let report =
             solve_scripts(&sources, &PortfolioSolver::new(), &BatchOptions::default()).unwrap();
         assert_eq!(report.stats.sat, 1);
-        // the hint restricted the race to enumeration + tag-pos
+        // the hint restricted the race to enumeration + cdcl-pos
         assert_eq!(report.outcomes[0].result.reports.len(), 2);
     }
 
     #[test]
     fn crashed_lane_is_visible_in_the_report_and_decided_items_skip_retry() {
-        use crate::{Strategy, TagPosStrategy};
+        use crate::{CdclPosStrategy, Strategy};
         use posr_lia::cancel::CancelToken;
         use std::sync::Arc;
 
@@ -459,7 +454,7 @@ mod tests {
             .diseq(StringTerm::var("x"), StringTerm::lit("abc"));
         let portfolio = crate::PortfolioSolver::with_strategies(vec![
             Arc::new(PanickingStrategy),
-            Arc::new(TagPosStrategy::default()),
+            Arc::new(CdclPosStrategy::default()),
         ])
         .with_parallelism(2);
         let report = solve_batch(
@@ -490,6 +485,109 @@ mod tests {
         assert_eq!(report.stats.unknown, 1);
         assert_eq!(report.stats.crashed, 1);
         assert_eq!(report.stats.retried, 1);
+    }
+
+    #[test]
+    fn deadline_outs_are_not_retried() {
+        use crate::tests::HangingStrategy;
+        use posr_lia::cancel::DEADLINE_MSG;
+        use std::sync::Arc;
+
+        let portfolio = crate::PortfolioSolver::with_strategies(vec![
+            Arc::new(HangingStrategy),
+            Arc::new(HangingStrategy),
+        ])
+        .with_parallelism(2);
+        let report = solve_batch(
+            &[BatchItem::new(
+                "hung",
+                StringFormula::new().in_re("x", "(ab)*"),
+            )],
+            &portfolio,
+            &BatchOptions {
+                workers: 1,
+                timeout: Some(Duration::from_millis(100)),
+            },
+        );
+        let outcome = &report.outcomes[0];
+        assert_eq!(
+            outcome.result.answer,
+            Answer::Unknown(DEADLINE_MSG.to_string())
+        );
+        assert_eq!(report.stats.retried, 0);
+        // the item ends at its own timeout, not a second one later
+        assert!(
+            outcome.result.elapsed < Duration::from_secs(1),
+            "item took {:?}",
+            outcome.result.elapsed
+        );
+        assert!(report.stats.wall_time < Duration::from_secs(1));
+    }
+
+    #[test]
+    fn crash_retries_fit_in_the_item_timeout() {
+        use posr_lia::cancel::CancelToken;
+        use std::sync::atomic::AtomicBool;
+        use std::sync::Arc;
+
+        /// Crashes on its first call; afterwards gives up at once and
+        /// records how much time its token still allowed.
+        #[derive(Default)]
+        struct CrashOnce {
+            crashed: AtomicBool,
+            retry_budget: Mutex<Option<Duration>>,
+        }
+        impl crate::Strategy for CrashOnce {
+            fn name(&self) -> &'static str {
+                "crash-once"
+            }
+            fn solve(&self, _f: &StringFormula, cancel: &CancelToken) -> Answer {
+                if !self.crashed.swap(true, Ordering::SeqCst) {
+                    panic!("first call blew up");
+                }
+                *self.retry_budget.lock().unwrap() = cancel.deadline().map(|d| d - Instant::now());
+                Answer::Unknown("gave up".to_string())
+            }
+        }
+
+        let run = |timeout: Duration| {
+            let lane = Arc::new(CrashOnce::default());
+            let portfolio = crate::PortfolioSolver::with_strategies(vec![
+                Arc::clone(&lane) as Arc<dyn crate::Strategy>
+            ])
+            .with_parallelism(2);
+            let report = solve_batch(
+                &[BatchItem::new(
+                    "crashy",
+                    StringFormula::new().in_re("x", "(ab)*"),
+                )],
+                &portfolio,
+                &BatchOptions {
+                    workers: 1,
+                    timeout: Some(timeout),
+                },
+            );
+            let budget = *lane.retry_budget.lock().unwrap();
+            // the retry decided nothing, so this is the first race's time
+            let first = report.outcomes[0].result.elapsed;
+            (report.stats.retried, first, budget)
+        };
+
+        // the retry's race gets the item's timeout minus the time the first
+        // race spent and the backoff slept before it
+        let timeout = Duration::from_secs(2);
+        let (retried, first, budget) = run(timeout);
+        assert_eq!(retried, 1);
+        let budget = budget.expect("the retry ran under the item's deadline");
+        assert!(
+            first + RETRY_BACKOFF + budget <= timeout,
+            "first race {first:?}, retry allowed {budget:?} of a {timeout:?} timeout"
+        );
+
+        // an item with no more time left than the backoff is not retried
+        let (retried, _, budget) = run(RETRY_BACKOFF / 2);
+        assert_eq!(retried, 0);
+        assert_eq!(budget, None);
     }
 
     #[test]

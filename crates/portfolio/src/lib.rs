@@ -1,18 +1,17 @@
 //! `posr-portfolio`: a concurrent portfolio engine for the posr string
 //! solver.
 //!
-//! The workspace ships five complementary decision procedures — the paper's
+//! The workspace ships four complementary decision procedures — the paper's
 //! tag-automaton position pipeline under the clause-learning CDCL(T) LIA
-//! core (`cdcl-pos`, the production lane), the same pipeline under the
-//! structural DPLL(T) core (`tag-pos`, engine diversification and the
-//! differential-testing oracle), plus three baselines with very different
-//! strengths (guess-and-check enumeration is fast on satisfiable instances,
-//! the length abstraction refutes length-inconsistent inputs almost for
-//! free, the naive order encoding handles tiny disequality systems).  A
+//! core (`cdcl-pos`, the production lane) plus three baselines with very
+//! different strengths (guess-and-check enumeration is fast on satisfiable
+//! instances, the length abstraction refutes length-inconsistent inputs
+//! almost for free, the naive order encoding handles tiny disequality
+//! systems).  A
 //! [`PortfolioSolver`] races them on one thread each, accepts the first
 //! *validated* answer and fires the [`CancelToken`]s of the losers, which
 //! unwind cooperatively from the branch points of their searches (the LIA
-//! engines' decision loops, the position procedure's CEGAR loop, the
+//! engine's decision loop, the position procedure's CEGAR loop, the
 //! enumeration baseline's sampling loop).
 //!
 //! On a host with a single available core the race would only oversubscribe
@@ -57,7 +56,7 @@ use posr_core::baselines::{
     BaselineSolver, EnumerationSolver, LengthAbstractionSolver, NaiveOrderSolver,
 };
 use posr_core::solver::{Answer, SolverOptions, StringSolver};
-use posr_lia::cancel::CancelToken;
+use posr_lia::cancel::{CancelToken, DEADLINE_MSG};
 use posr_smtfmt::ParsedScript;
 
 pub use batch::{
@@ -186,75 +185,21 @@ pub trait Strategy: Send + Sync {
 
 /// The paper's tag-automaton position pipeline with the clause-learning
 /// CDCL(T) LIA core (the production solver; the only lane that closes the
-/// loopy unsat families).  By default the CEGAR loops run on one
-/// persistent incremental LIA session per query; `scratch()` builds the
-/// from-scratch twin (`cdcl-pos-scratch`) used by the ablation's
-/// incremental-vs-scratch comparison.
-#[derive(Clone, Debug)]
+/// loopy unsat families).  The CEGAR loops run on one persistent
+/// incremental LIA session per query.
+#[derive(Clone, Debug, Default)]
 pub struct CdclPosStrategy {
     /// Base options; the racing token and deadline are merged in per query.
     pub options: SolverOptions,
-    /// Run the CEGAR loops incrementally (the production default).
-    pub incremental_cegar: bool,
-}
-
-impl Default for CdclPosStrategy {
-    fn default() -> CdclPosStrategy {
-        CdclPosStrategy {
-            options: SolverOptions::default(),
-            incremental_cegar: true,
-        }
-    }
-}
-
-impl CdclPosStrategy {
-    /// The from-scratch comparison lane: identical pipeline, but every
-    /// CEGAR round re-clausifies and re-searches from nothing.
-    pub fn scratch() -> CdclPosStrategy {
-        CdclPosStrategy {
-            options: SolverOptions::default(),
-            incremental_cegar: false,
-        }
-    }
 }
 
 impl Strategy for CdclPosStrategy {
     fn name(&self) -> &'static str {
-        if self.incremental_cegar {
-            "cdcl-pos"
-        } else {
-            "cdcl-pos-scratch"
-        }
+        "cdcl-pos"
     }
 
     fn solve(&self, formula: &StringFormula, cancel: &CancelToken) -> Answer {
         let mut options = self.options.clone();
-        options.position.lia.engine = posr_lia::solver::SearchEngine::Cdcl;
-        options.position.incremental_cegar = self.incremental_cegar;
-        // one shared implementation of the earlier-deadline merge
-        options.cancel = cancel.merged_with_deadline(options.deadline);
-        options.deadline = options.cancel.deadline();
-        StringSolver::with_options(options).solve(formula)
-    }
-}
-
-/// The same pipeline with the recursive structural DPLL(T) LIA core — kept
-/// in the race as engine diversification and as a differential-testing
-/// oracle for the CDCL lane.
-#[derive(Clone, Debug, Default)]
-pub struct TagPosStrategy {
-    /// Base options; the racing token and deadline are merged in per query.
-    pub options: SolverOptions,
-}
-
-impl Strategy for TagPosStrategy {
-    fn name(&self) -> &'static str {
-        "tag-pos"
-    }
-
-    fn solve(&self, formula: &StringFormula, cancel: &CancelToken) -> Answer {
-        let mut options = self.options.clone();
-        options.position.lia.engine = posr_lia::solver::SearchEngine::Structural;
         // one shared implementation of the earlier-deadline merge
         options.cancel = cancel.merged_with_deadline(options.deadline);
         options.deadline = options.cancel.deadline();
@@ -380,13 +325,12 @@ impl Default for PortfolioSolver {
 }
 
 impl PortfolioSolver {
-    /// The default portfolio: the production CDCL(T) position solver, its
-    /// structural-engine twin, plus the three baselines.
+    /// The default portfolio: the production CDCL(T) position solver plus
+    /// the three baselines.
     pub fn new() -> PortfolioSolver {
         PortfolioSolver {
             strategies: vec![
                 Arc::new(CdclPosStrategy::default()),
-                Arc::new(TagPosStrategy::default()),
                 Arc::new(EnumerationStrategy::default()),
                 Arc::new(NaiveOrderStrategy::default()),
                 Arc::new(LengthAbstractionStrategy::default()),
@@ -450,7 +394,8 @@ impl PortfolioSolver {
     /// The full racing entry point.
     ///
     /// * `timeout` bounds the race; on expiry every strategy is cancelled
-    ///   and the answer is `Unknown`.
+    ///   and, unless an answer was accepted, the answer is `Unknown` with
+    ///   the deadline message.
     /// * `hint` (usually from `(set-info :posr-strategy …)`) restricts the
     ///   race to the named strategy plus the production `cdcl-pos` lane;
     ///   unknown hints are ignored.
@@ -597,9 +542,7 @@ impl PortfolioSolver {
             }
         });
 
-        let answer = accepted.or(fallback).unwrap_or_else(|| {
-            Answer::Unknown("portfolio: no strategy produced an answer".to_string())
-        });
+        let answer = accepted.unwrap_or_else(|| undecided(deadline, fallback));
         PortfolioResult {
             answer,
             winner,
@@ -724,11 +667,8 @@ impl PortfolioSolver {
             let out_of_time = deadline.is_some_and(|d| Instant::now() >= d);
             let exhausted = !active.iter().any(|&a| a);
             if out_of_time || exhausted || !progressed {
-                let answer = fallback.unwrap_or_else(|| {
-                    Answer::Unknown("portfolio: no strategy produced an answer".to_string())
-                });
                 return PortfolioResult {
-                    answer,
+                    answer: undecided(deadline, fallback),
                     winner: None,
                     elapsed: start.elapsed(),
                     reports,
@@ -736,6 +676,18 @@ impl PortfolioSolver {
             }
             slice = slice.saturating_mul(2);
         }
+    }
+}
+
+/// The answer of a race that accepted nothing.  Once the deadline has
+/// passed the race ran out of time, and says so whatever reason an early
+/// give-up left behind; before it, the first give-up reason stands.
+fn undecided(deadline: Option<Instant>, fallback: Option<Answer>) -> Answer {
+    match deadline {
+        Some(d) if Instant::now() >= d => Answer::Unknown(DEADLINE_MSG.to_string()),
+        _ => fallback.unwrap_or_else(|| {
+            Answer::Unknown("portfolio: no strategy produced an answer".to_string())
+        }),
     }
 }
 
@@ -792,7 +744,7 @@ mod tests {
             other => panic!("expected sat, got {other:?}"),
         }
         assert!(result.winner.is_some());
-        assert_eq!(result.reports.len(), 5);
+        assert_eq!(result.reports.len(), 4);
     }
 
     #[test]
@@ -831,28 +783,9 @@ mod tests {
         assert_eq!(result.reports[0].name, "cdcl-pos");
     }
 
-    #[test]
-    fn incremental_and_scratch_cdcl_lanes_agree() {
-        let incremental = CdclPosStrategy::default();
-        let scratch = CdclPosStrategy::scratch();
-        assert_eq!(incremental.name(), "cdcl-pos");
-        assert_eq!(scratch.name(), "cdcl-pos-scratch");
-        for formula in [sat_formula(), unsat_formula()] {
-            let token = CancelToken::none();
-            let a = incremental.solve(&formula, &token);
-            let b = scratch.solve(&formula, &token);
-            assert_eq!(
-                a.is_sat(),
-                b.is_sat(),
-                "lanes disagree on {formula:?}: {a:?} vs {b:?}"
-            );
-            assert_eq!(a.is_unsat(), b.is_unsat());
-        }
-    }
-
     /// A strategy that never answers until its token fires — the direct test
     /// that losers are abandoned instead of joined to completion.
-    struct HangingStrategy;
+    pub(crate) struct HangingStrategy;
 
     impl Strategy for HangingStrategy {
         fn name(&self) -> &'static str {
@@ -870,34 +803,78 @@ mod tests {
     #[test]
     fn losing_strategy_is_cancelled_once_the_race_is_decided() {
         let portfolio = PortfolioSolver::with_strategies(vec![
-            Arc::new(TagPosStrategy::default()),
+            Arc::new(CdclPosStrategy::default()),
             Arc::new(HangingStrategy),
         ])
         .with_parallelism(2);
         let start = Instant::now();
         let result = portfolio.solve_with(&unsat_formula(), None, None);
         assert!(result.answer.is_unsat());
-        assert_eq!(result.winner, Some("tag-pos"));
+        assert_eq!(result.winner, Some("cdcl-pos"));
         // without cancellation this would hang forever
         assert!(start.elapsed() < Duration::from_secs(30));
         let hanging = result.reports.iter().find(|r| r.name == "hanging").unwrap();
         assert_eq!(hanging.outcome, StrategyOutcome::Cancelled);
     }
 
+    /// A strategy that gives up at once, the way a baseline does outside
+    /// its fragment.
+    struct GivingUpStrategy;
+
+    impl Strategy for GivingUpStrategy {
+        fn name(&self) -> &'static str {
+            "giving-up"
+        }
+
+        fn solve(&self, _formula: &StringFormula, _cancel: &CancelToken) -> Answer {
+            Answer::Unknown("outside this lane's fragment".to_string())
+        }
+    }
+
     #[test]
     fn timeout_abandons_a_portfolio_of_hungs() {
+        let deadline_out = Answer::Unknown(posr_lia::cancel::DEADLINE_MSG.to_string());
         let portfolio = PortfolioSolver::with_strategies(vec![
             Arc::new(HangingStrategy),
             Arc::new(HangingStrategy),
         ])
         .with_parallelism(2);
         let result = portfolio.solve_with(&sat_formula(), Some(Duration::from_millis(100)), None);
-        assert!(result.answer.is_unknown());
+        assert_eq!(result.answer, deadline_out);
         assert!(result.elapsed < Duration::from_secs(30));
         assert!(result
             .reports
             .iter()
             .all(|r| r.outcome == StrategyOutcome::Cancelled));
+
+        // a lane that gave up early does not hide that the race timed out,
+        // on either schedule
+        for cores in [2, 1] {
+            let portfolio = PortfolioSolver::with_strategies(vec![
+                Arc::new(GivingUpStrategy),
+                Arc::new(HangingStrategy),
+            ])
+            .with_parallelism(cores);
+            let result =
+                portfolio.solve_with(&sat_formula(), Some(Duration::from_millis(100)), None);
+            assert_eq!(result.answer, deadline_out, "{cores} cores");
+        }
+
+        // when every lane gave up before the deadline, the give-up reason
+        // stands
+        for cores in [2, 1] {
+            let portfolio = PortfolioSolver::with_strategies(vec![
+                Arc::new(GivingUpStrategy),
+                Arc::new(GivingUpStrategy),
+            ])
+            .with_parallelism(cores);
+            let result = portfolio.solve_with(&sat_formula(), Some(Duration::from_secs(30)), None);
+            assert_eq!(
+                result.answer,
+                Answer::Unknown("outside this lane's fragment".to_string()),
+                "{cores} cores"
+            );
+        }
     }
 
     #[test]
@@ -911,7 +888,22 @@ mod tests {
         assert_eq!(names.len(), 2);
         // unknown hints fall back to the full portfolio
         let full = portfolio.solve_with(&sat_formula(), None, Some("no-such-strategy"));
-        assert_eq!(full.reports.len(), 5);
+        assert_eq!(full.reports.len(), 4);
+    }
+
+    /// The production lane under a name the sequential ranking does not
+    /// list, so on the single-core schedule it runs after the lanes before
+    /// it in portfolio order instead of first.
+    struct Unranked(CdclPosStrategy);
+
+    impl Strategy for Unranked {
+        fn name(&self) -> &'static str {
+            "unranked"
+        }
+
+        fn solve(&self, formula: &StringFormula, cancel: &CancelToken) -> Answer {
+            self.0.solve(formula, cancel)
+        }
     }
 
     /// A strategy that panics unconditionally — the stand-in for an
@@ -935,13 +927,13 @@ mod tests {
         let crashes_before = OBS_LANE_CRASHES.value();
         let portfolio = PortfolioSolver::with_strategies(vec![
             Arc::new(PanickingStrategy),
-            Arc::new(TagPosStrategy::default()),
+            Arc::new(CdclPosStrategy::default()),
         ])
         .with_parallelism(2);
         let result = portfolio.solve_with(&unsat_formula(), None, None);
         // the surviving lane's validated answer is returned …
         assert!(result.answer.is_unsat(), "got {:?}", result.answer);
-        assert_eq!(result.winner, Some("tag-pos"));
+        assert_eq!(result.winner, Some("cdcl-pos"));
         // … and the crash is visible, not swallowed
         let crashed = result.reports.iter().find(|r| r.name == "panicky").unwrap();
         match &crashed.outcome {
@@ -955,7 +947,7 @@ mod tests {
         // same isolation policy on the single-core schedule
         let sequential = PortfolioSolver::with_strategies(vec![
             Arc::new(PanickingStrategy),
-            Arc::new(TagPosStrategy::default()),
+            Arc::new(Unranked(CdclPosStrategy::default())),
         ])
         .with_parallelism(1);
         let result = sequential.solve_with(&unsat_formula(), None, None);
@@ -983,30 +975,35 @@ mod tests {
         let formula = StringFormula::new().in_re("x", "(ab)+");
         let portfolio = PortfolioSolver::with_strategies(vec![
             Arc::new(LiarStrategy),
-            Arc::new(TagPosStrategy::default()),
+            Arc::new(CdclPosStrategy::default()),
         ])
         .with_parallelism(2);
         let result = portfolio.solve_with(&formula, None, None);
         match &result.answer {
             Answer::Sat(model) => {
                 assert!(model.satisfies(&formula));
-                assert_eq!(result.winner, Some("tag-pos"));
+                assert_eq!(result.winner, Some("cdcl-pos"));
             }
-            other => panic!("expected sat from tag-pos, got {other:?}"),
+            other => panic!("expected sat from cdcl-pos, got {other:?}"),
         }
         // the sequential schedule applies the same validation policy
         let sequential = PortfolioSolver::with_strategies(vec![
             Arc::new(LiarStrategy),
-            Arc::new(TagPosStrategy::default()),
+            Arc::new(Unranked(CdclPosStrategy::default())),
         ])
         .with_parallelism(1);
         let result = sequential.solve_with(&formula, None, None);
         match &result.answer {
             Answer::Sat(model) => {
                 assert!(model.satisfies(&formula));
-                assert_eq!(result.winner, Some("tag-pos"));
+                assert_eq!(result.winner, Some("unranked"));
             }
-            other => panic!("expected sat from tag-pos, got {other:?}"),
+            other => panic!("expected sat from the production lane, got {other:?}"),
         }
+        // the liar ran first and lost
+        assert_eq!(
+            result.reports[0].outcome,
+            StrategyOutcome::Finished("sat (unvalidated, no model)".to_string())
+        );
     }
 }

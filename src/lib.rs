@@ -22,8 +22,7 @@
 //! * [`automata`] — NFAs, regex compilation, Parikh images, flatness, the
 //!   shared pattern-keyed and content-keyed automaton caches,
 //! * [`lia`] — the LIA solver with cooperative cancellation: the
-//!   clause-learning CDCL(T) engine (default), the structural DPLL(T)
-//!   oracle behind the `SearchEngine` knob, and the incremental layer
+//!   clause-learning CDCL(T) engine and the incremental layer
 //!   (`lia::incremental`: persistent sessions, push/pop, assumptions),
 //! * [`tagauto`] — tag automata and the position-constraint encodings,
 //! * [`core`] — the solving pipeline (with the incremental CEGAR loops and

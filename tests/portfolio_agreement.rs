@@ -14,8 +14,8 @@ use posr_core::ast::{StringFormula, StringTerm};
 use posr_core::solver::{answer_status, Answer, SolverOptions, StringSolver};
 use posr_core::CancelToken;
 use posr_portfolio::{
-    solve_batch, BatchItem, BatchOptions, PortfolioSolver, Strategy, StrategyOutcome,
-    TagPosStrategy,
+    solve_batch, BatchItem, BatchOptions, CdclPosStrategy, PortfolioSolver, Strategy,
+    StrategyOutcome,
 };
 
 const PER_PROBLEM: Duration = Duration::from_secs(10);
@@ -112,7 +112,7 @@ fn hung_strategy_is_abandoned_after_the_winner_finishes() {
     // would be the sequential schedule, which abandons by slice expiry
     // rather than by losing a race
     let portfolio = PortfolioSolver::with_strategies(vec![
-        Arc::new(TagPosStrategy::default()),
+        Arc::new(CdclPosStrategy::default()),
         Arc::new(HangingStrategy),
     ])
     .with_parallelism(2);
@@ -122,7 +122,7 @@ fn hung_strategy_is_abandoned_after_the_winner_finishes() {
     let start = Instant::now();
     let result = portfolio.solve_with(&unsat, None, None);
     assert!(result.answer.is_unsat(), "got {:?}", result.answer);
-    assert_eq!(result.winner, Some("tag-pos"));
+    assert_eq!(result.winner, Some("cdcl-pos"));
     // without cooperative cancellation the hung strategy would block forever
     assert!(start.elapsed() < Duration::from_secs(60));
     let hanging = result.reports.iter().find(|r| r.name == "hanging").unwrap();
@@ -140,7 +140,11 @@ fn deadline_abandons_every_hung_strategy() {
     let formula = StringFormula::new().in_re("x", "(ab)*");
     let start = Instant::now();
     let result = portfolio.solve_with(&formula, Some(Duration::from_millis(150)), None);
-    assert!(result.answer.is_unknown());
+    // the race says it ran out of time
+    assert_eq!(
+        result.answer,
+        Answer::Unknown(posr_lia::cancel::DEADLINE_MSG.to_string())
+    );
     assert!(start.elapsed() < Duration::from_secs(60));
     assert!(result
         .reports
