@@ -5,6 +5,7 @@
 use std::collections::BTreeMap;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use posr_lia::cancel::CancelToken;
 use posr_lia::term::VarPool;
 use posr_tagauto::cache::prepared_automata;
 use posr_tagauto::system::{PositionConstraint, SystemEncoder};
@@ -43,7 +44,9 @@ fn bench_encoding(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("naive-order", k), &constraints, |b, cs| {
             b.iter(|| {
                 let mut pool = VarPool::new();
-                encode_naive(cs, &automata, &vars, &mut pool).total_formula_size
+                encode_naive(cs, &automata, &vars, &mut pool, &CancelToken::none())
+                    .expect("no deadline")
+                    .total_formula_size
             })
         });
     }

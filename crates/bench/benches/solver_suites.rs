@@ -11,7 +11,7 @@ fn bench_suites(c: &mut Criterion) {
     group.sample_size(10);
     for name in suite_names() {
         let instances = suite(name, 3, 7);
-        for solver in [SolverKind::TagPos, SolverKind::Enumeration] {
+        for solver in [SolverKind::CdclPos, SolverKind::Enumeration] {
             group.bench_with_input(
                 BenchmarkId::new(solver.name(), name),
                 &instances,

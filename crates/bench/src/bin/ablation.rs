@@ -21,6 +21,7 @@ use std::time::{Duration, Instant};
 use posr_automata::Regex;
 use posr_core::ast::{LenCmp, LenTerm, StringFormula, StringTerm};
 use posr_core::solver::{answer_status, SolverOptions, StringSolver};
+use posr_lia::cancel::CancelToken;
 use posr_lia::formula::Formula;
 use posr_lia::incremental::IncrementalSolver;
 use posr_lia::solver::SolverResult;
@@ -872,8 +873,9 @@ fn main() {
         let polynomial = SystemEncoder::new(&automata, &vars).encode(&constraints, &mut pool);
         let poly_size = polynomial.formula.size();
         if k <= 2 {
-            let mut pool2 = VarPool::new();
-            let naive = encode_naive(&constraints, &automata, &vars, &mut pool2);
+            let (mut pool2, no_deadline) = (VarPool::new(), CancelToken::none());
+            let naive = encode_naive(&constraints, &automata, &vars, &mut pool2, &no_deadline)
+                .expect("no deadline");
             println!(
                 "K={k}: polynomial formula size {poly_size:>8}, naive ({} orders) total size {:>10}",
                 naive.per_order.len(),
@@ -957,12 +959,10 @@ fn main() {
 
     if env_tracing {
         // race the portfolio over the flagship set so the exported trace
-        // has one timeline track per lane (plus the bench sections above);
-        // parallelism is pinned so single-core CI still runs the threaded
-        // race rather than the sequential fallback
+        // has one timeline track per lane (plus the bench sections above)
         println!();
         println!("== traced portfolio race over the flagship set ==");
-        let portfolio = posr_portfolio::PortfolioSolver::new().with_parallelism(2);
+        let portfolio = posr_portfolio::PortfolioSolver::new();
         for (name, formula, expected) in flagship_instances() {
             let _section = posr_obs::span("ablation", format!("race:{name}"));
             let answer = portfolio.solve(&formula);

@@ -22,11 +22,11 @@ fn main() {
         results.extend(run_suite(&suite(name, count, 2025), &solvers, timeout));
     }
     std::fs::create_dir_all("bench-results").expect("create bench-results directory");
-    for other in ["enumeration", "naive-order", "length-abs"] {
-        let csv = fig6_csv(&results, "posr-pos", other, timeout);
+    for other in ["enumeration", "naive-order", "length-abstraction"] {
+        let csv = fig6_csv(&results, "cdcl-pos", other, timeout);
         let path = format!("bench-results/fig6_posr_vs_{other}.csv");
         std::fs::write(&path, csv).expect("write CSV");
-        println!("{}", fig6_summary(&results, "posr-pos", other, timeout));
+        println!("{}", fig6_summary(&results, "cdcl-pos", other, timeout));
         println!("  -> {path}");
     }
 }

@@ -58,7 +58,7 @@ pub fn render_table1(
 ) -> String {
     let mut out = String::new();
     out.push_str(&format!(
-        "{:<16}{:<14}{:>7}{:>7}{:>9}{:>12}{:>12}\n",
+        "{:<16}{:<20}{:>7}{:>7}{:>9}{:>12}{:>12}\n",
         "suite", "solver", "OOR", "Unk", "solved", "Time[s]", "TimeAll[s]"
     ));
     for suite in suites {
@@ -66,7 +66,7 @@ pub fn render_table1(
             let key = (suite.to_string(), solver.to_string());
             let row = rows.get(&key).cloned().unwrap_or_default();
             out.push_str(&format!(
-                "{:<16}{:<14}{:>7}{:>7}{:>9}{:>12.2}{:>12.2}\n",
+                "{:<16}{:<20}{:>7}{:>7}{:>9}{:>12.2}{:>12.2}\n",
                 suite,
                 solver,
                 row.oor,
@@ -187,7 +187,7 @@ mod tests {
             InstanceResult {
                 suite: "s".into(),
                 instance: "i0".into(),
-                solver: "posr-pos",
+                solver: "cdcl-pos",
                 status: Status::Sat,
                 time: Duration::from_millis(10),
             },
@@ -201,7 +201,7 @@ mod tests {
             InstanceResult {
                 suite: "s".into(),
                 instance: "i1".into(),
-                solver: "posr-pos",
+                solver: "cdcl-pos",
                 status: Status::Unsat,
                 time: Duration::from_millis(20),
             },
@@ -218,28 +218,28 @@ mod tests {
     #[test]
     fn table_aggregation() {
         let rows = table1(&sample_results(), Duration::from_secs(2));
-        let ours = &rows[&("s".to_string(), "posr-pos".to_string())];
+        let ours = &rows[&("s".to_string(), "cdcl-pos".to_string())];
         assert_eq!(ours.solved, 2);
         assert_eq!(ours.oor, 0);
         let enumeration = &rows[&("s".to_string(), "enumeration".to_string())];
         assert_eq!(enumeration.oor, 1);
         assert_eq!(enumeration.unknown, 1);
-        let rendered = render_table1(&rows, &["s"], &["posr-pos", "enumeration"]);
-        assert!(rendered.contains("posr-pos"));
+        let rendered = render_table1(&rows, &["s"], &["cdcl-pos", "enumeration"]);
+        assert!(rendered.contains("cdcl-pos"));
         assert!(rendered.contains("enumeration"));
     }
 
     #[test]
     fn scatter_and_cactus_csv() {
         let results = sample_results();
-        let csv = fig6_csv(&results, "posr-pos", "enumeration", Duration::from_secs(2));
+        let csv = fig6_csv(&results, "cdcl-pos", "enumeration", Duration::from_secs(2));
         assert_eq!(csv.lines().count(), 3);
-        let summary = fig6_summary(&results, "posr-pos", "enumeration", Duration::from_secs(2));
-        assert!(summary.contains("won by posr-pos"));
+        let summary = fig6_summary(&results, "cdcl-pos", "enumeration", Duration::from_secs(2));
+        assert!(summary.contains("won by cdcl-pos"));
         let cactus = fig7_csv(&results);
-        assert!(cactus.contains("posr-pos,1,"));
+        assert!(cactus.contains("cdcl-pos,1,"));
         let counts = solved_counts(&results);
-        assert_eq!(counts["posr-pos"], 2);
+        assert_eq!(counts["cdcl-pos"], 2);
         assert_eq!(counts.get("enumeration"), None);
     }
 }

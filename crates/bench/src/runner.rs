@@ -4,7 +4,7 @@
 use std::time::{Duration, Instant};
 
 use posr_core::baselines::{
-    BaselineSolver, EnumerationSolver, LengthAbstractionSolver, NaiveOrderSolver,
+    EnumerationSolver, LengthAbstractionSolver, NaiveOrderSolver, Strategy,
 };
 use posr_core::solver::{Answer, SolverOptions, StringSolver};
 use posr_lia::cancel::CancelToken;
@@ -17,14 +17,15 @@ use crate::gen::Instance;
 pub enum SolverKind {
     /// The paper's procedure (`posr` with the tag-automaton position engine,
     /// CDCL(T) LIA core — the production configuration).
-    TagPos,
+    CdclPos,
     /// Guess-and-check enumeration (cvc5-like on satisfiable inputs).
     Enumeration,
     /// The naive mismatch-order automata baseline.
     NaiveOrder,
     /// Length-abstraction-only solver.
     LengthAbstraction,
-    /// The concurrent portfolio racing all of the above with cancellation.
+    /// The default concurrent portfolio (`cdcl-pos` and enumeration) with
+    /// cancellation.
     Portfolio,
 }
 
@@ -32,7 +33,7 @@ impl SolverKind {
     /// All solvers, production solver first.
     pub fn all() -> Vec<SolverKind> {
         vec![
-            SolverKind::TagPos,
+            SolverKind::CdclPos,
             SolverKind::Enumeration,
             SolverKind::NaiveOrder,
             SolverKind::LengthAbstraction,
@@ -43,17 +44,17 @@ impl SolverKind {
     /// Display name used in tables.
     pub fn name(&self) -> &'static str {
         match self {
-            SolverKind::TagPos => "posr-pos",
+            SolverKind::CdclPos => "cdcl-pos",
             SolverKind::Enumeration => "enumeration",
             SolverKind::NaiveOrder => "naive-order",
-            SolverKind::LengthAbstraction => "length-abs",
+            SolverKind::LengthAbstraction => "length-abstraction",
             SolverKind::Portfolio => "portfolio",
         }
     }
 
     fn solve(&self, instance: &Instance, deadline: Instant) -> Answer {
         match self {
-            SolverKind::TagPos => StringSolver::with_options(SolverOptions {
+            SolverKind::CdclPos => StringSolver::with_options(SolverOptions {
                 deadline: Some(deadline),
                 ..SolverOptions::default()
             })
@@ -176,13 +177,15 @@ mod tests {
         let results = run_suite(
             &instances,
             &[
-                SolverKind::TagPos,
+                SolverKind::CdclPos,
                 SolverKind::Enumeration,
                 SolverKind::LengthAbstraction,
             ],
             Duration::from_secs(10),
         );
         assert_eq!(results.len(), 4 * 3);
+        let names: Vec<_> = results[..3].iter().map(|r| r.solver).collect();
+        assert_eq!(names, ["cdcl-pos", "enumeration", "length-abstraction"]);
         assert!(contradictions(&results).is_empty());
     }
 }

@@ -1,8 +1,9 @@
-//! Baseline solvers used as comparison points in the evaluation harness.
+//! The [`Strategy`] interface, and the baseline solvers that implement it
+//! as comparison points in the evaluation harness.
 //!
-//! They stand in for the competing strategies discussed in the paper
-//! (Sec. 8 / Sec. 9), so that every experiment is reproducible from this
-//! repository alone:
+//! The baselines stand in for the competing strategies discussed in the
+//! paper (Sec. 8 / Sec. 9), so that every experiment is reproducible from
+//! this repository alone:
 //!
 //! * [`EnumerationSolver`] — guess-and-check: enumerate/sample words from the
 //!   regular languages with an increasing length bound and evaluate the whole
@@ -17,6 +18,11 @@
 //!   about lengths: it answers `Sat`/`Unsat` when the length abstraction is
 //!   conclusive and `Unknown` otherwise, mirroring solvers that time out or
 //!   give up on genuine position reasoning.
+//!
+//! Only [`EnumerationSolver`] races in the default portfolio of
+//! `posr-portfolio`, beside the production pipeline; the other two are
+//! what `table1`, `fig6` and `fig7` compare against, and a portfolio built
+//! with `with_strategies` can still race them.
 
 use std::collections::BTreeMap;
 
@@ -36,10 +42,15 @@ use crate::monadic;
 use crate::normal::{self, PositionAtom};
 use crate::solver::{Answer, StringModel};
 
-/// A common interface so the benchmark harness and the portfolio engine can
-/// drive every solver the same way.
-pub trait BaselineSolver {
-    /// A short name used in tables and CSV output.
+/// One decision procedure over string formulas: what the portfolio races
+/// (as `posr_portfolio::Strategy`) and what the evaluation harness drives.
+///
+/// Implementations must poll `cancel` at their branch points: a race joins
+/// every lane before it returns, so a strategy that ignores its token holds
+/// the whole race hostage.
+pub trait Strategy: Send + Sync {
+    /// Display name; also what tables, CSV output and SMT-LIB strategy
+    /// hints use.
     fn name(&self) -> &'static str;
     /// Decides the formula, polling `cancel` (flag and/or deadline) at every
     /// branch point and answering `Unknown` once it fires.
@@ -74,7 +85,7 @@ impl Default for EnumerationSolver {
     }
 }
 
-impl BaselineSolver for EnumerationSolver {
+impl Strategy for EnumerationSolver {
     fn name(&self) -> &'static str {
         "enumeration"
     }
@@ -159,7 +170,7 @@ impl BaselineSolver for EnumerationSolver {
 #[derive(Clone, Debug, Default)]
 pub struct NaiveOrderSolver;
 
-impl BaselineSolver for NaiveOrderSolver {
+impl Strategy for NaiveOrderSolver {
     fn name(&self) -> &'static str {
         "naive-order"
     }
@@ -213,7 +224,10 @@ impl BaselineSolver for NaiveOrderSolver {
                 return Answer::Unknown("too many constraints for order enumeration".to_string());
             }
             let mut pool = VarPool::new();
-            let naive = encode_naive(&constraints, &automata, &vars, &mut pool);
+            let Some(naive) = encode_naive(&constraints, &automata, &vars, &mut pool, cancel)
+            else {
+                return Answer::Unknown(cancel.unknown_reason());
+            };
             match solve_naive(&naive, &Formula::True, &lia_with_cancel(cancel)) {
                 posr_lia::solver::SolverResult::Sat(_) => {
                     // the naive baseline does not reconstruct models; report
@@ -240,7 +254,7 @@ impl BaselineSolver for NaiveOrderSolver {
 #[derive(Clone, Debug, Default)]
 pub struct LengthAbstractionSolver;
 
-impl BaselineSolver for LengthAbstractionSolver {
+impl Strategy for LengthAbstractionSolver {
     fn name(&self) -> &'static str {
         "length-abstraction"
     }

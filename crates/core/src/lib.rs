@@ -24,6 +24,9 @@
 //! the paper's evaluation: guess-and-check enumeration (cvc5-like), the
 //! naive mismatch-order encoding (the pre-copy-tag automata strategy) and a
 //! length-abstraction solver that gives up on genuine position reasoning.
+//! They implement [`baselines::Strategy`], the one solver interface that
+//! the portfolio of `posr-portfolio` races and the evaluation harness
+//! drives.
 //!
 //! # Quick start
 //!

@@ -52,15 +52,9 @@ pub struct SolverSession {
     /// `Some` (possibly empty) only when that check answered `Unsat` with
     /// proof production on.
     last_proofs: Option<Vec<String>>,
-    /// Process-wide LIA counters at session creation; [`statistics`]
-    /// reports the movement since this snapshot.  Exact for the session
-    /// only while no other solver runs in the process concurrently.
-    ///
-    /// [`statistics`]: SolverSession::statistics
-    stats_base: posr_lia::SolverStats,
     /// Observability scope attached for the duration of every
-    /// `check-sat`; collects the cache/proof counters this session's
-    /// checks caused, exactly, even under concurrency.
+    /// `check-sat`; collects the LIA search, cache and proof counters this
+    /// session's checks caused, exactly, even under concurrency.
     scope: posr_obs::CounterScope,
     /// `check-sat` commands answered so far.
     checks: u64,
@@ -80,7 +74,6 @@ impl Default for SolverSession {
             produce_proofs: false,
             last_core: None,
             last_proofs: None,
-            stats_base: posr_lia::global_stats(),
             scope: posr_obs::CounterScope::new(),
             checks: 0,
             check_time: std::time::Duration::ZERO,
@@ -198,12 +191,11 @@ impl SolverSession {
 
     /// The session's statistics as ordered key/value pairs, the payload
     /// behind SMT-LIB `(get-info :all-statistics)`: check count and wall
-    /// time, the LIA search counters moved since session creation, and
-    /// the automata-cache / CDCL(T) sub-layer time / proof-sink activity
-    /// this session's checks caused (scope-exact even under concurrent
-    /// solves elsewhere in the process).
+    /// time, and the LIA search / automata-cache / CDCL(T) sub-layer time
+    /// / proof-sink activity this session's checks caused (scope-exact
+    /// even under concurrent solves elsewhere in the process).
     pub fn statistics(&self) -> Vec<(String, String)> {
-        let lia = posr_lia::global_stats().since(&self.stats_base);
+        let lia = posr_lia::scope_stats(&self.scope);
         let hits = self.scope.get(*posr_automata::cache::OBS_HITS);
         let misses = self.scope.get(*posr_automata::cache::OBS_MISSES);
         let hit_ratio = match hits + misses {
@@ -359,6 +351,30 @@ mod tests {
         session.push(2);
         assert!(session.pop(2));
         assert!(!session.pop(1));
+    }
+
+    #[test]
+    fn statistics_count_only_this_sessions_search() {
+        let session = SolverSession::new();
+        // an Unsat over loopy languages, refuted by CDCL(T) search on
+        // another thread
+        let before = posr_lia::global_stats().conflicts;
+        std::thread::spawn(|| {
+            let formula = StringFormula::new()
+                .in_re("x", "(ab)*")
+                .in_re("y", "(ab)*")
+                .diseq(StringTerm::var("x"), StringTerm::var("y"))
+                .len_eq("x", "y");
+            assert!(StringSolver::new().solve(&formula).is_unsat());
+        })
+        .join()
+        .unwrap();
+        assert!(posr_lia::global_stats().conflicts > before);
+        let stats = session.statistics();
+        assert!(
+            stats.contains(&("conflicts".to_string(), "0".to_string())),
+            "{stats:?}"
+        );
     }
 
     #[test]

@@ -73,7 +73,6 @@
 //! integer resource-outs all surface as `Unknown`.
 
 use std::collections::{BTreeMap, HashMap};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::LazyLock;
 use std::time::{Duration, Instant};
 
@@ -81,7 +80,7 @@ use crate::bounds::{BoundEnv, BoundOutcome, ConstraintIndex};
 use crate::cnf::{constraint_of_meaning, split_meaning, Clausifier, Lit};
 use crate::explain;
 use crate::formula::Formula;
-use crate::intfeas::{solve_integer_with_pivots, IntFeasResult};
+use crate::intfeas::{solve_integer_with_pivots, IntFeasConfig, IntFeasResult};
 use crate::proof::{farkas_coefficients, CertKind, ProofBuilder};
 use crate::rational::Rat;
 use crate::simplex::{
@@ -106,6 +105,12 @@ const TPROP_REASON: u32 = u32::MAX - 1;
 
 /// Restart interval base (conflicts), scaled by the Luby sequence.
 const RESTART_BASE: u64 = 256;
+
+/// Conflicts per [`Engine::solve`] call before the search answers
+/// `Unknown("resource limit reached")`: a backstop against runaway
+/// searches (wall clocks are governed by the cancel token's deadline) that
+/// keeps resource-outs at a few seconds.
+const MAX_CONFLICTS: u64 = 50_000;
 
 /// Node budget of the integer checker during explanation minimisation
 /// (failing to prove keeps the constraint — sound, just less minimal).
@@ -268,63 +273,62 @@ impl SolverStats {
     /// as-is).  This is how consumers of [`global_stats`] report "what my
     /// section did" without resetting the process-wide totals.
     pub fn since(&self, earlier: &SolverStats) -> SolverStats {
-        SolverStats {
-            conflicts: self.conflicts.saturating_sub(earlier.conflicts),
-            decisions: self.decisions.saturating_sub(earlier.decisions),
-            propagations: self.propagations.saturating_sub(earlier.propagations),
-            restarts: self.restarts.saturating_sub(earlier.restarts),
-            learned_total: self.learned_total.saturating_sub(earlier.learned_total),
-            learned_live: self.learned_live,
-            gc_dropped: self.gc_dropped.saturating_sub(earlier.gc_dropped),
-            bound_checks: self.bound_checks.saturating_sub(earlier.bound_checks),
-            gcd_checks: self.gcd_checks.saturating_sub(earlier.gcd_checks),
-            simplex_checks: self.simplex_checks.saturating_sub(earlier.simplex_checks),
-            final_checks: self.final_checks.saturating_sub(earlier.final_checks),
-            theory_props: self.theory_props.saturating_sub(earlier.theory_props),
-            simplex_pivots: self.simplex_pivots.saturating_sub(earlier.simplex_pivots),
-            row_touches: self.row_touches.saturating_sub(earlier.row_touches),
-            tprop_entailed: self.tprop_entailed.saturating_sub(earlier.tprop_entailed),
+        let (mut delta, mut earlier) = (*self, *earlier);
+        for (_, field) in COUNTED {
+            let before = *field(&mut earlier);
+            let now = field(&mut delta);
+            *now = now.saturating_sub(before);
         }
+        delta
     }
 }
 
-/// Process-wide accumulation of every engine's counters, flushed at the end
-/// of each [`Engine::solve`]; `examples/portfolio.rs --stats` reads it.
-static GLOBAL_CONFLICTS: AtomicU64 = AtomicU64::new(0);
-static GLOBAL_DECISIONS: AtomicU64 = AtomicU64::new(0);
-static GLOBAL_PROPAGATIONS: AtomicU64 = AtomicU64::new(0);
-static GLOBAL_RESTARTS: AtomicU64 = AtomicU64::new(0);
-static GLOBAL_LEARNED: AtomicU64 = AtomicU64::new(0);
-static GLOBAL_GC_DROPPED: AtomicU64 = AtomicU64::new(0);
-static GLOBAL_BOUND_CHECKS: AtomicU64 = AtomicU64::new(0);
-static GLOBAL_GCD_CHECKS: AtomicU64 = AtomicU64::new(0);
-static GLOBAL_SIMPLEX_CHECKS: AtomicU64 = AtomicU64::new(0);
-static GLOBAL_FINAL_CHECKS: AtomicU64 = AtomicU64::new(0);
-static GLOBAL_THEORY_PROPS: AtomicU64 = AtomicU64::new(0);
-static GLOBAL_SIMPLEX_PIVOTS: AtomicU64 = AtomicU64::new(0);
-static GLOBAL_ROW_TOUCHES: AtomicU64 = AtomicU64::new(0);
-static GLOBAL_TPROP_ENTAILED: AtomicU64 = AtomicU64::new(0);
+/// One counter field of [`SolverStats`].
+type Field = fn(&mut SolverStats) -> &mut u64;
+
+/// Every counter field of [`SolverStats`] with the `obs` counter each
+/// engine adds its movement to once per [`Engine::solve`].  The counters'
+/// process-wide totals are [`global_stats`]; a [`posr_obs::CounterScope`]
+/// attached to the solving threads sees exactly their share
+/// ([`scope_stats`]).
+const COUNTED: [(&str, Field); 14] = [
+    ("lia.conflicts", |s| &mut s.conflicts),
+    ("lia.decisions", |s| &mut s.decisions),
+    ("lia.propagations", |s| &mut s.propagations),
+    ("lia.restarts", |s| &mut s.restarts),
+    ("lia.learned", |s| &mut s.learned_total),
+    ("lia.gc_dropped", |s| &mut s.gc_dropped),
+    ("lia.bound_checks", |s| &mut s.bound_checks),
+    ("lia.gcd_checks", |s| &mut s.gcd_checks),
+    ("lia.simplex_checks", |s| &mut s.simplex_checks),
+    ("lia.final_checks", |s| &mut s.final_checks),
+    ("lia.theory_props", |s| &mut s.theory_props),
+    ("lia.simplex_pivots", |s| &mut s.simplex_pivots),
+    ("lia.row_touches", |s| &mut s.row_touches),
+    ("lia.tprop_entailed", |s| &mut s.tprop_entailed),
+];
+
+static OBS_STATS: LazyLock<[posr_obs::Counter; 14]> =
+    LazyLock::new(|| COUNTED.map(|(name, _)| posr_obs::counter(name)));
+
+fn stats_from(value: impl Fn(posr_obs::Counter) -> u64) -> SolverStats {
+    let mut stats = SolverStats::default();
+    for ((_, field), counter) in COUNTED.iter().zip(*OBS_STATS) {
+        *field(&mut stats) = value(counter);
+    }
+    stats
+}
 
 /// A snapshot of the process-wide cumulative CDCL counters (all engines,
 /// all threads, since process start).
 pub fn global_stats() -> SolverStats {
-    SolverStats {
-        conflicts: GLOBAL_CONFLICTS.load(Ordering::Relaxed),
-        decisions: GLOBAL_DECISIONS.load(Ordering::Relaxed),
-        propagations: GLOBAL_PROPAGATIONS.load(Ordering::Relaxed),
-        restarts: GLOBAL_RESTARTS.load(Ordering::Relaxed),
-        learned_total: GLOBAL_LEARNED.load(Ordering::Relaxed),
-        learned_live: 0,
-        gc_dropped: GLOBAL_GC_DROPPED.load(Ordering::Relaxed),
-        bound_checks: GLOBAL_BOUND_CHECKS.load(Ordering::Relaxed),
-        gcd_checks: GLOBAL_GCD_CHECKS.load(Ordering::Relaxed),
-        simplex_checks: GLOBAL_SIMPLEX_CHECKS.load(Ordering::Relaxed),
-        final_checks: GLOBAL_FINAL_CHECKS.load(Ordering::Relaxed),
-        theory_props: GLOBAL_THEORY_PROPS.load(Ordering::Relaxed),
-        simplex_pivots: GLOBAL_SIMPLEX_PIVOTS.load(Ordering::Relaxed),
-        row_touches: GLOBAL_ROW_TOUCHES.load(Ordering::Relaxed),
-        tprop_entailed: GLOBAL_TPROP_ENTAILED.load(Ordering::Relaxed),
-    }
+    stats_from(|c| c.value())
+}
+
+/// The CDCL counters of the solves made while `scope` was attached to
+/// their thread — exact even when other solves run concurrently.
+pub fn scope_stats(scope: &posr_obs::CounterScope) -> SolverStats {
+    stats_from(|c| scope.get(c))
 }
 
 /// Decides a quantifier-free NNF formula with the CDCL(T) engine.
@@ -556,7 +560,7 @@ pub(crate) struct Engine {
     /// pseudo-decisions at levels `1..=assumptions.len()`.
     assumptions: Vec<Lit>,
     stats: SolverStats,
-    /// The portion of `stats` already flushed to the global accumulator.
+    /// The portion of `stats` already flushed to the `obs` counters.
     flushed: SolverStats,
     /// GC threshold on live learned clauses; grows geometrically.
     max_learnts: usize,
@@ -568,6 +572,9 @@ pub(crate) struct Engine {
     /// Conflict count at the start of the current `solve` call (the
     /// per-call budget baseline).
     solve_base_conflicts: u64,
+    /// The per-call conflict budget: [`MAX_CONFLICTS`], lowered only by
+    /// the unit test that reaches it.
+    max_conflicts: u64,
     saw_resource_out: bool,
     cancelled: bool,
     times: LayerTimes,
@@ -640,6 +647,7 @@ impl Engine {
             root_unsat: false,
             tainted: false,
             solve_base_conflicts: 0,
+            max_conflicts: MAX_CONFLICTS,
             saw_resource_out: false,
             cancelled: false,
             times: LayerTimes::default(),
@@ -1552,8 +1560,10 @@ impl Engine {
     /// a clean cancellation rather than a tainting blocking clause).
     fn final_check(&mut self) -> FinalOutcome {
         self.stats.final_checks += 1;
-        let mut int_config = self.config.int_config.clone();
-        int_config.cancel = self.config.cancel.clone();
+        let int_config = IntFeasConfig {
+            cancel: self.config.cancel.clone(),
+            ..IntFeasConfig::default()
+        };
         let t0 = Instant::now();
         let (result, _pivots) = solve_integer_with_pivots(&self.theory_stack, &int_config);
         self.times.bnb += t0.elapsed();
@@ -2014,8 +2024,7 @@ impl Engine {
                 self.cancelled = true;
                 return self.undecided_unknown();
             }
-            if self.stats.conflicts - self.solve_base_conflicts >= self.config.max_conflicts as u64
-            {
+            if self.stats.conflicts - self.solve_base_conflicts >= self.max_conflicts {
                 return SolverResult::Unknown("resource limit reached".to_string());
             }
             let step = match self.propagate() {
@@ -2159,26 +2168,14 @@ impl Engine {
         }
     }
 
-    /// Pushes the counters accumulated since the last flush into the
-    /// process-wide totals, and the sub-layer times into their `obs`
-    /// counters.
+    /// Adds the counters accumulated since the last flush to their `obs`
+    /// counters ([`COUNTED`]), and the sub-layer times to theirs.
     fn flush_global(&mut self) {
         let now = self.stats();
-        let f = &self.flushed;
-        GLOBAL_CONFLICTS.fetch_add(now.conflicts - f.conflicts, Ordering::Relaxed);
-        GLOBAL_DECISIONS.fetch_add(now.decisions - f.decisions, Ordering::Relaxed);
-        GLOBAL_PROPAGATIONS.fetch_add(now.propagations - f.propagations, Ordering::Relaxed);
-        GLOBAL_RESTARTS.fetch_add(now.restarts - f.restarts, Ordering::Relaxed);
-        GLOBAL_LEARNED.fetch_add(now.learned_total - f.learned_total, Ordering::Relaxed);
-        GLOBAL_GC_DROPPED.fetch_add(now.gc_dropped - f.gc_dropped, Ordering::Relaxed);
-        GLOBAL_BOUND_CHECKS.fetch_add(now.bound_checks - f.bound_checks, Ordering::Relaxed);
-        GLOBAL_GCD_CHECKS.fetch_add(now.gcd_checks - f.gcd_checks, Ordering::Relaxed);
-        GLOBAL_SIMPLEX_CHECKS.fetch_add(now.simplex_checks - f.simplex_checks, Ordering::Relaxed);
-        GLOBAL_FINAL_CHECKS.fetch_add(now.final_checks - f.final_checks, Ordering::Relaxed);
-        GLOBAL_THEORY_PROPS.fetch_add(now.theory_props - f.theory_props, Ordering::Relaxed);
-        GLOBAL_SIMPLEX_PIVOTS.fetch_add(now.simplex_pivots - f.simplex_pivots, Ordering::Relaxed);
-        GLOBAL_ROW_TOUCHES.fetch_add(now.row_touches - f.row_touches, Ordering::Relaxed);
-        GLOBAL_TPROP_ENTAILED.fetch_add(now.tprop_entailed - f.tprop_entailed, Ordering::Relaxed);
+        let mut delta = now.since(&self.flushed);
+        for ((_, field), counter) in COUNTED.iter().zip(*OBS_STATS) {
+            counter.add(*field(&mut delta));
+        }
         self.flushed = now;
         let (t, f) = (self.times, self.flushed_times);
         for (counter, now, before) in [
@@ -2547,6 +2544,46 @@ mod tests {
         assert_eq!(engine.solve(&[bad]), SolverResult::Unsat);
         assert!(engine.solve(&[]).is_sat());
         assert!(engine.solve(&[bad.negate()]).is_sat());
+    }
+
+    /// Pigeonhole over integer atoms (`p ≥ 1` and its complement `p ≤ 0`):
+    /// every pigeon sits in some hole, and pairwise at-most-one clauses
+    /// keep each hole to one pigeon.
+    fn pigeonhole(pigeons: usize, holes: usize) -> Formula {
+        let mut pool = VarPool::new();
+        let p: Vec<Vec<Var>> = (0..pigeons)
+            .map(|_| (0..holes).map(|_| pool.fresh("p")).collect())
+            .collect();
+        let (seated, empty) = (
+            |v| Formula::ge(LinExpr::var(v), LinExpr::constant(1)),
+            |v| Formula::le(LinExpr::var(v), LinExpr::constant(0)),
+        );
+        let mut conjuncts: Vec<Formula> = p
+            .iter()
+            .map(|row| Formula::or(row.iter().map(|&v| seated(v)).collect()))
+            .collect();
+        for (a, first) in p.iter().enumerate() {
+            for second in &p[a + 1..] {
+                for (&x, &y) in first.iter().zip(second) {
+                    conjuncts.push(Formula::or(vec![empty(x), empty(y)]));
+                }
+            }
+        }
+        Formula::and(conjuncts)
+    }
+
+    #[test]
+    fn conflict_cap_answers_unknown() {
+        // the real cap takes seconds of search to reach, so lower this
+        // engine's copy; pigeonhole refutations need far more conflicts
+        let cnf = crate::cnf::Clausifier::clausify(&pigeonhole(7, 6).nnf().simplify());
+        let mut engine = engine_for(cnf, SolverConfig::default());
+        engine.max_conflicts = 50;
+        assert_eq!(
+            engine.solve(&[]),
+            SolverResult::Unknown("resource limit reached".to_string())
+        );
+        assert_eq!(engine.stats().conflicts, 50);
     }
 
     #[test]

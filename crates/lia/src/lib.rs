@@ -104,7 +104,7 @@ pub mod solver;
 pub mod term;
 
 pub use cancel::CancelToken;
-pub use cdcl::{global_stats, SolverStats};
+pub use cdcl::{global_stats, scope_stats, SolverStats};
 pub use cnf::{Lit, LitOrConst};
 pub use formula::{Atom, Cmp, Formula};
 pub use incremental::IncrementalSolver;

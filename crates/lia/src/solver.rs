@@ -16,7 +16,6 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use crate::cancel::CancelToken;
 use crate::formula::Formula;
-use crate::intfeas::IntFeasConfig;
 use crate::rational::OVERFLOW_MSG;
 use crate::term::Var;
 
@@ -89,10 +88,6 @@ impl SolverResult {
 /// Tuning knobs of the solver.
 #[derive(Clone, Debug)]
 pub struct SolverConfig {
-    /// Maximum number of conflicts before the CDCL engine reports
-    /// `Unknown`.  In an incremental session the budget applies per
-    /// `solve` call.
-    pub max_conflicts: usize,
     /// Live learned clauses beyond which the CDCL engine's LBD-ranked GC
     /// fires (at restarts and between incremental solves); the threshold
     /// then grows geometrically.
@@ -117,8 +112,6 @@ pub struct SolverConfig {
     /// cores are minimised so Farkas certificates exist).  The log is
     /// retrieved through [`crate::incremental::IncrementalSolver::proof`].
     pub proof_logging: bool,
-    /// Limits of the integer feasibility backend.
-    pub int_config: IntFeasConfig,
     /// Cooperative cancellation/deadline token, polled at every decision
     /// and periodically along unit-propagation chains.  The default token
     /// never fires.
@@ -128,16 +121,11 @@ pub struct SolverConfig {
 impl Default for SolverConfig {
     fn default() -> SolverConfig {
         SolverConfig {
-            // a backstop against runaway searches (wall clocks are
-            // governed by the `cancel` token's deadline) that keeps
-            // resource-outs at a few seconds
-            max_conflicts: 50_000,
             // far above what one query learns; long incremental sessions
             // are what the GC exists for
             learnt_cap: 8_000,
             theory_propagation: true,
             proof_logging: false,
-            int_config: IntFeasConfig::default(),
             cancel: CancelToken::none(),
         }
     }

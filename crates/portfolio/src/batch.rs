@@ -416,7 +416,7 @@ mod tests {
         let sources = vec![(
             "hinted.smt2".to_string(),
             r#"
-              (set-info :posr-strategy enumeration)
+              (set-info :posr-strategy cdcl-pos)
               (declare-const x String)
               (declare-const y String)
               (assert (str.in_re x (re.* (str.to_re "ab"))))
@@ -429,8 +429,14 @@ mod tests {
         let report =
             solve_scripts(&sources, &PortfolioSolver::new(), &BatchOptions::default()).unwrap();
         assert_eq!(report.stats.sat, 1);
-        // the hint restricted the race to enumeration + cdcl-pos
-        assert_eq!(report.outcomes[0].result.reports.len(), 2);
+        // the hint restricted the race to the cdcl-pos lane
+        let lanes: Vec<_> = report.outcomes[0]
+            .result
+            .reports
+            .iter()
+            .map(|r| r.name)
+            .collect();
+        assert_eq!(lanes, ["cdcl-pos"]);
     }
 
     #[test]
@@ -455,8 +461,7 @@ mod tests {
         let portfolio = crate::PortfolioSolver::with_strategies(vec![
             Arc::new(PanickingStrategy),
             Arc::new(CdclPosStrategy::default()),
-        ])
-        .with_parallelism(2);
+        ]);
         let report = solve_batch(
             &[BatchItem::new("crashy", unsat.clone())],
             &portfolio,
@@ -475,8 +480,7 @@ mod tests {
 
         // with no surviving lane the item stays undecided and is retried
         // exactly once
-        let all_crash = crate::PortfolioSolver::with_strategies(vec![Arc::new(PanickingStrategy)])
-            .with_parallelism(2);
+        let all_crash = crate::PortfolioSolver::with_strategies(vec![Arc::new(PanickingStrategy)]);
         let report = solve_batch(
             &[BatchItem::new("hopeless", unsat)],
             &all_crash,
@@ -496,8 +500,7 @@ mod tests {
         let portfolio = crate::PortfolioSolver::with_strategies(vec![
             Arc::new(HangingStrategy),
             Arc::new(HangingStrategy),
-        ])
-        .with_parallelism(2);
+        ]);
         let report = solve_batch(
             &[BatchItem::new(
                 "hung",
@@ -554,8 +557,7 @@ mod tests {
             let lane = Arc::new(CrashOnce::default());
             let portfolio = crate::PortfolioSolver::with_strategies(vec![
                 Arc::clone(&lane) as Arc<dyn crate::Strategy>
-            ])
-            .with_parallelism(2);
+            ]);
             let report = solve_batch(
                 &[BatchItem::new(
                     "crashy",

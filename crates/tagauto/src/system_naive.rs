@@ -19,6 +19,7 @@
 use std::collections::BTreeMap;
 
 use posr_automata::Nfa;
+use posr_lia::cancel::CancelToken;
 use posr_lia::formula::Formula;
 use posr_lia::solver::{Solver, SolverResult};
 use posr_lia::term::{LinExpr, VarPool};
@@ -65,7 +66,8 @@ fn permute(events: &mut Vec<(usize, Side)>, start: usize, out: &mut Vec<Mismatch
     }
 }
 
-/// Builds the naive encoding for a system of position constraints.
+/// Builds the naive encoding for a system of position constraints, polling
+/// `cancel` once per mismatch order; `None` once it fires.
 ///
 /// # Panics
 /// Panics if more than 3 mismatch-needing constraints are given — the number
@@ -76,7 +78,8 @@ pub fn encode_naive(
     automata: &BTreeMap<crate::tags::StrVar, Nfa>,
     vars: &VarTable,
     pool: &mut VarPool,
-) -> NaiveEncoding {
+    cancel: &CancelToken,
+) -> Option<NaiveEncoding> {
     let k = constraints
         .iter()
         .filter(|c| c.kind.needs_mismatch())
@@ -90,6 +93,9 @@ pub fn encode_naive(
     let mut per_order = Vec::new();
     let mut total = 0usize;
     for order in orders {
+        if cancel.is_cancelled() {
+            return None;
+        }
         // a complete, fresh encoding per order (fresh Parikh variables), as
         // the naive construction would build one automaton per order
         let encoding = encoder.encode(constraints, pool);
@@ -97,10 +103,10 @@ pub fn encode_naive(
         total += encoding.formula.size() + restriction.size();
         per_order.push((order, encoding, restriction));
     }
-    NaiveEncoding {
+    Some(NaiveEncoding {
         per_order,
         total_formula_size: total,
-    }
+    })
 }
 
 /// The restriction formula for one order: at level `i` only the designated
@@ -136,10 +142,15 @@ fn order_restriction(encoding: &SystemEncoding, order: &MismatchOrder) -> Formul
 }
 
 /// Solves the naive encoding: tries every order until one is satisfiable,
-/// validating each candidate with the connectivity-cut loop.
+/// validating each candidate with the connectivity-cut loop.  The solver's
+/// cancel token is polled once per order, before the order is clausified.
 pub fn solve_naive(encoding: &NaiveEncoding, extra: &Formula, solver: &Solver) -> SolverResult {
+    let cancel = &solver.config().cancel;
     let mut saw_unknown = false;
     for (_, system, restriction) in &encoding.per_order {
+        if cancel.is_cancelled() {
+            return SolverResult::Unknown(cancel.unknown_reason());
+        }
         let mut formula = Formula::and(vec![
             system.formula.clone(),
             restriction.clone(),
@@ -210,10 +221,29 @@ mod tests {
             .encode(&constraints, &mut pool)
             .formula
             .size();
-        let mut pool2 = VarPool::new();
-        let naive = encode_naive(&constraints, &automata, &vars, &mut pool2);
+        let (mut pool2, none) = (VarPool::new(), CancelToken::none());
+        let naive = encode_naive(&constraints, &automata, &vars, &mut pool2, &none).unwrap();
         assert_eq!(naive.per_order.len(), 24);
         assert!(naive.total_formula_size > 10 * polynomial);
+    }
+
+    #[test]
+    fn a_fired_token_stops_encoding_and_solving() {
+        let (vars, automata, ids) = setup(&[("x", "a|b"), ("y", "a")]);
+        let constraints = vec![PositionConstraint::diseq(vec![ids[0]], vec![ids[1]])];
+        let (fired, none) = (CancelToken::new(), CancelToken::none());
+        fired.cancel();
+        let mut pool = VarPool::new();
+        assert!(encode_naive(&constraints, &automata, &vars, &mut pool, &fired).is_none());
+        let naive = encode_naive(&constraints, &automata, &vars, &mut pool, &none).unwrap();
+        let solver = Solver::with_config(posr_lia::solver::SolverConfig {
+            cancel: fired,
+            ..Default::default()
+        });
+        assert_eq!(
+            solve_naive(&naive, &Formula::True, &solver),
+            SolverResult::Unknown(posr_lia::cancel::CANCELLED_MSG.to_string())
+        );
     }
 
     #[test]
@@ -221,14 +251,15 @@ mod tests {
         let (vars, automata, ids) = setup(&[("x", "a|b"), ("y", "a")]);
         let constraints = vec![PositionConstraint::diseq(vec![ids[0]], vec![ids[1]])];
         let mut pool = VarPool::new();
-        let naive = encode_naive(&constraints, &automata, &vars, &mut pool);
+        let none = CancelToken::none();
+        let naive = encode_naive(&constraints, &automata, &vars, &mut pool, &none).unwrap();
         let solver = Solver::new();
         assert!(solve_naive(&naive, &Formula::True, &solver).is_sat());
 
         let (vars2, automata2, ids2) = setup(&[("x", "a"), ("y", "a")]);
         let constraints2 = vec![PositionConstraint::diseq(vec![ids2[0]], vec![ids2[1]])];
         let mut pool2 = VarPool::new();
-        let naive2 = encode_naive(&constraints2, &automata2, &vars2, &mut pool2);
+        let naive2 = encode_naive(&constraints2, &automata2, &vars2, &mut pool2, &none).unwrap();
         assert!(solve_naive(&naive2, &Formula::True, &solver).is_unsat());
     }
 }

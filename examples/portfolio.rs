@@ -156,18 +156,15 @@ fn main() {
         );
 
         let tracks = posr_obs::snapshot_tracks();
-        // per-lane busy time: threaded lanes record `lane.solve` on their
-        // own `lane:*` track; the single-core sequential fallback records
-        // `slice:*` spans on the worker's track instead
+        // per-lane busy time: every lane records `lane.solve` on its own
+        // `lane:*` track
         let mut lane_busy: BTreeMap<String, (u64, u64)> = BTreeMap::new();
         for track in &tracks {
+            let Some(lane) = track.track.strip_prefix("lane:") else {
+                continue;
+            };
             for phase in posr_obs::phase_totals(std::slice::from_ref(track)) {
-                let lane = if phase.name == "lane.solve" {
-                    track.track.strip_prefix("lane:")
-                } else {
-                    phase.name.strip_prefix("slice:")
-                };
-                if let Some(lane) = lane {
+                if phase.name == "lane.solve" {
                     let entry = lane_busy.entry(lane.to_string()).or_default();
                     entry.0 += phase.count;
                     entry.1 += phase.total_us;

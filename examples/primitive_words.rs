@@ -5,7 +5,7 @@
 //! Run with `cargo run --release --example primitive_words`.
 
 use posr_core::ast::{StringFormula, StringTerm};
-use posr_core::baselines::{BaselineSolver, EnumerationSolver};
+use posr_core::baselines::{EnumerationSolver, Strategy};
 use posr_core::solver::{answer_status, StringSolver};
 use posr_core::CancelToken;
 

@@ -20,7 +20,7 @@ fn no_contradictions_on_benchmark_samples() {
         let results = run_suite(
             &instances,
             &[
-                SolverKind::TagPos,
+                SolverKind::CdclPos,
                 SolverKind::Enumeration,
                 SolverKind::LengthAbstraction,
             ],

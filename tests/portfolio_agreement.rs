@@ -1,16 +1,18 @@
-//! Portfolio ↔ sequential agreement and cancellation, end to end.
+//! Portfolio ↔ sequential agreement, cancellation and deadlines, end to end.
 //!
 //! The portfolio races engines that share almost no code paths, so verdict
 //! agreement with the sequential `StringSolver` over randomized instances
 //! from all four benchmark families is a strong soundness check — and the
 //! cancellation tests prove that losing/hung strategies are actually
-//! abandoned rather than joined to completion.
+//! abandoned rather than joined to completion.  Every race, and every
+//! strategy run alone, must end within its deadline plus [`LATE_SLACK`].
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use posr_bench::{suite, suite_names};
 use posr_core::ast::{StringFormula, StringTerm};
+use posr_core::baselines::{EnumerationSolver, LengthAbstractionSolver, NaiveOrderSolver};
 use posr_core::solver::{answer_status, Answer, SolverOptions, StringSolver};
 use posr_core::CancelToken;
 use posr_portfolio::{
@@ -19,6 +21,10 @@ use posr_portfolio::{
 };
 
 const PER_PROBLEM: Duration = Duration::from_secs(10);
+
+/// How far past its deadline a race or a lane may return (the end-to-end
+/// benchmark's tolerance for a late answer).
+const LATE_SLACK: Duration = Duration::from_secs(1);
 
 fn sequential_verdict(formula: &StringFormula) -> &'static str {
     let options = SolverOptions {
@@ -35,6 +41,12 @@ fn randomized_agreement_with_sequential_solver() {
         for instance in suite(family, 4, 20_257) {
             let sequential = sequential_verdict(&instance.formula);
             let result = portfolio.solve_with(&instance.formula, Some(PER_PROBLEM), None);
+            assert!(
+                result.elapsed <= PER_PROBLEM + LATE_SLACK,
+                "{}: the race took {:?}",
+                instance.name,
+                result.elapsed
+            );
             let parallel = answer_status(&result.answer);
             // definite answers must agree; unknowns may flip either way
             // (engines have different resource limits)
@@ -81,12 +93,43 @@ fn batch_driver_agrees_and_aggregates() {
         report.stats.total
     );
     for (outcome, sequential) in report.outcomes.iter().zip(expected) {
+        assert!(
+            outcome.result.elapsed <= PER_PROBLEM + LATE_SLACK,
+            "{}: the race took {:?}",
+            outcome.name,
+            outcome.result.elapsed
+        );
         let parallel = outcome.status();
         assert!(
             !matches!((sequential, parallel), ("sat", "unsat") | ("unsat", "sat")),
             "{}: sequential={sequential}, batch={parallel}",
             outcome.name
         );
+    }
+}
+
+#[test]
+fn every_lane_returns_at_its_deadline() {
+    let lanes: [Arc<dyn Strategy>; 4] = [
+        Arc::new(CdclPosStrategy::default()),
+        Arc::new(EnumerationSolver::default()),
+        Arc::new(NaiveOrderSolver),
+        Arc::new(LengthAbstractionSolver),
+    ];
+    for family in suite_names() {
+        for instance in suite(family, 3, 911) {
+            for lane in &lanes {
+                let deadline = Instant::now() + Duration::from_millis(300);
+                lane.solve(&instance.formula, &CancelToken::with_deadline(deadline));
+                let late = Instant::now().saturating_duration_since(deadline);
+                assert!(
+                    late <= LATE_SLACK,
+                    "{} on {}: returned {late:?} past its deadline",
+                    lane.name(),
+                    instance.name
+                );
+            }
+        }
     }
 }
 
@@ -108,14 +151,10 @@ impl Strategy for HangingStrategy {
 
 #[test]
 fn hung_strategy_is_abandoned_after_the_winner_finishes() {
-    // pin the concurrent race: on a 1-core host the auto-detected mode
-    // would be the sequential schedule, which abandons by slice expiry
-    // rather than by losing a race
     let portfolio = PortfolioSolver::with_strategies(vec![
         Arc::new(CdclPosStrategy::default()),
         Arc::new(HangingStrategy),
-    ])
-    .with_parallelism(2);
+    ]);
     let unsat = StringFormula::new()
         .in_re("x", "abc")
         .diseq(StringTerm::var("x"), StringTerm::lit("abc"));
@@ -135,8 +174,7 @@ fn deadline_abandons_every_hung_strategy() {
         Arc::new(HangingStrategy),
         Arc::new(HangingStrategy),
         Arc::new(HangingStrategy),
-    ])
-    .with_parallelism(3);
+    ]);
     let formula = StringFormula::new().in_re("x", "(ab)*");
     let start = Instant::now();
     let result = portfolio.solve_with(&formula, Some(Duration::from_millis(150)), None);
