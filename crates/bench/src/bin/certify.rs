@@ -10,9 +10,11 @@
 //! `unsat` verdict, (b) every emitted proof document is accepted by the
 //! checker, (c) the direct LIA families each certify their refutation
 //! (those never fall back to a proofless layer), and (d) the flagship
-//! string family and thefuck-0002 each produce at least one document — the
-//! paper's headline instance and the slowest Unsat of the generated
-//! traffic must come back certified, not merely answered.
+//! string family, thefuck-0002 and the two product-cycle Unsats each
+//! produce at least one document — the paper's headline instance, the
+//! slowest Unsat of the generated traffic and the position systems whose
+//! refutations need integer branching must come back certified, not
+//! merely answered.
 //!
 //! A machine-readable summary goes to `target/PROOFS_summary.json`
 //! (override with `POSR_PROOFS_SUMMARY`; the proof directory with
@@ -22,7 +24,7 @@
 use std::fmt::Write as _;
 use std::time::Instant;
 
-use posr_core::ast::{StringFormula, StringTerm};
+use posr_core::ast::{LenCmp, LenTerm, StringFormula, StringTerm};
 use posr_core::session::SolverSession;
 use posr_lia::cdcl::solve_cdcl_with_proof;
 use posr_lia::formula::{Atom, Cmp, Formula};
@@ -122,13 +124,25 @@ fn lia_families() -> Vec<(&'static str, Formula)> {
     out
 }
 
-/// The Unsat string families of the ablation set plus thefuck-0002, solved
-/// through the full pipeline with proof production on.  The flagship
-/// family and thefuck-0002 are required to come back with at least one LIA
+/// The Unsat string families of the ablation set plus thefuck-0002 and
+/// perfbench's slowest position system, solved through the full pipeline
+/// with proof production on.  The flagship family, thefuck-0002 and the
+/// product-cycle families are required to come back with at least one LIA
 /// document; the others may legitimately be refuted by a proofless layer
 /// (automata intersection, syntactic simplification) on some pipeline
 /// evolutions.
 fn string_families() -> Vec<(&'static str, StringFormula, bool)> {
+    // an n-state cycle: exactly one word per accepted length (multiples
+    // of n); two cycles meet only at lengths that are common multiples
+    let cycle = |n: usize| format!("({}b)*", "a".repeat(n - 1));
+    let product_cycle_unsat = |n: usize, m: usize, lcm: i64| {
+        StringFormula::new()
+            .in_re("x", &cycle(n))
+            .in_re("y", &cycle(m))
+            .diseq(StringTerm::var("x"), StringTerm::var("y"))
+            .len_eq("x", "y")
+            .length(LenTerm::len("x"), LenCmp::Lt, LenTerm::constant(lcm))
+    };
     vec![
         (
             "loopy-diseq-eqlen-unsat",
@@ -177,6 +191,17 @@ fn string_families() -> Vec<(&'static str, StringFormula, bool)> {
                     StringTerm::concat(vec![StringTerm::var("y"), StringTerm::var("x")]),
                 ),
             false,
+        ),
+        // below lcm(n, m) the only common length is 0, where x = y
+        (
+            "product-cycle-6x9-unsat",
+            product_cycle_unsat(6, 9, 18),
+            true,
+        ),
+        (
+            "product-cycle-320-unsat",
+            product_cycle_unsat(16, 20, 80),
+            true,
         ),
     ]
 }

@@ -409,19 +409,25 @@ fn random_formula(rng: &mut Rng, vars: &[Var], depth: usize) -> Formula {
     }
 }
 
-#[test]
-fn randomized_unsat_proofs_replay() {
+/// The formula the randomized battery draws at `seed`: a box over four
+/// variables plus four random subformulas.
+fn generated_formula(seed: u64) -> Formula {
     let mut pool = VarPool::new();
     let vars: Vec<Var> = (0..4).map(|i| pool.fresh(&format!("v{i}"))).collect();
+    let mut rng = Rng(seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1);
+    let mut parts = boxed(&vars, -8, 8);
+    for _ in 0..4 {
+        parts.push(random_formula(&mut rng, &vars, 2));
+    }
+    Formula::and(parts).nnf().simplify()
+}
+
+#[test]
+fn randomized_unsat_proofs_replay() {
     let mut unsat = 0usize;
     let mut incomplete = 0usize;
     for seed in 1..=120u64 {
-        let mut rng = Rng(seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1);
-        let mut parts = boxed(&vars, -8, 8);
-        for _ in 0..4 {
-            parts.push(random_formula(&mut rng, &vars, 2));
-        }
-        let f = Formula::and(parts).nnf().simplify();
+        let f = generated_formula(seed);
         let (result, proof) = solve_cdcl_with_proof(&f, &proving_config());
         if result != SolverResult::Unsat {
             continue;
@@ -429,8 +435,8 @@ fn randomized_unsat_proofs_replay() {
         unsat += 1;
         let proof = proof.expect("logging on");
         if proof.contains("incomplete") {
-            // the engine refused to certify (e.g. a branch-and-bound-only
-            // refutation); the checker must reject rather than bless it
+            // the engine refused to certify a step; the checker must
+            // reject rather than bless it
             incomplete += 1;
             check_document(&proof).expect_err("incomplete proofs are rejected");
             continue;
@@ -443,4 +449,23 @@ fn randomized_unsat_proofs_replay() {
         incomplete * 5 <= unsat,
         "incomplete proofs dominate: {incomplete}/{unsat}"
     );
+}
+
+/// The refutation of seed 1173 of the battery's generator splits a
+/// fractional rational model into integer branches.  Every branch is
+/// closed by an ordinary theory lemma, so its document is complete and
+/// replays.
+#[test]
+fn branch_refuted_unsat_replays() {
+    let f = generated_formula(1173);
+    let (result, proof) = solve_cdcl_with_proof(&f, &proving_config());
+    assert_eq!(result, SolverResult::Unsat);
+    let proof = proof.expect("logging on");
+    assert!(
+        !proof.lines().any(|l| l.starts_with("incomplete")),
+        "{proof}"
+    );
+    let summary =
+        check_document(&proof).unwrap_or_else(|e| panic!("proof rejected: {e}\n---\n{proof}"));
+    assert!(summary.finals >= 1);
 }

@@ -15,8 +15,7 @@
 //!
 //! * **backtracking** — [`BoundEnv::push_level`] / [`BoundEnv::pop_to_level`]
 //!   unwind by truncating the trail and restoring each popped entry's
-//!   predecessor, so neither CDCL(T) nor branch-and-bound ever clones an
-//!   environment;
+//!   predecessor, so the CDCL(T) engine never clones an environment;
 //! * **explanation** — the bounds an entry's constraint read are the
 //!   latest *earlier* entries of its other variables, found by walking each
 //!   variable's chain.  Following those links back turns a refutation, a
@@ -615,8 +614,8 @@ impl Worklist {
 ///
 /// Besides the one-shot [`ConstraintIndex::build`], the index supports
 /// stack-shaped incremental maintenance ([`ConstraintIndex::push`] /
-/// [`ConstraintIndex::pop`]): CDCL(T) and branch-and-bound keep it in
-/// lock-step with their constraint stacks instead of rebuilding it.
+/// [`ConstraintIndex::pop`]): the CDCL(T) engine keeps it in lock-step
+/// with its constraint stack instead of rebuilding it.
 #[derive(Clone, Debug, Default)]
 pub struct ConstraintIndex {
     by_var: Vec<Vec<usize>>,

@@ -22,6 +22,11 @@ pub const CANCELLED_MSG: &str = "cancelled";
 /// The `Unknown` reason reported when a token fires through its deadline.
 pub const DEADLINE_MSG: &str = "deadline exceeded";
 
+/// The `Unknown` reason reported when a search exhausts one of the
+/// engine's own fixed limits (conflicts, integer branches, or branch
+/// magnitude) rather than a token-carried deadline or budget.
+pub const RESOURCE_OUT_MSG: &str = "resource limit reached";
+
 /// A cloneable cancellation/deadline/budget token.
 ///
 /// Clones share the underlying flag: cancelling any clone cancels them all.

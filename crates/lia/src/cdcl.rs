@@ -14,8 +14,9 @@
 //!   phase saving.
 //!
 //! The engine is *persistent*: [`Engine::solve`] can be called repeatedly
-//! on a growing clause database ([`Engine::add_root_clause`] /
-//! [`Engine::grow_theory`]), under **assumptions** (literals enqueued as
+//! on a growing clause database ([`Engine::assert_nnf`] clausifies into it
+//! through the engine's own [`Clausifier`], [`Engine::add_root_clause`]
+//! adds clauses directly), under **assumptions** (literals enqueued as
 //! pseudo-decisions before the search proper, the mechanism behind the
 //! `push`/`pop` frames of [`crate::incremental`]).  Learned clauses, VSIDS
 //! activities and saved phases survive across calls, and an LBD-ranked
@@ -60,27 +61,31 @@
 //!   asserted literals become O(1) bound assertions kept in lock-step
 //!   with the trail (retracted on backjump), and the pivot loop
 //!   warm-starts from the previous basis — its Farkas certificate is the
-//!   explanation.  Branch-and-bound ([`crate::intfeas`]) decides integer
-//!   feasibility on its own push/pop tableau; integer-only conflicts are
-//!   explained by budgeted deletion minimisation and learned.
+//!   explanation;
+//! * integrality is decided by **splitting on demand** (Barrett,
+//!   Nieuwenhuis, Oliveras & Tinelli, LPAR'06): when the tableau's
+//!   rational model is fractional on a variable `x`, the engine interns
+//!   the atom `x ≤ ⌊β(x)⌋` through its own clausifier and decides it.
+//!   The atom's complement is `x ≥ ⌊β(x)⌋ + 1`, so the two branches
+//!   cover every integer value, and each refuted branch is an ordinary
+//!   bounds, GCD or Farkas conflict on the tableau the search already
+//!   holds.
 //!
-//! Soundness: `Sat` carries a model the caller can re-validate, `Unsat` is
-//! only reported when the search space was exhausted without any
-//! resource-out — and, in a persistent session, only while no
-//! search-heuristic blocking clause was ever learned (a
-//! resource-out leaves the engine *tainted*: refutations from a tainted
-//! database surface as `Unknown`).  Cancellation, conflict budgets and
-//! integer resource-outs all surface as `Unknown`.
+//! Soundness: `Sat` carries a model the caller can re-validate, and every
+//! clause the engine learns is implied by the database, so `Unsat` is a
+//! refutation in every session.  Cancellation, the conflict cap and the
+//! two branching limits ([`MAX_BRANCHES`], [`MAX_BRANCH_MAGNITUDE`]) all
+//! surface as `Unknown`.
 
 use std::collections::{BTreeMap, HashMap};
 use std::sync::LazyLock;
 use std::time::{Duration, Instant};
 
 use crate::bounds::{BoundEnv, BoundOutcome, ConstraintIndex};
-use crate::cnf::{constraint_of_meaning, split_meaning, Clausifier, Lit};
+use crate::cancel::RESOURCE_OUT_MSG;
+use crate::cnf::{constraint_of_meaning, split_meaning, BoolVar, Clausifier, Lit, LitOrConst};
 use crate::explain;
 use crate::formula::Formula;
-use crate::intfeas::{solve_integer_with_pivots, IntFeasConfig, IntFeasResult};
 use crate::proof::{farkas_coefficients, CertKind, ProofBuilder};
 use crate::rational::Rat;
 use crate::simplex::{
@@ -107,14 +112,21 @@ const TPROP_REASON: u32 = u32::MAX - 1;
 const RESTART_BASE: u64 = 256;
 
 /// Conflicts per [`Engine::solve`] call before the search answers
-/// `Unknown("resource limit reached")`: a backstop against runaway
+/// `Unknown(`[`RESOURCE_OUT_MSG`]`)`: a backstop against runaway
 /// searches (wall clocks are governed by the cancel token's deadline) that
 /// keeps resource-outs at a few seconds.
 const MAX_CONFLICTS: u64 = 50_000;
 
-/// Node budget of the integer checker during explanation minimisation
-/// (failing to prove keeps the constraint — sound, just less minimal).
-const EXPLAIN_INT_BUDGET: usize = 2_000;
+/// Branch decisions per [`Engine::solve`] call before the search answers
+/// `Unknown(`[`RESOURCE_OUT_MSG`]`)`: splitting on an unbounded variable
+/// need not terminate.
+const MAX_BRANCHES: u64 = 50_000;
+
+/// A fractional value beyond this magnitude is not split; the search
+/// answers `Unknown(`[`RESOURCE_OUT_MSG`]`)` instead.  Papadimitriou's
+/// small-model bound keeps the models of the formulas posr generates far
+/// below it, and it keeps branch atoms inside the bound trail's range.
+const MAX_BRANCH_MAGNITUDE: i128 = 10_000_000;
 
 /// Cores larger than this skip the (quadratic) deletion minimisation for
 /// the expensive checkers; the unminimised core is still a sound clause.
@@ -167,8 +179,8 @@ static OBS_GUIDED_LOWERED: LazyLock<posr_obs::Counter> =
 
 /// Wall time of the theory sub-layers inside `cdcl.solve`, in µs, flushed
 /// once per [`Engine::solve`]: interval propagation, the divisibility
-/// test, explanation (reading cores back and minimising them), the
-/// rational simplex checks and the branch-and-bound of the integer leaves.
+/// test, explanation (reading cores back and minimising them) and the
+/// simplex checks.
 static OBS_BOUND_US: LazyLock<posr_obs::Counter> =
     LazyLock::new(|| posr_obs::counter("cdcl.bound_us"));
 static OBS_GCD_US: LazyLock<posr_obs::Counter> = LazyLock::new(|| posr_obs::counter("cdcl.gcd_us"));
@@ -176,17 +188,15 @@ static OBS_EXPLAIN_US: LazyLock<posr_obs::Counter> =
     LazyLock::new(|| posr_obs::counter("cdcl.explain_us"));
 static OBS_SIMPLEX_US: LazyLock<posr_obs::Counter> =
     LazyLock::new(|| posr_obs::counter("cdcl.simplex_us"));
-static OBS_BNB_US: LazyLock<posr_obs::Counter> = LazyLock::new(|| posr_obs::counter("cdcl.bnb_us"));
 
 /// The sub-layer time counters as `(statistics key, counter)` pairs, in
 /// µs — what `(get-info :all-statistics)` lists.
-pub fn layer_time_counters() -> [(&'static str, posr_obs::Counter); 5] {
+pub fn layer_time_counters() -> [(&'static str, posr_obs::Counter); 4] {
     [
         ("bound-propagation-us", *OBS_BOUND_US),
         ("gcd-us", *OBS_GCD_US),
         ("explain-us", *OBS_EXPLAIN_US),
         ("simplex-us", *OBS_SIMPLEX_US),
-        ("branch-and-bound-us", *OBS_BNB_US),
     ]
 }
 
@@ -226,7 +236,8 @@ const LEAF_CANCEL_SLICE: u64 = 4096;
 pub struct SolverStats {
     /// Conflicts resolved (clause learning events).
     pub conflicts: u64,
-    /// VSIDS decisions taken (assumption enqueues excluded).
+    /// Decisions taken: VSIDS picks and integer branches (assumption
+    /// enqueues excluded).
     pub decisions: u64,
     /// Literals enqueued by unit propagation.
     pub propagations: u64,
@@ -244,18 +255,17 @@ pub struct SolverStats {
     pub gcd_checks: u64,
     /// Simplex feasibility checks at leaves.
     pub simplex_checks: u64,
-    /// Exact integer checks at leaves.
+    /// Integrality checks of the rational model at leaves.
     pub final_checks: u64,
     /// Theory-propagated literals (bound-entailed atoms enqueued instead
     /// of being rediscovered as conflicts).
     pub theory_props: u64,
-    /// Structural simplex pivots across all leaf checks — the rational
-    /// feasibility checks *and* the branch-and-bound of the integer
-    /// leaves (the incremental tableaux warm-start, so this is the
-    /// direct measure of what the persistent bases save over per-check
-    /// reconstruction).  Derived from the `obs` pivot counter through a
-    /// [`posr_obs::CounterScope`] attached for the engine's lifetime, so
-    /// this and `simplex.pivots` cannot drift.
+    /// Structural simplex pivots across all checks of the persistent
+    /// tableau and the one-shot certifiers (the tableau warm-starts, so
+    /// this is the direct measure of what the persistent basis saves over
+    /// per-check reconstruction).  Derived from the `obs` pivot counter
+    /// through a [`posr_obs::CounterScope`] attached for the engine's
+    /// lifetime, so this and `simplex.pivots` cannot drift.
     pub simplex_pivots: u64,
     /// Tableau rows actually visited by pivot/update loops (the
     /// occurrence-indexed cost); the dense layout would have scanned the
@@ -344,24 +354,8 @@ pub fn solve_cdcl_with_proof(
     nnf: &Formula,
     config: &SolverConfig,
 ) -> (SolverResult, Option<String>) {
-    let cnf = Clausifier::clausify(nnf);
-    if cnf.unsat {
-        // the clausifier itself refuted the input (e.g. a false constant
-        // constraint): the proof is one empty root clause
-        let doc = config.proof_logging.then(|| {
-            let mut p = ProofBuilder::new();
-            p.root(Vec::new());
-            p.query();
-            p.finish(0);
-            p.serialize()
-        });
-        return (SolverResult::Unsat, doc);
-    }
     let mut engine = Engine::empty(config.clone());
-    engine.grow_theory(&cnf.theory);
-    for lits in cnf.clauses {
-        engine.add_root_clause(lits);
-    }
+    engine.assert_nnf(nnf, None);
     let result = engine.solve(&[]);
     let doc = engine.proof().map(|p| p.serialize());
     (result, doc)
@@ -396,7 +390,6 @@ struct LayerTimes {
     gcd: Duration,
     explain: Duration,
     simplex: Duration,
-    bnb: Duration,
 }
 
 /// The atoms of one constant-stripped linear form, sorted by threshold:
@@ -466,6 +459,10 @@ struct GuidedAtoms {
 
 pub(crate) struct Engine {
     config: SolverConfig,
+    /// Interns the atoms and gates of every asserted formula, and the
+    /// branch atoms of the integrality check; its variables are the
+    /// engine's Boolean variables.
+    clausifier: Clausifier,
     clauses: Vec<Clause>,
     /// Indices of the non-learned clauses (maintained by `attach` and
     /// rebuilt by `reduce_db`), so the early-Sat check scans only the
@@ -566,16 +563,17 @@ pub(crate) struct Engine {
     max_learnts: usize,
     /// An empty clause was derived at the root: permanently unsatisfiable.
     root_unsat: bool,
-    /// A search-heuristic blocking clause (integer resource-out) entered
-    /// the database: refutations are no longer trustworthy.
-    tainted: bool,
     /// Conflict count at the start of the current `solve` call (the
     /// per-call budget baseline).
     solve_base_conflicts: u64,
     /// The per-call conflict budget: [`MAX_CONFLICTS`], lowered only by
     /// the unit test that reaches it.
     max_conflicts: u64,
-    saw_resource_out: bool,
+    /// Branch decisions taken by the current `solve` call.
+    branches: u64,
+    /// The per-call branch budget: [`MAX_BRANCHES`], lowered only by the
+    /// unit test that reaches it.
+    max_branches: u64,
     cancelled: bool,
     times: LayerTimes,
     /// The part of `times` already flushed into the `obs` counters.
@@ -605,6 +603,7 @@ impl Engine {
         let proof = config.proof_logging.then(ProofBuilder::new);
         Engine {
             config,
+            clausifier: Clausifier::new(),
             clauses: Vec::new(),
             originals: Vec::new(),
             watches: Vec::new(),
@@ -645,10 +644,10 @@ impl Engine {
             flushed: SolverStats::default(),
             max_learnts,
             root_unsat: false,
-            tainted: false,
             solve_base_conflicts: 0,
             max_conflicts: MAX_CONFLICTS,
-            saw_resource_out: false,
+            branches: 0,
+            max_branches: MAX_BRANCHES,
             cancelled: false,
             times: LayerTimes::default(),
             flushed_times: LayerTimes::default(),
@@ -686,16 +685,55 @@ impl Engine {
         }
     }
 
-    /// Extends the variable tables to cover `theory` (the clausifier's
-    /// per-variable meanings; existing entries must be unchanged).
+    /// Clausifies a quantifier-free NNF formula into the database at the
+    /// root: gate definitions unguarded, assertion clauses extended by
+    /// `guard` (the `¬selector` of an incremental assertion frame, which
+    /// a pop fixes true to retract them).
+    pub(crate) fn assert_nnf(&mut self, nnf: &Formula, guard: Option<Lit>) {
+        self.clausifier.assert_nnf(nnf);
+        self.grow_theory();
+        for definition in self.clausifier.take_new_definitions() {
+            self.add_root_clause(definition);
+        }
+        for mut clause in self.clausifier.take_new_assertions() {
+            clause.extend(guard);
+            self.add_root_clause(clause);
+        }
+        if self.clausifier.take_unsat() {
+            // a constant-false assertion, scoped to the guard's frame
+            self.add_root_clause(guard.into_iter().collect());
+        }
+    }
+
+    /// The literal of a quantifier-free NNF formula, exact in both
+    /// polarities (see [`Clausifier::literal_of_nnf`]); the gate
+    /// definitions it needs are added to the database.
+    pub(crate) fn literal_of_nnf(&mut self, nnf: &Formula) -> LitOrConst {
+        let lit = self.clausifier.literal_of_nnf(nnf);
+        self.grow_theory();
+        for definition in self.clausifier.take_new_definitions() {
+            self.add_root_clause(definition);
+        }
+        lit
+    }
+
+    /// A fresh Boolean variable with no theory meaning (an assertion
+    /// frame's selector).
+    pub(crate) fn fresh_selector(&mut self) -> BoolVar {
+        let var = self.clausifier.fresh_selector();
+        self.grow_theory();
+        var
+    }
+
+    /// Extends the variable tables to the clausifier's variables.
     ///
     /// `initial phase `true`: deciding a gate true drives its
     /// Plaisted–Greenbaum definition towards satisfaction, which is what
     /// the early-Sat check needs; phase saving adapts from there.
-    pub(crate) fn grow_theory(&mut self, theory: &[Option<LinExpr>]) {
+    fn grow_theory(&mut self) {
         let old = self.assign.len();
-        debug_assert!(theory.len() >= old);
-        for (var, meaning) in theory.iter().enumerate().skip(old) {
+        let theory = self.clausifier.theory()[old..].to_vec();
+        for (var, meaning) in (old..).zip(&theory) {
             let meaning = meaning.as_ref();
             let pos = constraint_of_meaning(meaning, true);
             let neg = constraint_of_meaning(meaning, false);
@@ -1504,7 +1542,7 @@ impl Engine {
         core.iter().map(|&i| self.theory_stack[i].clone()).collect()
     }
 
-    /// The conflict clause of a leaf theory core, certified when proof
+    /// The conflict clause of a simplex core, certified when proof
     /// logging is on: the core is logged as a theory lemma whose
     /// certificate kind the independent checker replays — an interval
     /// refutation, a GCD/elimination refutation, or (after deletion-
@@ -1520,10 +1558,11 @@ impl Engine {
             CertKind::Bounds
         } else if gcd_refutes(&cs) {
             CertKind::Gcd
-        } else if !check_feasibility(&cs).is_feasible() {
-            // an irreducible rationally-infeasible subsystem has Farkas
-            // multipliers that are unique up to scale, so minimise first
-            // and recover them without a tableau
+        } else {
+            // a simplex core is rationally infeasible, and an irreducible
+            // rationally-infeasible subsystem has Farkas multipliers that
+            // are unique up to scale, so minimise first and recover them
+            // without a tableau
             let t0 = Instant::now();
             if core.len() <= MINIMIZE_CAP {
                 core = explain::minimize_core(&self.theory_stack, core, &|cs| {
@@ -1542,49 +1581,57 @@ impl Engine {
                     CertKind::Bounds
                 }
             }
-        } else {
-            // integer-infeasible but rationally feasible and not
-            // GCD-refutable: the branch-and-bound refutation has no
-            // replayable certificate (yet)
-            self.proof_incomplete("integer conflict without a replayable certificate");
-            CertKind::Bounds
         };
         let conflict = self.core_to_conflict(&core);
         let pid = self.log_lemma(&conflict, kind);
         (conflict, pid)
     }
 
-    /// Full assignment: the exact integer check.  The branch-and-bound
-    /// inherits the engine's cancel token so a deadline cuts it off
-    /// mid-search (surfacing as a `ResourceOut` the caller converts into
-    /// a clean cancellation rather than a tainting blocking clause).
+    /// Full assignment, with the persistent tableau rationally feasible:
+    /// the integrality check.  An integral model (over the variables of
+    /// the asserted constraints; the rest are unconstrained and read 0) is
+    /// the answer.  Otherwise the fractional variable with the narrowest
+    /// propagated interval is split — bounded variables (the 0/1 mismatch
+    /// counters of the tag encodings) before unbounded ones (flow
+    /// counters), because splitting a bounded variable terminates — by
+    /// interning `x ≤ ⌊β(x)⌋` as the next decision.
     fn final_check(&mut self) -> FinalOutcome {
         self.stats.final_checks += 1;
-        let int_config = IntFeasConfig {
-            cancel: self.config.cancel.clone(),
-            ..IntFeasConfig::default()
-        };
-        let t0 = Instant::now();
-        let (result, _pivots) = solve_integer_with_pivots(&self.theory_stack, &int_config);
-        self.times.bnb += t0.elapsed();
-        match result {
-            IntFeasResult::Sat(values) => FinalOutcome::Model(Model::from_values(values)),
-            IntFeasResult::Unsat => {
-                let core: Vec<usize> = (0..self.theory_stack.len()).collect();
-                let t0 = Instant::now();
-                let core = if core.len() <= MINIMIZE_CAP {
-                    explain::minimize_core(&self.theory_stack, core, &|cs| {
-                        explain::integer_infeasible(cs, EXPLAIN_INT_BUDGET)
-                    })
-                } else {
-                    core
-                };
-                self.times.explain += t0.elapsed();
-                let (conflict, pid) = self.certified_conflict(core);
-                FinalOutcome::Conflict(conflict, pid)
+        let mut values = BTreeMap::new();
+        // (unbounded, width): bounded variables first, narrowest first
+        let mut split: Option<(Var, Rat, (bool, i128))> = None;
+        for (v, r) in self.simplex.model() {
+            if self.theory_index.dependents(v).is_empty() {
+                continue;
             }
-            IntFeasResult::ResourceOut => FinalOutcome::ResourceOut,
+            if let Some(k) = r.to_integer() {
+                values.insert(v, k);
+                continue;
+            }
+            let key = match self.bounds.var_range(v) {
+                (Some(lo), Some(hi)) => (false, hi - lo),
+                _ => (true, 0),
+            };
+            if split.as_ref().is_none_or(|&(_, _, best)| key < best) {
+                split = Some((v, r, key));
+            }
         }
+        let Some((x, beta, _)) = split else {
+            return FinalOutcome::Model(Model::from_values(values));
+        };
+        if self.branches >= self.max_branches || beta.abs() > Rat::from_int(MAX_BRANCH_MAGNITUDE) {
+            return FinalOutcome::ResourceOut;
+        }
+        self.branches += 1;
+        let atom = Formula::le(LinExpr::var(x), LinExpr::constant(beta.floor()));
+        let LitOrConst::Lit(lit) = self.clausifier.literal_of_nnf(&atom) else {
+            unreachable!("a single-variable atom is never constant");
+        };
+        self.grow_theory();
+        // β satisfies every asserted bound and lies strictly between the
+        // two branches, so neither polarity can be on the trail yet
+        debug_assert_eq!(self.value(lit), 0);
+        FinalOutcome::Branch(lit)
     }
 
     fn bump(&mut self, var: usize) {
@@ -1897,24 +1944,10 @@ impl Engine {
         false
     }
 
-    fn undecided_unknown(&self) -> SolverResult {
-        if self.cancelled {
-            // names the axis that fired: flag, budget axis, or deadline
-            SolverResult::Unknown(self.config.cancel.unknown_reason())
-        } else {
-            SolverResult::Unknown("resource limit reached".to_string())
-        }
-    }
-
-    /// The `Unsat` verdict, demoted to `Unknown` when this call saw a
-    /// resource-out or the database holds a blocking clause from an
-    /// earlier one (tainted refutations are not proofs).
-    fn unsat_result(&self) -> SolverResult {
-        if self.saw_resource_out || self.tainted {
-            SolverResult::Unknown("resource limit reached".to_string())
-        } else {
-            SolverResult::Unsat
-        }
+    /// The `Unknown` of a fired cancel token, naming the axis that fired:
+    /// flag, budget axis, or deadline.
+    fn cancelled_unknown(&self) -> SolverResult {
+        SolverResult::Unknown(self.config.cancel.unknown_reason())
     }
 
     /// Decides the current clause database under `assumptions`.
@@ -1925,8 +1958,8 @@ impl Engine {
     /// engine backtracks to the root before returning, keeping learned
     /// clauses, activities and phases for the next call.
     pub(crate) fn solve(&mut self, assumptions: &[Lit]) -> SolverResult {
-        self.saw_resource_out = false;
         self.cancelled = false;
+        self.branches = 0;
         self.last_core = None;
         if let Some(p) = &mut self.proof {
             p.query();
@@ -1945,18 +1978,17 @@ impl Engine {
         }
         if self.root_unsat {
             self.flush_global();
-            let result = self.unsat_result();
-            self.finish_query(&result);
-            return result;
+            self.finish_query(&SolverResult::Unsat);
+            return SolverResult::Unsat;
         }
         self.assumptions = assumptions.to_vec();
         self.solve_base_conflicts = self.stats.conflicts;
         let result = {
             let _span = posr_obs::span!("cdcl", "cdcl.solve");
-            // every tableau this call touches (the persistent one,
-            // branch-and-bound, the one-shot certifiers)
-            // flushes its pivot/row-touch counts into the obs counters;
-            // the attached scope is what `stats()` derives them from
+            // every tableau this call touches (the persistent one and the
+            // one-shot certifiers) flushes its pivot/row-touch counts into
+            // the obs counters; the attached scope is what `stats()`
+            // derives them from
             let _pivots = self.pivot_scope.attach();
             // layers below with no token in sight (proof sinks, caches)
             // charge the solve's budget through the thread attachment
@@ -2022,10 +2054,10 @@ impl Engine {
             }
             if self.config.cancel.can_fire() && self.config.cancel.is_cancelled() {
                 self.cancelled = true;
-                return self.undecided_unknown();
+                return self.cancelled_unknown();
             }
             if self.stats.conflicts - self.solve_base_conflicts >= self.max_conflicts {
-                return SolverResult::Unknown("resource limit reached".to_string());
+                return SolverResult::Unknown(RESOURCE_OUT_MSG.to_string());
             }
             let step = match self.propagate() {
                 Step::Conflict(c, id) => Step::Conflict(c, id),
@@ -2035,7 +2067,7 @@ impl Engine {
                 Step::Conflict(conflict, conflict_id) => {
                     if !self.resolve_conflict(conflict, conflict_id) {
                         self.root_unsat = true;
-                        return self.unsat_result();
+                        return SolverResult::Unsat;
                     }
                 }
                 Step::Ok => {
@@ -2052,7 +2084,7 @@ impl Engine {
                         match self.value(lit) {
                             -1 => {
                                 self.analyze_final(lit);
-                                return self.unsat_result();
+                                return SolverResult::Unsat;
                             }
                             1 => {
                                 // already implied: push an empty level so
@@ -2072,54 +2104,24 @@ impl Engine {
                         if let Step::Conflict(c, id) = self.simplex_check() {
                             if !self.resolve_conflict(c, id) {
                                 self.root_unsat = true;
-                                return self.unsat_result();
+                                return SolverResult::Unsat;
                             }
                             continue;
                         }
                         if self.cancelled {
                             // the check was cut off mid-repair; its Ok is
                             // not a feasibility verdict
-                            return self.undecided_unknown();
+                            return self.cancelled_unknown();
                         }
                         match self.final_check() {
                             FinalOutcome::Model(model) => return SolverResult::Sat(model),
-                            FinalOutcome::Conflict(c, id) => {
-                                if !self.resolve_conflict(c, id) {
-                                    self.root_unsat = true;
-                                    return self.unsat_result();
-                                }
+                            FinalOutcome::Branch(lit) => {
+                                self.stats.decisions += 1;
+                                self.new_decision_level();
+                                self.enqueue(lit, NO_REASON);
                             }
                             FinalOutcome::ResourceOut => {
-                                if self.config.cancel.can_fire()
-                                    && self.config.cancel.is_cancelled()
-                                {
-                                    // a cancellation, not a real budget
-                                    // exhaustion: bail cleanly instead of
-                                    // tainting the database with a
-                                    // blocking clause
-                                    self.cancelled = true;
-                                    return self.undecided_unknown();
-                                }
-                                self.saw_resource_out = true;
-                                // block this branch by refuting its
-                                // decisions — a search heuristic, not an
-                                // implied clause, so the database is
-                                // tainted for refutation purposes from
-                                // here on
-                                let blocking: Vec<Lit> = self
-                                    .trail_lim
-                                    .iter()
-                                    .filter_map(|&i| self.trail.get(i))
-                                    .map(|&l| l.negate())
-                                    .collect();
-                                if blocking.is_empty() {
-                                    return self.undecided_unknown();
-                                }
-                                self.tainted = true;
-                                self.proof_incomplete("resource-out blocking clause");
-                                if !self.resolve_conflict(blocking, 0) {
-                                    return self.undecided_unknown();
-                                }
+                                return SolverResult::Unknown(RESOURCE_OUT_MSG.to_string())
                             }
                         }
                     } else {
@@ -2129,7 +2131,7 @@ impl Engine {
                             Step::Conflict(c, id) => {
                                 if !self.resolve_conflict(c, id) {
                                     self.root_unsat = true;
-                                    return self.unsat_result();
+                                    return SolverResult::Unsat;
                                 }
                                 continue;
                             }
@@ -2151,7 +2153,7 @@ impl Engine {
                             if live > self.max_learnts {
                                 self.reduce_db();
                                 if self.root_unsat {
-                                    return self.unsat_result();
+                                    return SolverResult::Unsat;
                                 }
                                 self.max_learnts += self.max_learnts / 2;
                             }
@@ -2183,7 +2185,6 @@ impl Engine {
             (*OBS_GCD_US, t.gcd, f.gcd),
             (*OBS_EXPLAIN_US, t.explain, f.explain),
             (*OBS_SIMPLEX_US, t.simplex, f.simplex),
-            (*OBS_BNB_US, t.bnb, f.bnb),
         ] {
             counter.add((now.as_micros() - before.as_micros()) as u64);
         }
@@ -2191,9 +2192,13 @@ impl Engine {
     }
 }
 
+/// What the integrality check at a leaf found.
 enum FinalOutcome {
+    /// The rational model is integral: the answer.
     Model(Model),
-    Conflict(Vec<Lit>, u64),
+    /// The model is fractional: decide this branch literal.
+    Branch(Lit),
+    /// Splitting would exceed [`MAX_BRANCHES`] or [`MAX_BRANCH_MAGNITUDE`].
     ResourceOut,
 }
 
@@ -2334,19 +2339,15 @@ impl VarHeap {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cnf::CnfFormula;
     use crate::term::{LinExpr, VarPool};
 
     fn solve(f: &Formula) -> SolverResult {
         solve_cdcl(&f.nnf().simplify(), &SolverConfig::default())
     }
 
-    fn engine_for(cnf: CnfFormula, config: SolverConfig) -> Engine {
+    fn engine_for(f: &Formula, config: SolverConfig) -> Engine {
         let mut engine = Engine::empty(config);
-        engine.grow_theory(&cnf.theory);
-        for lits in cnf.clauses {
-            engine.add_root_clause(lits);
-        }
+        engine.assert_nnf(&f.nnf().simplify(), None);
         engine
     }
 
@@ -2447,9 +2448,7 @@ mod tests {
             conjuncts.push(Formula::le(LinExpr::var(v), LinExpr::constant(1)));
         }
         let f = Formula::and(conjuncts);
-        let nnf = f.nnf().simplify();
-        let cnf = crate::cnf::Clausifier::clausify(&nnf);
-        let mut engine = engine_for(cnf, SolverConfig::default());
+        let mut engine = engine_for(&f, SolverConfig::default());
         let result = engine.solve(&[]);
         assert!(result.is_sat(), "got {result:?}");
         // invariant: every clause index appears in the watch lists of its
@@ -2504,8 +2503,7 @@ mod tests {
             ]),
             Formula::eq(LinExpr::var(y), LinExpr::var(x) + LinExpr::constant(1)),
         ]);
-        let cnf = crate::cnf::Clausifier::clausify(&f.nnf().simplify());
-        let mut engine = engine_for(cnf, SolverConfig::default());
+        let mut engine = engine_for(&f, SolverConfig::default());
         let first = engine.solve(&[]);
         assert!(first.is_sat());
         let after_first = engine.stats();
@@ -2526,21 +2524,11 @@ mod tests {
             Formula::ge(LinExpr::var(x), LinExpr::constant(0)),
             Formula::le(LinExpr::var(x), LinExpr::constant(5)),
         ]);
-        let mut clausifier = crate::cnf::Clausifier::new();
-        clausifier.assert_nnf(&f.nnf().simplify());
-        let bad =
-            clausifier.literal_of_nnf(&Formula::le(LinExpr::var(x), LinExpr::constant(-1)).nnf());
-        let crate::cnf::LitOrConst::Lit(bad) = bad else {
+        let mut engine = engine_for(&f, SolverConfig::default());
+        let bad = engine.literal_of_nnf(&Formula::le(LinExpr::var(x), LinExpr::constant(-1)).nnf());
+        let LitOrConst::Lit(bad) = bad else {
             panic!("expected a literal");
         };
-        let mut engine = Engine::empty(SolverConfig::default());
-        engine.grow_theory(clausifier.theory());
-        for c in clausifier.take_new_definitions() {
-            engine.add_root_clause(c);
-        }
-        for c in clausifier.take_new_assertions() {
-            engine.add_root_clause(c);
-        }
         assert_eq!(engine.solve(&[bad]), SolverResult::Unsat);
         assert!(engine.solve(&[]).is_sat());
         assert!(engine.solve(&[bad.negate()]).is_sat());
@@ -2576,14 +2564,43 @@ mod tests {
     fn conflict_cap_answers_unknown() {
         // the real cap takes seconds of search to reach, so lower this
         // engine's copy; pigeonhole refutations need far more conflicts
-        let cnf = crate::cnf::Clausifier::clausify(&pigeonhole(7, 6).nnf().simplify());
-        let mut engine = engine_for(cnf, SolverConfig::default());
+        let mut engine = engine_for(&pigeonhole(7, 6), SolverConfig::default());
         engine.max_conflicts = 50;
         assert_eq!(
             engine.solve(&[]),
-            SolverResult::Unknown("resource limit reached".to_string())
+            SolverResult::Unknown(RESOURCE_OUT_MSG.to_string())
         );
         assert_eq!(engine.stats().conflicts, 50);
+    }
+
+    #[test]
+    fn branch_cap_answers_unknown_never_unsat() {
+        // 1 ≤ 3x − 3y ≤ 2 over a box: rationally feasible, no bound pins
+        // anything and there is no equation for the GCD test, so only
+        // splitting refutes it.  A one-branch cap must stop the search
+        // short of that refutation, and the capped answer is `Unknown`.
+        let mut pool = VarPool::new();
+        let x = pool.fresh("x");
+        let y = pool.fresh("y");
+        let diff = LinExpr::scaled_var(x, 3) - LinExpr::scaled_var(y, 3);
+        let f = Formula::and(vec![
+            Formula::ge(diff.clone(), LinExpr::constant(1)),
+            Formula::le(diff, LinExpr::constant(2)),
+            Formula::ge(LinExpr::var(x), LinExpr::constant(0)),
+            Formula::le(LinExpr::var(x), LinExpr::constant(40)),
+            Formula::ge(LinExpr::var(y), LinExpr::constant(0)),
+            Formula::le(LinExpr::var(y), LinExpr::constant(40)),
+        ]);
+        let mut engine = engine_for(&f, SolverConfig::default());
+        engine.max_branches = 1;
+        assert_eq!(
+            engine.solve(&[]),
+            SolverResult::Unknown(RESOURCE_OUT_MSG.to_string())
+        );
+        // the capped call left nothing behind that a full search distrusts
+        engine.max_branches = MAX_BRANCHES;
+        assert_eq!(engine.solve(&[]), SolverResult::Unsat);
+        assert!(engine.stats().decisions > 1, "{:?}", engine.stats());
     }
 
     #[test]
@@ -2614,7 +2631,6 @@ mod tests {
             LinExpr::constant(19),
         ));
         let f = Formula::and(conjuncts);
-        let cnf = crate::cnf::Clausifier::clausify(&f.nnf().simplify());
         let config = SolverConfig {
             learnt_cap: 1,
             // theory propagation refutes this family in so few conflicts
@@ -2623,7 +2639,7 @@ mod tests {
             theory_propagation: false,
             ..SolverConfig::default()
         };
-        let mut engine = engine_for(cnf, config);
+        let mut engine = engine_for(&f, config);
         let first = engine.solve(&[]);
         assert_eq!(first, SolverResult::Unsat);
         let stats = engine.stats();

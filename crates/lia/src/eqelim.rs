@@ -6,10 +6,10 @@
 //! equations force a *parity* relation between counters (in `(ab)*` the
 //! position of an `a` is even because `#a = #b` along the run prefix), and
 //! an aligned-mismatch constraint then demands `2·s = 2·t + 1`.  The
-//! conjunction is rationally feasible, every interval is open, and
-//! branch-and-bound diverges along the unbounded counters — this is exactly
-//! why the seed solver resource-outs on the flagship `x,y ∈ (ab)*`, `x ≠ y`,
-//! `|x| = |y|` instance.
+//! conjunction is rationally feasible, every interval is open, and integer
+//! branching diverges along the unbounded counters — this is exactly why a
+//! solver without this test resource-outs on the flagship `x,y ∈ (ab)*`,
+//! `x ≠ y`, `|x| = |y|` instance.
 //!
 //! The cure is classical: Gaussian elimination over ℤ restricted to
 //! *unit-coefficient* pivots (substituting `v = −R` for an equation
@@ -24,9 +24,8 @@
 //! into equations, attributing both constraint indices.  Every derived
 //! equation carries the *reason set* of original constraint indices that
 //! were combined into it; a GCD conflict therefore comes with a small core
-//! that [`crate::cdcl`] learns as a clause, and [`crate::intfeas`] uses the
-//! same test to refute parity-infeasible conjunctions before attempting
-//! branch-and-bound.
+//! that [`crate::cdcl`] learns as a clause, refuting parity-infeasible
+//! conjunctions without splitting on a single variable.
 
 use std::collections::HashMap;
 

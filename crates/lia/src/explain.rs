@@ -7,32 +7,20 @@
 //! engine reads cores off it — and the simplex contributes Farkas cores.
 //! This module shrinks such a core to a *minimal* one (every proper subset
 //! feasible w.r.t. the given checker) by attempting to drop each member
-//! once.  Checkers are provided for bound propagation and budgeted integer
-//! feasibility; dropping a constraint is only allowed when the remainder
-//! is *proven* infeasible, so a checker that gives up (resource-out) keeps
-//! the constraint and the explanation stays sound.
+//! once.  Dropping a constraint is only allowed when the checker *proves*
+//! the remainder infeasible, so a checker that cannot decide keeps the
+//! constraint and the explanation stays sound.
 //!
 //! Soundness invariant used by the learner: any superset of an infeasible
 //! set is infeasible, so every core returned here — minimal or not — yields
 //! a valid learned clause.
 
 use crate::bounds::{BoundEnv, BoundOutcome};
-use crate::intfeas::{solve_integer, IntFeasConfig, IntFeasResult};
 use crate::simplex::SimplexConstraint;
 
 /// `true` iff bound propagation alone refutes the conjunction.
 pub fn bound_infeasible(constraints: &[SimplexConstraint]) -> bool {
     BoundEnv::from_constraints(constraints).1 == BoundOutcome::Refuted
-}
-
-/// `true` iff budgeted branch-and-bound *proves* integer infeasibility
-/// (resource-outs count as "could not prove", keeping minimisation sound).
-pub fn integer_infeasible(constraints: &[SimplexConstraint], budget: usize) -> bool {
-    let config = IntFeasConfig {
-        max_nodes: budget,
-        ..IntFeasConfig::default()
-    };
-    matches!(solve_integer(constraints, &config), IntFeasResult::Unsat)
 }
 
 /// Deletion-based minimisation: drops every core member whose removal keeps
@@ -119,20 +107,5 @@ mod tests {
             le(LinExpr::var(x) - LinExpr::constant(5)),
         ];
         assert!(!bound_infeasible(&constraints));
-        assert!(!integer_infeasible(&constraints, 100));
-    }
-
-    #[test]
-    fn integer_checker_respects_budget_soundly() {
-        let mut pool = VarPool::new();
-        let x = pool.fresh("x");
-        // 1 ≤ 3x ≤ 2: integrally infeasible, provable in a node or two
-        let constraints = vec![
-            ge(LinExpr::scaled_var(x, 3) - LinExpr::constant(1)),
-            le(LinExpr::scaled_var(x, 3) - LinExpr::constant(2)),
-        ];
-        assert!(integer_infeasible(&constraints, 100));
-        // zero budget cannot *prove* anything
-        assert!(!integer_infeasible(&constraints, 0));
     }
 }

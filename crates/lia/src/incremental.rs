@@ -9,8 +9,8 @@
 //! a blocking clause.  An [`IncrementalSolver`] keeps everything those
 //! re-solves would otherwise rebuild:
 //!
-//! * the **clausifier state** (atom and gate interning) survives, so a new
-//!   increment only clausifies what is genuinely new;
+//! * the engine's **clausifier state** (atom and gate interning) survives,
+//!   so a new increment only clausifies what is genuinely new;
 //! * the **clause database** persists — including **learned clauses**, so
 //!   conflicts derived in round *n* keep pruning the search in round *n+1*;
 //! * **VSIDS activities and saved phases** persist, so the search resumes
@@ -56,17 +56,14 @@
 //! assert!(solver.solve().is_sat());
 //! ```
 
-use std::panic::{catch_unwind, AssertUnwindSafe};
-
 use crate::cdcl::{Engine, SolverStats};
-use crate::cnf::{BoolVar, Clausifier, Lit, LitOrConst};
+use crate::cnf::{BoolVar, Lit, LitOrConst};
 use crate::formula::Formula;
-use crate::rational::OVERFLOW_MSG;
+use crate::rational::{catch_overflow, OVERFLOW_UNKNOWN};
 use crate::solver::{SolverConfig, SolverResult};
 
 /// A persistent CDCL(T) session over a growing formula.
 pub struct IncrementalSolver {
-    clausifier: Clausifier,
     engine: Engine,
     /// Selector variable of every open assertion frame, oldest first.
     frames: Vec<BoolVar>,
@@ -94,7 +91,6 @@ impl IncrementalSolver {
     /// conflict budget, learned-clause cap, …).
     pub fn with_config(config: SolverConfig) -> IncrementalSolver {
         IncrementalSolver {
-            clausifier: Clausifier::new(),
             engine: Engine::empty(config),
             frames: Vec::new(),
             saw_quantifier: false,
@@ -116,15 +112,13 @@ impl IncrementalSolver {
             self.saw_quantifier = true;
             return;
         }
-        let nnf = formula.nnf().simplify();
-        self.clausifier.assert_nnf(&nnf);
-        self.sync_clauses();
+        let guard = self.frames.last().map(|&s| Lit::negative(s));
+        self.engine.assert_nnf(&formula.nnf().simplify(), guard);
     }
 
     /// Opens a new assertion frame.
     pub fn push(&mut self) {
-        let selector = self.clausifier.fresh_selector();
-        self.engine.grow_theory(self.clausifier.theory());
+        let selector = self.engine.fresh_selector();
         self.frames.push(selector);
     }
 
@@ -151,10 +145,7 @@ impl IncrementalSolver {
             self.saw_quantifier = true;
             return LitOrConst::False;
         }
-        let nnf = formula.nnf().simplify();
-        let lit = self.clausifier.literal_of_nnf(&nnf);
-        self.sync_clauses();
-        lit
+        self.engine.literal_of_nnf(&formula.nnf().simplify())
     }
 
     /// Decides the conjunction of every live assertion.
@@ -170,32 +161,17 @@ impl IncrementalSolver {
             return SolverResult::Unknown("formula contains quantifiers".to_string());
         }
         if self.poisoned {
-            return SolverResult::Unknown("arithmetic overflow in theory solver".to_string());
+            return SolverResult::Unknown(OVERFLOW_UNKNOWN.to_string());
         }
         let mut all: Vec<Lit> = self.frames.iter().map(|&s| Lit::positive(s)).collect();
         all.extend_from_slice(assumptions);
         let engine = &mut self.engine;
-        let result = catch_unwind(AssertUnwindSafe(|| engine.solve(&all)));
-        match result {
-            Ok(r) => r,
-            Err(payload) => {
-                let msg = payload
-                    .downcast_ref::<String>()
-                    .map(String::as_str)
-                    .or_else(|| payload.downcast_ref::<&str>().copied())
-                    .unwrap_or("panic");
-                if msg.contains(OVERFLOW_MSG) {
-                    // the unwind left trail/environment in an arbitrary
-                    // state: refuse to reuse the session
-                    self.poisoned = true;
-                    SolverResult::Unknown("arithmetic overflow in theory solver".to_string())
-                } else {
-                    // re-raise unrelated panics: they indicate bugs, not
-                    // resource limits
-                    std::panic::panic_any(msg.to_string())
-                }
-            }
-        }
+        catch_overflow(|| engine.solve(&all)).unwrap_or_else(|reason| {
+            // the unwind left trail/environment in an arbitrary state:
+            // refuse to reuse the session
+            self.poisoned = true;
+            SolverResult::Unknown(reason)
+        })
     }
 
     /// Cumulative engine counters for the whole session (conflicts,
@@ -229,45 +205,12 @@ impl IncrementalSolver {
         self.engine.proof().map(|p| p.serialize())
     }
 
-    /// `false` when the engine took a step it cannot certify (bounded
-    /// explanation fall-backs, resource-out blocking clauses): the dumped
-    /// proof would be rejected by the checker.  `true` when logging is on
-    /// and every step so far is replayable.
+    /// `false` when the engine took a step it cannot certify (a bounded
+    /// explanation fall-back): the dumped proof would be rejected by the
+    /// checker.  `true` when logging is on and every step so far is
+    /// replayable.
     pub fn proof_is_complete(&self) -> bool {
         self.engine.proof().is_some_and(|p| p.is_complete())
-    }
-
-    /// Pulls the clauses produced by the clausifier since the last sync
-    /// into the engine: gate definitions unguarded, assertion clauses
-    /// guarded by the current frame's selector.
-    fn sync_clauses(&mut self) {
-        self.engine.grow_theory(self.clausifier.theory());
-        for definition in self.clausifier.take_new_definitions() {
-            self.engine.add_root_clause(definition);
-        }
-        let unsat = self.clausifier.take_unsat();
-        let assertions = self.clausifier.take_new_assertions();
-        match self.frames.last() {
-            None => {
-                for clause in assertions {
-                    self.engine.add_root_clause(clause);
-                }
-                if unsat {
-                    self.engine.add_root_clause(Vec::new());
-                }
-            }
-            Some(&selector) => {
-                let guard = Lit::negative(selector);
-                for mut clause in assertions {
-                    clause.push(guard);
-                    self.engine.add_root_clause(clause);
-                }
-                if unsat {
-                    // a constant-false assertion scoped to this frame
-                    self.engine.add_root_clause(vec![guard]);
-                }
-            }
-        }
     }
 }
 

@@ -15,22 +15,19 @@
 //!   with one-time atom registration, O(1) bound assertions, warm-started
 //!   pivoting and Farkas-style infeasibility cores (one-shot wrappers
 //!   included),
-//! * [`intfeas`] — integer feasibility by branch-and-bound on one
-//!   push/pop tableau, pruned per node by incremental interval
-//!   propagation and the divisibility test, with sound resource limits,
 //! * [`bounds`] — interval (bound) propagation with integer rounding on
 //!   one backtrackable bound trail that records which constraint produced
-//!   every bound, the cheap propagation layer of the CDCL(T) engine and
-//!   of branch-and-bound,
+//!   every bound, the cheap propagation layer of the CDCL(T) engine,
 //! * [`cnf`] — clausification for the CDCL engine: structural hashing,
 //!   Plaisted–Greenbaum Tseitin encoding, half-space atom canonicalisation,
 //! * [`cdcl`] — the clause-learning **CDCL(T)** search engine (trail,
 //!   two-watched-literal propagation, 1UIP learning, backjumping, Luby
-//!   restarts, VSIDS), the one search engine of [`solver::Solver`]; the
-//!   theory side is equally incremental — **theory propagation** with
-//!   lazy explanations and the persistent simplex asserted in lock-step
-//!   with the trail — and the engine is persistent, exporting cumulative
-//!   [`cdcl::SolverStats`],
+//!   restarts, VSIDS), the one search engine of [`solver::Solver`] and the
+//!   only integer search: a fractional rational model is split by
+//!   deciding a fresh branch atom `x ≤ ⌊β(x)⌋`.  The theory side is
+//!   equally incremental — **theory propagation** with lazy explanations
+//!   and the persistent simplex asserted in lock-step with the trail — and
+//!   the engine is persistent, exporting cumulative [`cdcl::SolverStats`],
 //! * [`incremental`] — the **incremental solving layer**: persistent
 //!   [`incremental::IncrementalSolver`] sessions with an assertion stack
 //!   (`push`/`pop` via selector-guarded frames), assumption solving, and
@@ -57,10 +54,11 @@
 //! 2. does the equality subsystem admit integer solutions?
 //!    ([`eqelim::conflict_core_pinned`], after substituting bound-pinned
 //!    variables, whose pins [`bounds::BoundEnv::explain_pinned`] explains),
-//! 3. is it rationally feasible / integer feasible at a leaf?
-//!    ([`simplex::check_feasibility_with_core`] Farkas certificates;
-//!    [`intfeas::solve_integer`] refutations minimised by deletion under a
-//!    node budget).
+//! 3. is it rationally feasible at a leaf?
+//!    ([`simplex::IncrementalSimplex::check`] Farkas cores).  Integer
+//!    infeasibility needs no fourth question: a fractional leaf model is
+//!    split by a branch decision, and each refuted branch is answered by
+//!    one of the three.
 //!
 //! # Example
 //!
@@ -96,7 +94,6 @@ pub mod eqelim;
 pub mod explain;
 pub mod formula;
 pub mod incremental;
-pub mod intfeas;
 pub mod proof;
 pub mod rational;
 pub mod simplex;

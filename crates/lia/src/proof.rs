@@ -26,9 +26,9 @@
 //! line-oriented document that `posr-check` — an independent replayer that
 //! shares *no* solver code — parses and verifies step by step.  Paths the
 //! engine cannot certify (explanation fall-backs that the bounded
-//! re-derivation missed, resource-out blocking clauses) mark the proof
-//! *incomplete* instead of logging an unsound step; an incomplete document
-//! is rejected by the checker, never silently accepted.
+//! re-derivation missed) mark the proof *incomplete* instead of logging an
+//! unsound step; an incomplete document is rejected by the checker, never
+//! silently accepted.
 
 use crate::cnf::Lit;
 use crate::rational::Rat;

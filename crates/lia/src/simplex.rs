@@ -14,7 +14,7 @@
 //!   time the form is seen ([`IncrementalSimplex::prepare`]).  Atoms that
 //!   differ only in their constant — the overwhelmingly common case in the
 //!   CDCL(T) engine, where both polarities of a Boolean atom and all the
-//!   branch bounds of branch-and-bound share a form — share one tableau
+//!   integer branch atoms on one variable share a form — share one tableau
 //!   variable.
 //! * **Assertions are O(1) trail operations.**  Asserting a constraint
 //!   ([`IncrementalSimplex::assert_prepared`]) tightens the owner
@@ -40,11 +40,9 @@
 //!   the old full scans, and both flow into `posr-obs` counters.
 //! * **Backtracking** is stack-shaped: [`IncrementalSimplex::retract_to`]
 //!   unwinds the bound trail to a given assertion count (the CDCL engine
-//!   keeps assertions aligned with its theory-literal trail), and
-//!   [`IncrementalSimplex::push_level`] / [`IncrementalSimplex::pop_level`]
-//!   provide the same thing keyed by search depth (branch-and-bound).
-//!   Retraction only ever *relaxes* bounds, so the current assignment
-//!   stays consistent and nothing is recomputed.
+//!   keeps assertions aligned with its theory-literal trail).  Retraction
+//!   only ever *relaxes* bounds, so the current assignment stays
+//!   consistent and nothing is recomputed.
 //!
 //! Infeasibility is reported with a **Farkas core**: the tags of an
 //! irreducible jointly-infeasible set of asserted bounds (a stuck row's
@@ -312,8 +310,6 @@ pub struct IncrementalSimplex {
     undo: Vec<UndoEntry>,
     /// Per successful assertion: the undo-trail length before it.
     assert_marks: Vec<usize>,
-    /// Per open level: the assertion count when it was pushed.
-    level_marks: Vec<usize>,
     /// Candidate bound violations: every basic variable whose assignment
     /// or bounds moved since it was last verified in-bounds.  A superset
     /// of the actually-violating basics (violations only arise from those
@@ -357,7 +353,6 @@ impl IncrementalSimplex {
             beta: Vec::new(),
             undo: Vec::new(),
             assert_marks: Vec::new(),
-            level_marks: Vec::new(),
             suspect: Vec::new(),
             suspect_flag: Vec::new(),
             pivots: 0,
@@ -636,14 +631,6 @@ impl IncrementalSimplex {
             let mark = self.assert_marks.pop().expect("non-empty");
             self.unwind_to(mark);
         }
-        // levels opened above the surviving assertions are gone too
-        while self
-            .level_marks
-            .last()
-            .is_some_and(|&m| m > self.assert_marks.len())
-        {
-            self.level_marks.pop();
-        }
     }
 
     fn unwind_to(&mut self, mark: usize) {
@@ -655,30 +642,6 @@ impl IncrementalSimplex {
                 self.lower[entry.var] = entry.old;
             }
         }
-    }
-
-    /// Opens a backtracking level (branch-and-bound style).
-    pub fn push_level(&mut self) {
-        self.level_marks.push(self.assert_marks.len());
-    }
-
-    /// Closes the innermost level, retracting its assertions.
-    pub fn pop_level(&mut self) {
-        if let Some(n) = self.level_marks.pop() {
-            self.retract_to(n);
-        }
-    }
-
-    /// Pops levels until at most `depth` remain open.
-    pub fn pop_to_level(&mut self, depth: usize) {
-        while self.level_marks.len() > depth {
-            self.pop_level();
-        }
-    }
-
-    /// Number of open levels.
-    pub fn num_levels(&self) -> usize {
-        self.level_marks.len()
     }
 
     fn is_basic(&self, v: usize) -> bool {
@@ -1277,25 +1240,24 @@ mod tests {
     }
 
     #[test]
-    fn levels_nest_and_pop_in_order() {
+    fn retraction_unwinds_in_order() {
         let mut pool = VarPool::new();
         let x = pool.fresh("x");
         let mut simplex = IncrementalSimplex::new();
         simplex.assert_constraint(&ge(LinExpr::var(x)), 0).unwrap();
-        simplex.push_level();
         simplex
             .assert_constraint(&le(LinExpr::var(x) - LinExpr::constant(5)), 1)
             .unwrap();
-        simplex.push_level();
         assert!(simplex
             .assert_constraint(&ge(LinExpr::var(x) - LinExpr::constant(9)), 2)
             .is_err());
-        simplex.pop_level();
+        // retracting to the current count keeps every live bound
+        simplex.retract_to(2);
         assert!(simplex.check().is_ok());
         assert!(simplex
             .assert_constraint(&ge(LinExpr::var(x) - LinExpr::constant(9)), 3)
             .is_err());
-        simplex.pop_to_level(0);
+        simplex.retract_to(1);
         assert!(simplex
             .assert_constraint(&ge(LinExpr::var(x) - LinExpr::constant(9)), 4)
             .is_ok());
@@ -1450,7 +1412,6 @@ mod tests {
             beta: Vec<Rat>,
             undo: Vec<UndoEntry>,
             assert_marks: Vec<usize>,
-            level_marks: Vec<usize>,
             pivots: u64,
         }
 
@@ -1465,7 +1426,6 @@ mod tests {
                     beta: Vec::new(),
                     undo: Vec::new(),
                     assert_marks: Vec::new(),
-                    level_marks: Vec::new(),
                     pivots: 0,
                 }
             }
@@ -1622,13 +1582,6 @@ mod tests {
                     let mark = self.assert_marks.pop().expect("non-empty");
                     self.unwind_to(mark);
                 }
-                while self
-                    .level_marks
-                    .last()
-                    .is_some_and(|&m| m > self.assert_marks.len())
-                {
-                    self.level_marks.pop();
-                }
             }
 
             fn unwind_to(&mut self, mark: usize) {
@@ -1639,16 +1592,6 @@ mod tests {
                     } else {
                         self.lower[entry.var] = entry.old;
                     }
-                }
-            }
-
-            pub fn push_level(&mut self) {
-                self.level_marks.push(self.assert_marks.len());
-            }
-
-            pub fn pop_level(&mut self) {
-                if let Some(n) = self.level_marks.pop() {
-                    self.retract_to(n);
                 }
             }
 
@@ -1844,7 +1787,7 @@ mod tests {
         SimplexConstraint { expr, rel }
     }
 
-    /// The tentpole pin: random assert/push/pop/check sessions must leave
+    /// The tentpole pin: random assert/retract/check sessions must leave
     /// the sparse tableau and the retired dense oracle in *identical*
     /// observable states — same assert verdicts and clash tags, same check
     /// verdicts, same pivot counts, same models, same Farkas cores — with
@@ -1859,6 +1802,8 @@ mod tests {
             let mut sparse = IncrementalSimplex::new();
             let mut oracle = dense::DenseSimplex::new();
             let mut asserted: Vec<SimplexConstraint> = Vec::new();
+            // assertion counts to retract back to, innermost last
+            let mut marks: Vec<usize> = Vec::new();
             for _ in 0..80 {
                 match rng.below(10) {
                     0..=4 => {
@@ -1871,14 +1816,13 @@ mod tests {
                             asserted.push(c);
                         }
                     }
-                    5 => {
-                        sparse.push_level();
-                        oracle.push_level();
-                    }
+                    5 => marks.push(asserted.len()),
                     6 => {
-                        sparse.pop_level();
-                        oracle.pop_level();
-                        asserted.truncate(sparse.num_asserted());
+                        if let Some(n) = marks.pop() {
+                            sparse.retract_to(n);
+                            oracle.retract_to(n);
+                            asserted.truncate(n);
+                        }
                     }
                     _ => {
                         let rs = sparse.check();
@@ -1914,6 +1858,7 @@ mod tests {
                                 sparse.retract_to(keep);
                                 oracle.retract_to(keep);
                                 asserted.truncate(keep);
+                                marks.retain(|&m| m <= keep);
                             }
                         }
                     }

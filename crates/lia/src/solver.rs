@@ -12,11 +12,10 @@
 //! [`SolverResult::Unknown`].
 
 use std::collections::BTreeMap;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use crate::cancel::CancelToken;
 use crate::formula::Formula;
-use crate::rational::OVERFLOW_MSG;
+use crate::rational::catch_overflow;
 use crate::term::Var;
 
 /// An integer model: a total assignment of the formula's variables
@@ -166,25 +165,8 @@ impl Solver {
             return SolverResult::Unknown("formula contains quantifiers".to_string());
         }
         let nnf = formula.nnf().simplify();
-        let result = catch_unwind(AssertUnwindSafe(|| {
-            crate::cdcl::solve_cdcl(&nnf, &self.config)
-        }));
-        match result {
-            Ok(r) => r,
-            Err(payload) => {
-                let msg = payload
-                    .downcast_ref::<String>()
-                    .map(String::as_str)
-                    .or_else(|| payload.downcast_ref::<&str>().copied())
-                    .unwrap_or("panic");
-                if msg.contains(OVERFLOW_MSG) {
-                    SolverResult::Unknown("arithmetic overflow in theory solver".to_string())
-                } else {
-                    // re-raise unrelated panics: they indicate bugs, not resource limits
-                    std::panic::panic_any(msg.to_string())
-                }
-            }
-        }
+        catch_overflow(|| crate::cdcl::solve_cdcl(&nnf, &self.config))
+            .unwrap_or_else(SolverResult::Unknown)
     }
 }
 
@@ -300,6 +282,84 @@ mod tests {
             Formula::le(LinExpr::scaled_var(x, 3), LinExpr::constant(2)),
         ]);
         assert_eq!(solve(&phi), SolverResult::Unsat);
+    }
+
+    #[test]
+    fn integral_relaxation_is_accepted() {
+        let mut pool = VarPool::new();
+        let x = pool.fresh("x");
+        match solve(&Formula::eq(LinExpr::var(x), LinExpr::constant(4))) {
+            SolverResult::Sat(m) => assert_eq!(m.value(x), 4),
+            other => panic!("expected sat, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn fractional_relaxation_is_split_to_an_integer_model() {
+        let mut pool = VarPool::new();
+        let x = pool.fresh("x");
+        let y = pool.fresh("y");
+        // 2x + 2y = 6, x ≥ 1, y ≥ 1: integral models exist (x = 1, y = 2)
+        assert_sat_and_model_checks(&Formula::and(vec![
+            Formula::eq(
+                LinExpr::scaled_var(x, 2) + LinExpr::scaled_var(y, 2),
+                LinExpr::constant(6),
+            ),
+            Formula::ge(LinExpr::var(x), LinExpr::constant(1)),
+            Formula::ge(LinExpr::var(y), LinExpr::constant(1)),
+        ]));
+        // Σ (i+1)·nᵢ = 20 with nᵢ ≥ 0: a knapsack with many models
+        let vars: Vec<Var> = (0..6).map(|i| pool.fresh(&format!("n{i}"))).collect();
+        let mut sum = LinExpr::zero();
+        for (i, &v) in vars.iter().enumerate() {
+            sum += LinExpr::scaled_var(v, (i + 1) as i128);
+        }
+        let mut knapsack = vec![Formula::eq(sum, LinExpr::constant(20))];
+        for &v in &vars {
+            knapsack.push(Formula::ge(LinExpr::var(v), LinExpr::constant(0)));
+        }
+        assert_sat_and_model_checks(&Formula::and(knapsack));
+    }
+
+    #[test]
+    fn parity_conflicts_are_unsat_bounded_or_not() {
+        let mut pool = VarPool::new();
+        let x = pool.fresh("x");
+        let y = pool.fresh("y");
+        // 2x = 2y + 1: rationally feasible, no integer point, and along
+        // the unbounded counters ever-larger fractional vertices exist
+        let parity = Formula::eq(
+            LinExpr::scaled_var(x, 2),
+            LinExpr::scaled_var(y, 2) + LinExpr::constant(1),
+        );
+        assert_eq!(solve(&parity), SolverResult::Unsat);
+        let mut bounded = vec![parity];
+        for v in [x, y] {
+            bounded.push(Formula::ge(LinExpr::var(v), LinExpr::constant(0)));
+            bounded.push(Formula::le(LinExpr::var(v), LinExpr::constant(50)));
+        }
+        assert_eq!(solve(&Formula::and(bounded)), SolverResult::Unsat);
+    }
+
+    #[test]
+    fn fractional_values_past_the_magnitude_bound_are_never_unsat() {
+        let mut pool = VarPool::new();
+        let x = pool.fresh("x");
+        let y = pool.fresh("y");
+        // 2x = 3y + 1 with x ≥ 10⁸: satisfiable (x = 10⁸ + 1), but the
+        // relaxation's fractional y lies far past the branching bound
+        let f = Formula::and(vec![
+            Formula::eq(
+                LinExpr::scaled_var(x, 2),
+                LinExpr::scaled_var(y, 3) + LinExpr::constant(1),
+            ),
+            Formula::ge(LinExpr::var(x), LinExpr::constant(100_000_000)),
+        ]);
+        match solve(&f) {
+            SolverResult::Sat(m) => assert!(m.satisfies(&f)),
+            SolverResult::Unknown(_) => {}
+            SolverResult::Unsat => panic!("a satisfiable formula answered unsat"),
+        }
     }
 
     #[test]

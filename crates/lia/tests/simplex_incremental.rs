@@ -1,10 +1,10 @@
 //! Randomized differential testing of the incremental theory layer.
 //!
 //! The **persistent tableau** ([`IncrementalSimplex`]) is driven through
-//! random `assert` / `push_level` / `pop_level` sequences and compared,
-//! after every step, against a from-scratch [`check_feasibility`] over the
-//! flattened live constraint set — the warm basis, the undo trail and the
-//! level bookkeeping must never change a verdict.  The engine's pivot
+//! random `assert` / `retract_to` sequences and compared, after every
+//! step, against a from-scratch [`check_feasibility`] over the flattened
+//! live constraint set — the warm basis and the undo trail must never
+//! change a verdict.  The engine's pivot
 //! statistics must match an external counter scope over the same session.
 //!
 //! Seeds are fixed xorshift states, so failures reproduce exactly.
@@ -58,27 +58,24 @@ fn rational_model_satisfies(constraints: &[SimplexConstraint], model: &BTreeMap<
 }
 
 #[test]
-fn incremental_tableau_agrees_with_scratch_over_random_push_pop() {
+fn incremental_tableau_agrees_with_scratch_over_random_retraction() {
     let mut rng = Rng(0x1234_5678_9ABC_DEF1);
     let mut pool = VarPool::new();
     let vars: Vec<Var> = (0..4).map(|i| pool.fresh(&format!("v{i}"))).collect();
 
     for round in 0..60 {
         let mut simplex = IncrementalSimplex::new();
-        // the mirror: one Vec per open level (index 0 = root assertions)
+        // the mirror: one Vec per open frame (index 0 = root assertions)
         let mut frames: Vec<Vec<SimplexConstraint>> = vec![Vec::new()];
         for step in 0..60 {
             match rng.below(10) {
-                // push a level
-                0 | 1 => {
-                    simplex.push_level();
-                    frames.push(Vec::new());
-                }
-                // pop a level (if one is open)
+                // open a frame
+                0 | 1 => frames.push(Vec::new()),
+                // retract the innermost frame (if one is open)
                 2 | 3 => {
                     if frames.len() > 1 {
-                        simplex.pop_level();
                         frames.pop();
+                        simplex.retract_to(frames.iter().map(Vec::len).sum());
                     }
                 }
                 // assert a random constraint into the innermost frame

@@ -9,7 +9,7 @@
 //! all engines of a solve (a CEGAR loop can spin up many).  The token
 //! layer (`posr-lia`'s `CancelToken`) carries an `Arc<Budget>` and treats
 //! an exceeded axis exactly like a raised cancellation flag, so every
-//! existing poll point degrades to a clean, tainted-aware `Unknown`.
+//! existing poll point degrades to a clean `Unknown`.
 //!
 //! Charging happens two ways:
 //!

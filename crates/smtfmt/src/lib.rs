@@ -1230,7 +1230,6 @@ mod tests {
             ":gcd-us",
             ":explain-us",
             ":simplex-us",
-            ":branch-and-bound-us",
             // the flight recorder's latency histograms surface as
             // percentile rows; this unsat solve runs the CDCL engine, so
             // the session scope saw simplex check() pivot samples
