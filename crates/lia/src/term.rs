@@ -4,7 +4,10 @@
 //! human-readable name for every variable (e.g. `#⟨L,x⟩`, `#δ_17`, `γI_q3`).
 //! A [`LinExpr`] is an integer-coefficient linear combination of variables
 //! plus a constant; it is the only term language needed by the reductions of
-//! the paper.
+//! the paper.  Its terms are stored flat, as one vector sorted by variable:
+//! the expressions the encodings produce have a handful of terms, and the
+//! clausifier, the atom table, the simplex, the bound trail and the
+//! divisibility test clone, hash, negate and merge them constantly.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -105,6 +108,12 @@ impl VarPool {
 
 /// A linear expression `Σ coeff·var + constant` with integer coefficients.
 ///
+/// The terms are one flat vector of `(variable, coefficient)` pairs, sorted
+/// by variable and free of zero coefficients, so iteration is in variable
+/// order and equal expressions are equal (and hash equal) field by field.
+/// Cloning is one allocation, and sums, negation and scaling are linear
+/// passes over the vectors.
+///
 /// ```
 /// use posr_lia::term::{LinExpr, VarPool};
 /// let mut pool = VarPool::new();
@@ -116,8 +125,8 @@ impl VarPool {
 /// ```
 #[derive(Clone, PartialEq, Eq, Hash, Debug, Default)]
 pub struct LinExpr {
-    /// Coefficients per variable; zero coefficients are never stored.
-    coeffs: BTreeMap<Var, i128>,
+    /// Non-zero coefficients, sorted by variable.
+    terms: Vec<(Var, i128)>,
     constant: i128,
 }
 
@@ -130,31 +139,20 @@ impl LinExpr {
     /// The constant expression `k`.
     pub fn constant(k: i128) -> LinExpr {
         LinExpr {
-            coeffs: BTreeMap::new(),
+            terms: Vec::new(),
             constant: k,
         }
     }
 
     /// The expression `1·v`.
     pub fn var(v: Var) -> LinExpr {
-        let mut coeffs = BTreeMap::new();
-        coeffs.insert(v, 1);
-        LinExpr {
-            coeffs,
-            constant: 0,
-        }
+        LinExpr::scaled_var(v, 1)
     }
 
     /// The expression `c·v`.
     pub fn scaled_var(v: Var, c: i128) -> LinExpr {
-        let mut coeffs = BTreeMap::new();
-        if c != 0 {
-            coeffs.insert(v, c);
-        }
-        LinExpr {
-            coeffs,
-            constant: 0,
-        }
+        let terms = if c == 0 { Vec::new() } else { vec![(v, c)] };
+        LinExpr { terms, constant: 0 }
     }
 
     /// Sum of `1·v` over the given variables.
@@ -168,10 +166,15 @@ impl LinExpr {
 
     /// Adds `c·v` in place.
     pub fn add_term(&mut self, v: Var, c: i128) {
-        let entry = self.coeffs.entry(v).or_insert(0);
-        *entry += c;
-        if *entry == 0 {
-            self.coeffs.remove(&v);
+        match self.terms.binary_search_by_key(&v, |&(w, _)| w) {
+            Ok(i) => {
+                self.terms[i].1 += c;
+                if self.terms[i].1 == 0 {
+                    self.terms.remove(i);
+                }
+            }
+            Err(i) if c != 0 => self.terms.insert(i, (v, c)),
+            Err(_) => {}
         }
     }
 
@@ -182,7 +185,10 @@ impl LinExpr {
 
     /// Coefficient of a variable (0 if absent).
     pub fn coeff(&self, v: Var) -> i128 {
-        self.coeffs.get(&v).copied().unwrap_or(0)
+        match self.terms.binary_search_by_key(&v, |&(w, _)| w) {
+            Ok(i) => self.terms[i].1,
+            Err(_) => 0,
+        }
     }
 
     /// The constant part.
@@ -190,31 +196,32 @@ impl LinExpr {
         self.constant
     }
 
-    /// Iterator over `(variable, coefficient)` pairs with non-zero coefficients.
+    /// Iterator over `(variable, coefficient)` pairs with non-zero
+    /// coefficients, in variable order.
     pub fn terms(&self) -> impl Iterator<Item = (Var, i128)> + '_ {
-        self.coeffs.iter().map(|(&v, &c)| (v, c))
+        self.terms.iter().copied()
     }
 
-    /// The set of variables with non-zero coefficient.
+    /// The set of variables with non-zero coefficient, in order.
     pub fn variables(&self) -> impl Iterator<Item = Var> + '_ {
-        self.coeffs.keys().copied()
+        self.terms.iter().map(|&(v, _)| v)
     }
 
     /// Returns `true` if the expression is a constant.
     pub fn is_constant(&self) -> bool {
-        self.coeffs.is_empty()
+        self.terms.is_empty()
     }
 
     /// Number of variable terms.
     pub fn num_terms(&self) -> usize {
-        self.coeffs.len()
+        self.terms.len()
     }
 
     /// Evaluates the expression under an assignment (missing variables count
     /// as 0).
     pub fn eval(&self, assignment: &dyn Fn(Var) -> i128) -> i128 {
         let mut total = self.constant;
-        for (&v, &c) in &self.coeffs {
+        for &(v, c) in &self.terms {
             total += c * assignment(v);
         }
         total
@@ -222,14 +229,46 @@ impl LinExpr {
 
     /// Substitutes a variable by a linear expression, returning the result.
     pub fn substitute(&self, var: Var, replacement: &LinExpr) -> LinExpr {
-        let c = self.coeff(var);
-        if c == 0 {
+        let Ok(at) = self.terms.binary_search_by_key(&var, |&(w, _)| w) else {
             return self.clone();
+        };
+        let c = self.terms[at].1;
+        let mut rest = self.clone();
+        rest.terms.remove(at);
+        rest.merged(replacement, c)
+    }
+
+    /// `self + k·other` in one merge of the two sorted term vectors.
+    fn merged(&self, other: &LinExpr, k: i128) -> LinExpr {
+        let (a, b) = (&self.terms, &other.terms);
+        let mut terms = Vec::with_capacity(a.len() + b.len());
+        let (mut i, mut j) = (0, 0);
+        while i < a.len() && j < b.len() {
+            match a[i].0.cmp(&b[j].0) {
+                std::cmp::Ordering::Less => {
+                    terms.push(a[i]);
+                    i += 1;
+                }
+                std::cmp::Ordering::Greater => {
+                    terms.push((b[j].0, b[j].1 * k));
+                    j += 1;
+                }
+                std::cmp::Ordering::Equal => {
+                    let c = a[i].1 + b[j].1 * k;
+                    if c != 0 {
+                        terms.push((a[i].0, c));
+                    }
+                    i += 1;
+                    j += 1;
+                }
+            }
         }
-        let mut out = self.clone();
-        out.coeffs.remove(&var);
-        out += replacement.clone() * c;
-        out
+        terms.extend_from_slice(&a[i..]);
+        terms.extend(b[j..].iter().map(|&(v, c)| (v, c * k)));
+        LinExpr {
+            terms,
+            constant: self.constant + other.constant * k,
+        }
     }
 
     /// Renders the expression with variable names from a pool.
@@ -289,12 +328,14 @@ impl From<Var> for LinExpr {
 
 impl Add for LinExpr {
     type Output = LinExpr;
-    fn add(mut self, rhs: LinExpr) -> LinExpr {
-        for (v, c) in rhs.coeffs {
-            self.add_term(v, c);
+    fn add(self, rhs: LinExpr) -> LinExpr {
+        if rhs.terms.is_empty() {
+            return LinExpr {
+                constant: self.constant + rhs.constant,
+                ..self
+            };
         }
-        self.constant += rhs.constant;
-        self
+        self.merged(&rhs, 1)
     }
 }
 
@@ -320,7 +361,7 @@ impl SubAssign for LinExpr {
 impl Neg for LinExpr {
     type Output = LinExpr;
     fn neg(mut self) -> LinExpr {
-        for c in self.coeffs.values_mut() {
+        for (_, c) in &mut self.terms {
             *c = -*c;
         }
         self.constant = -self.constant;
@@ -334,7 +375,7 @@ impl Mul<i128> for LinExpr {
         if rhs == 0 {
             return LinExpr::zero();
         }
-        for c in self.coeffs.values_mut() {
+        for (_, c) in &mut self.terms {
             *c *= rhs;
         }
         self.constant *= rhs;
@@ -421,6 +462,172 @@ mod tests {
         let e = LinExpr::sum_of_vars(vec![x, y, x]);
         assert_eq!(e.coeff(x), 2);
         assert_eq!(e.coeff(y), 1);
+    }
+
+    /// The map model the flat representation replaced: coefficients by
+    /// variable (zeros never stored) plus the constant.
+    #[derive(Clone, Default)]
+    struct Model {
+        coeffs: BTreeMap<Var, i128>,
+        constant: i128,
+    }
+
+    impl Model {
+        fn add_term(&mut self, v: Var, c: i128) {
+            let entry = self.coeffs.entry(v).or_insert(0);
+            *entry += c;
+            if *entry == 0 {
+                self.coeffs.remove(&v);
+            }
+        }
+
+        fn add(&mut self, other: &Model, k: i128) {
+            for (&v, &c) in &other.coeffs {
+                self.add_term(v, c * k);
+            }
+            self.constant += other.constant * k;
+        }
+
+        fn scale(&mut self, k: i128) {
+            if k == 0 {
+                *self = Model::default();
+            }
+            for c in self.coeffs.values_mut() {
+                *c *= k;
+            }
+            self.constant *= k;
+        }
+
+        fn substitute(&self, var: Var, replacement: &Model) -> Model {
+            let mut out = self.clone();
+            if let Some(c) = out.coeffs.remove(&var) {
+                out.add(replacement, c);
+            }
+            out
+        }
+
+        fn eval(&self, assignment: &dyn Fn(Var) -> i128) -> i128 {
+            self.constant
+                + self
+                    .coeffs
+                    .iter()
+                    .map(|(&v, &c)| c * assignment(v))
+                    .sum::<i128>()
+        }
+    }
+
+    /// A deterministic xorshift generator (reproducible failures).
+    struct Rng(u64);
+
+    impl Rng {
+        fn below(&mut self, n: u64) -> u64 {
+            self.0 ^= self.0 << 13;
+            self.0 ^= self.0 >> 7;
+            self.0 ^= self.0 << 17;
+            self.0 % n
+        }
+
+        fn int(&mut self, lo: i128, hi: i128) -> i128 {
+            lo + self.below((hi - lo + 1) as u64) as i128
+        }
+    }
+
+    fn hash_of(e: &LinExpr) -> u64 {
+        use std::hash::{BuildHasher, BuildHasherDefault, DefaultHasher};
+        BuildHasherDefault::<DefaultHasher>::default().hash_one(e)
+    }
+
+    /// `e` equals the model: sorted terms with no zero coefficient stored,
+    /// the same coefficients, term count and constant — and rebuilding the
+    /// model term by term in a scrambled order gives an equal expression
+    /// that hashes equal (the `eqelim` pairing and the atom table key
+    /// hash maps by expression).
+    fn assert_matches(e: &LinExpr, m: &Model, vars: &[Var], rng: &mut Rng) {
+        let terms: Vec<(Var, i128)> = e.terms().collect();
+        let expected: Vec<(Var, i128)> = m.coeffs.iter().map(|(&v, &c)| (v, c)).collect();
+        assert_eq!(terms, expected);
+        assert!(terms.iter().all(|&(_, c)| c != 0));
+        assert_eq!(e.num_terms(), m.coeffs.len());
+        assert_eq!(e.constant_part(), m.constant);
+        for &v in vars {
+            assert_eq!(e.coeff(v), m.coeffs.get(&v).copied().unwrap_or(0));
+        }
+        let mut order = expected.clone();
+        for i in (1..order.len()).rev() {
+            order.swap(i, rng.below(i as u64 + 1) as usize);
+        }
+        let mut rebuilt = LinExpr::constant(m.constant);
+        for (v, c) in order {
+            rebuilt.add_term(v, c + 1);
+            rebuilt.add_term(v, -1);
+        }
+        assert_eq!(&rebuilt, e);
+        assert_eq!(hash_of(&rebuilt), hash_of(e));
+        let mut keyed = std::collections::HashMap::new();
+        keyed.insert(rebuilt, 7);
+        assert_eq!(keyed.get(e), Some(&7));
+    }
+
+    #[test]
+    fn flat_expressions_agree_with_the_map_model() {
+        let mut pool = VarPool::new();
+        let vars: Vec<Var> = (0..6).map(|i| pool.fresh(&format!("v{i}"))).collect();
+        let mut rng = Rng(0x9e37_79b9_7f4a_7c15);
+        for _ in 0..300 {
+            let (mut e, mut m) = (LinExpr::zero(), Model::default());
+            for _ in 0..12 {
+                let v = vars[rng.below(vars.len() as u64) as usize];
+                match rng.below(7) {
+                    0 => {
+                        let c = rng.int(-3, 3);
+                        e.add_term(v, c);
+                        m.add_term(v, c);
+                    }
+                    1 | 2 => {
+                        // a random operand, built through the public API
+                        let (mut f, mut n) = (LinExpr::constant(rng.int(-5, 5)), Model::default());
+                        n.constant = f.constant_part();
+                        for _ in 0..rng.below(4) {
+                            let w = vars[rng.below(vars.len() as u64) as usize];
+                            let c = rng.int(-3, 3);
+                            f += LinExpr::scaled_var(w, c);
+                            n.add_term(w, c);
+                        }
+                        if rng.below(2) == 0 {
+                            e += f;
+                            m.add(&n, 1);
+                        } else {
+                            e -= f;
+                            m.add(&n, -1);
+                        }
+                    }
+                    3 => {
+                        e = -e;
+                        m.scale(-1);
+                    }
+                    4 => {
+                        let k = rng.int(-2, 2);
+                        e = e * k;
+                        m.scale(k);
+                    }
+                    5 => {
+                        let w = vars[rng.below(vars.len() as u64) as usize];
+                        let k = rng.int(-4, 4);
+                        let r = LinExpr::var(w) * 2 + LinExpr::constant(k);
+                        let mut rm = Model::default();
+                        rm.add_term(w, 2);
+                        rm.constant = k;
+                        e = e.substitute(v, &r);
+                        m = m.substitute(v, &rm);
+                    }
+                    _ => {
+                        let assignment = |w: Var| w.index() as i128 - 2;
+                        assert_eq!(e.eval(&assignment), m.eval(&assignment));
+                    }
+                }
+                assert_matches(&e, &m, &vars, &mut rng);
+            }
+        }
     }
 
     #[test]
