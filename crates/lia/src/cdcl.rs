@@ -34,17 +34,23 @@
 //!   propagation checks the conjunction incrementally on one backtrackable
 //!   bound trail ([`BoundEnv`]: a level per decision level, popped on
 //!   backjump; a persistent [`ConstraintIndex`] kept in lock-step with the
-//!   trail drives the worklist cascade), and the divisibility test
-//!   ([`crate::eqelim`]) re-runs when the set of bound-pinned variables
-//!   actually changed (pinning is monotone within a decision level, so the
-//!   pinned-count is an exact change detector; a periodic re-run covers
-//!   equality pairs that complete without new pinning).  Every bound on
-//!   the trail names the constraint that produced it, so refutations are
-//!   explained by reading the trail back — the GCD test substitutes the
-//!   pinned values and the trail explains the pins — then trimmed by
-//!   budgeted deletion ([`crate::explain`]) and learned as clauses, which
-//!   is what prunes the symmetric K≥2 mismatch case splits of the
-//!   tag-automaton encodings;
+//!   trail drives the worklist cascade), and the divisibility test re-runs
+//!   when the check's delta changed its input: the propagation pinned a
+//!   variable (pinning is monotone within a decision level, so the pinned
+//!   count is an exact change detector), or a new entry completed an
+//!   equation.  The test runs on a per-solve base (`GcdBase`): the root
+//!   prefix of the theory stack — the flow equations of the Parikh
+//!   images, most of what a solve asserts — is paired, stripped of its
+//!   root-pinned variables and unit-pivot-eliminated once, extended in
+//!   place whenever a root-level check sees the root grow (CEGAR cuts,
+//!   learned units), and each check eliminates only the rows whose pivot
+//!   is pinned, the residual rows and the equalities above the root.
+//!   Every bound on the trail names the constraint that produced it, so
+//!   refutations are explained by reading the trail back — the GCD test
+//!   substitutes the pinned values and the trail explains the pins — then
+//!   trimmed by budgeted deletion ([`crate::explain`]) and learned as
+//!   clauses, which is what prunes the symmetric K≥2 mismatch case splits
+//!   of the tag-automaton encodings;
 //! * after each consistent fixpoint, **theory propagation** scans the
 //!   variables whose intervals tightened against the atom→bound registry
 //!   (atoms grouped by constant-stripped form, sorted by threshold) and
@@ -84,6 +90,7 @@ use std::time::{Duration, Instant};
 use crate::bounds::{BoundEnv, BoundOutcome, ConstraintIndex};
 use crate::cancel::RESOURCE_OUT_MSG;
 use crate::cnf::{constraint_of_meaning, split_meaning, BoolVar, Clausifier, Lit, LitOrConst};
+use crate::eqelim::{gcd_refutes, GcdBase};
 use crate::explain;
 use crate::formula::Formula;
 use crate::proof::{farkas_coefficients, CertKind, ProofBuilder};
@@ -136,11 +143,6 @@ const MINIMIZE_CAP: usize = 96;
 /// minimisers: the deepest members are tried first, so the budget buys the
 /// backjump-relevant part of minimality at a bounded per-conflict cost.
 const MINIMIZE_BUDGET: usize = 8;
-
-/// The divisibility test re-runs at every fixpoint where the pinned-variable
-/// set changed, and unconditionally every this-many bound checks (equality
-/// pairs can complete without pinning anything new).
-const GCD_PERIOD: u64 = 8;
 
 /// Learned clauses this short are never garbage-collected (binary lemmas
 /// cost next to nothing to keep and propagate eagerly).
@@ -374,14 +376,6 @@ struct Clause {
     proof_id: u64,
 }
 
-/// The theory bookkeeping restored on backjump, one per decision level
-/// (the bounds themselves unwind on their own trail).
-#[derive(Clone, Copy)]
-struct TheoryLevel {
-    checked: usize,
-    gcd_pinned: usize,
-}
-
 /// Accumulated wall time per theory sub-layer, and the part of it already
 /// flushed into the `obs` counters.
 #[derive(Clone, Copy, Default)]
@@ -539,12 +533,13 @@ pub(crate) struct Engine {
     /// The bound trail of `theory_stack[..theory_checked]`, one level per
     /// decision level; its entries index `theory_stack`.
     bounds: BoundEnv,
-    /// Number of bound-pinned variables at the last divisibility check
-    /// (pinning is monotone within a level, so a changed count is an exact
-    /// "the substitution changed" detector).
-    gcd_pinned: usize,
-    /// Per decision level: the theory bookkeeping at decision time.
-    theory_levels: Vec<TheoryLevel>,
+    /// The divisibility test's base: the root prefix of `theory_stack`,
+    /// paired and eliminated once, extended by the entries each root-level
+    /// check appends.
+    gcd_base: GcdBase,
+    /// Per decision level: `theory_checked` at decision time, restored on
+    /// backjump (the bounds unwind on their own trail).
+    theory_levels: Vec<usize>,
     /// Prefix length known rationally feasible.
     simplex_checked: usize,
     // VSIDS
@@ -631,7 +626,7 @@ impl Engine {
             pivot_scope: posr_obs::CounterScope::new(),
             theory_checked: 0,
             bounds: BoundEnv::new(),
-            gcd_pinned: 0,
+            gcd_base: GcdBase::default(),
             theory_levels: Vec::new(),
             simplex_checked: 0,
             activity: Vec::new(),
@@ -948,10 +943,8 @@ impl Engine {
         self.trail.truncate(keep);
         self.trail_lim.truncate(target as usize);
         self.qhead = keep;
-        let level = self.theory_levels[target as usize];
+        self.theory_checked = self.theory_levels[target as usize];
         self.theory_levels.truncate(target as usize);
-        self.theory_checked = level.checked;
-        self.gcd_pinned = level.gcd_pinned;
         self.bounds.pop_to_level(target as usize);
         self.simplex_checked = self.simplex_checked.min(self.theory_stack.len());
         // retract the bounds of the popped theory literals; only relaxes
@@ -960,10 +953,7 @@ impl Engine {
     }
 
     fn new_decision_level(&mut self) {
-        self.theory_levels.push(TheoryLevel {
-            checked: self.theory_checked,
-            gcd_pinned: self.gcd_pinned,
-        });
+        self.theory_levels.push(self.theory_checked);
         self.bounds.push_level();
         self.trail_lim.push(self.trail.len());
     }
@@ -1018,11 +1008,13 @@ impl Engine {
     /// bound trail (the worklist cascade of [`BoundEnv::propagate_from`]
     /// re-fires only the context constraints whose variables actually
     /// tightened, walking the persistent `theory_index`), then the
-    /// divisibility test — but only when the set of bound-pinned variables
-    /// changed since the last run (or periodically, for equality pairs that
-    /// complete without new pinning).  Refutations are explained from the
-    /// trail; on backjump the trail pops its levels, so no fixpoint is ever
-    /// recomputed from scratch.
+    /// divisibility test — but only when this check's delta changed its
+    /// input: the propagation pinned a variable, or a new entry completed
+    /// an equation.  At the root the delta is first absorbed into the
+    /// test's base.  Everything below `theory_checked` passed both tests,
+    /// so an unchanged input needs no re-run.  Refutations are explained
+    /// from the trail; on backjump the trail pops its levels, so no
+    /// fixpoint is ever recomputed from scratch.
     fn theory_check(&mut self) -> Step {
         if self.theory_stack.len() <= self.theory_checked {
             return Step::Ok;
@@ -1031,6 +1023,7 @@ impl Engine {
         let t0 = Instant::now();
         let budget = 32 * self.theory_stack.len().max(8);
         let mark = self.bounds.mark();
+        let pinned = self.bounds.pinned_count();
         let outcome = self.bounds.propagate_from(
             &self.theory_stack,
             self.theory_checked..self.theory_stack.len(),
@@ -1061,14 +1054,24 @@ impl Engine {
             let pid = self.log_lemma(&conflict, CertKind::Bounds);
             return Step::Conflict(conflict, pid);
         }
-        let pinned = self.bounds.pinned_count();
-        let run_gcd =
-            pinned != self.gcd_pinned || self.stats.bound_checks.is_multiple_of(GCD_PERIOD);
-        if run_gcd {
+        let t0 = Instant::now();
+        let mut changed = self.bounds.pinned_count() != pinned;
+        if self.decision_level() == 0 {
+            // root pins are as permanent as the root itself
+            let bounds = &self.bounds;
+            changed |= self
+                .gcd_base
+                .absorb(&self.theory_stack, &|v| bounds.pinned_value(v));
+        }
+        changed = changed
+            || self
+                .gcd_base
+                .completes_equation(&self.theory_stack, self.theory_checked);
+        self.times.gcd += t0.elapsed();
+        if changed {
             if let Step::Conflict(conflict, pid) = self.gcd_check() {
                 return Step::Conflict(conflict, pid);
             }
-            self.gcd_pinned = pinned;
         }
         self.theory_checked = self.theory_stack.len();
         self.theory_propagate(mark);
@@ -1429,15 +1432,18 @@ impl Engine {
 
     /// Divisibility check over the asserted equality subsystem with the
     /// bound-pinned variables substituted out (the parity conflicts of
-    /// loopy Parikh encodings).  One elimination both detects and explains:
-    /// it reports the equations it combined and the pinned values it
-    /// used, and the bound trail explains the pins.
+    /// loopy Parikh encodings), run on the base: only the rows whose pivot
+    /// is pinned, the residual rows and the equalities above the root are
+    /// eliminated.  One elimination both detects and explains: it reports
+    /// the theory-stack entries it combined and the pinned values it used,
+    /// and the bound trail explains the pins.
     fn gcd_check(&mut self) -> Step {
         self.stats.gcd_checks += 1;
         let t0 = Instant::now();
         let bounds = &self.bounds;
-        let refuted =
-            crate::eqelim::conflict_core_pinned(&self.theory_stack, &|v| bounds.pinned_value(v));
+        let refuted = self
+            .gcd_base
+            .conflict_core(&self.theory_stack, &|v| bounds.pinned_value(v));
         self.times.gcd += t0.elapsed();
         let Some(gcd) = refuted else {
             return Step::Ok;
@@ -1447,6 +1453,14 @@ impl Engine {
         core.extend(gcd.constraints);
         core.sort_unstable();
         core.dedup();
+        if self.proof.is_some() && !gcd_refutes(&self.core_constraints(&core)) {
+            // the base eliminated a variable before it was pinned, and the
+            // checker's pins-first replay cannot follow that derivation;
+            // forgo the refutation rather than log a lemma it rejects (the
+            // search still decides the branch by simplex and splitting)
+            self.times.explain += t0.elapsed();
+            return Step::Ok;
+        }
         let core = if core.len() <= MINIMIZE_CAP {
             explain::minimize_core_budgeted(&self.theory_stack, core, &gcd_refutes, MINIMIZE_BUDGET)
         } else {
@@ -2200,16 +2214,6 @@ enum FinalOutcome {
     Branch(Lit),
     /// Splitting would exceed [`MAX_BRANCHES`] or [`MAX_BRANCH_MAGNITUDE`].
     ResourceOut,
-}
-
-/// `true` when the GCD/elimination refutation applies to `cs` after
-/// substituting its interval-pinned variables — the argument the checker
-/// replays for `Gcd` lemmas (which also accepts a plain interval
-/// refutation, the first arm here).
-fn gcd_refutes(cs: &[SimplexConstraint]) -> bool {
-    let (env, outcome) = BoundEnv::from_constraints(cs);
-    outcome == BoundOutcome::Refuted
-        || crate::eqelim::conflict_core_pinned(cs, &|v| env.pinned_value(v)).is_some()
 }
 
 /// The `lhs ≤ 0` row of an asserted constraint — the orientation the

@@ -112,7 +112,8 @@ impl VarPool {
 /// by variable and free of zero coefficients, so iteration is in variable
 /// order and equal expressions are equal (and hash equal) field by field.
 /// Cloning is one allocation, and sums, negation and scaling are linear
-/// passes over the vectors.
+/// passes over the vectors.  A pair takes 24 bytes: the coefficient is
+/// kept as the two halves of its `i128`, which needs no 16-byte alignment.
 ///
 /// ```
 /// use posr_lia::term::{LinExpr, VarPool};
@@ -126,8 +127,30 @@ impl VarPool {
 #[derive(Clone, PartialEq, Eq, Hash, Debug, Default)]
 pub struct LinExpr {
     /// Non-zero coefficients, sorted by variable.
-    terms: Vec<(Var, i128)>,
+    terms: Vec<(Var, Coeff)>,
     constant: i128,
+}
+
+/// A term's coefficient, stored as the two 64-bit halves of its `i128`:
+/// an `i128` field would align the pair to 16 bytes and pad every term
+/// from 24 bytes to 32.
+#[derive(Clone, Copy, PartialEq, Eq, Hash)]
+struct Coeff([u64; 2]);
+
+impl Coeff {
+    fn new(c: i128) -> Coeff {
+        Coeff([c as u64, (c >> 64) as u64])
+    }
+
+    fn get(self) -> i128 {
+        (u128::from(self.0[0]) | (u128::from(self.0[1]) << 64)) as i128
+    }
+}
+
+impl fmt::Debug for Coeff {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        self.get().fmt(f)
+    }
 }
 
 impl LinExpr {
@@ -151,7 +174,11 @@ impl LinExpr {
 
     /// The expression `c·v`.
     pub fn scaled_var(v: Var, c: i128) -> LinExpr {
-        let terms = if c == 0 { Vec::new() } else { vec![(v, c)] };
+        let terms = if c == 0 {
+            Vec::new()
+        } else {
+            vec![(v, Coeff::new(c))]
+        };
         LinExpr { terms, constant: 0 }
     }
 
@@ -168,12 +195,14 @@ impl LinExpr {
     pub fn add_term(&mut self, v: Var, c: i128) {
         match self.terms.binary_search_by_key(&v, |&(w, _)| w) {
             Ok(i) => {
-                self.terms[i].1 += c;
-                if self.terms[i].1 == 0 {
+                let sum = self.terms[i].1.get() + c;
+                if sum == 0 {
                     self.terms.remove(i);
+                } else {
+                    self.terms[i].1 = Coeff::new(sum);
                 }
             }
-            Err(i) if c != 0 => self.terms.insert(i, (v, c)),
+            Err(i) if c != 0 => self.terms.insert(i, (v, Coeff::new(c))),
             Err(_) => {}
         }
     }
@@ -186,7 +215,7 @@ impl LinExpr {
     /// Coefficient of a variable (0 if absent).
     pub fn coeff(&self, v: Var) -> i128 {
         match self.terms.binary_search_by_key(&v, |&(w, _)| w) {
-            Ok(i) => self.terms[i].1,
+            Ok(i) => self.terms[i].1.get(),
             Err(_) => 0,
         }
     }
@@ -199,7 +228,7 @@ impl LinExpr {
     /// Iterator over `(variable, coefficient)` pairs with non-zero
     /// coefficients, in variable order.
     pub fn terms(&self) -> impl Iterator<Item = (Var, i128)> + '_ {
-        self.terms.iter().copied()
+        self.terms.iter().map(|&(v, c)| (v, c.get()))
     }
 
     /// The set of variables with non-zero coefficient, in order.
@@ -221,7 +250,7 @@ impl LinExpr {
     /// as 0).
     pub fn eval(&self, assignment: &dyn Fn(Var) -> i128) -> i128 {
         let mut total = self.constant;
-        for &(v, c) in &self.terms {
+        for (v, c) in self.terms() {
             total += c * assignment(v);
         }
         total
@@ -232,14 +261,38 @@ impl LinExpr {
         let Ok(at) = self.terms.binary_search_by_key(&var, |&(w, _)| w) else {
             return self.clone();
         };
-        let c = self.terms[at].1;
+        let c = self.terms[at].1.get();
         let mut rest = self.clone();
         rest.terms.remove(at);
         rest.merged(replacement, c)
     }
 
-    /// `self + k·other` in one merge of the two sorted term vectors.
+    /// `self + k·other` with checked arithmetic: `None` when a coefficient
+    /// or the constant overflows.
+    pub(crate) fn checked_add_scaled(&self, other: &LinExpr, k: i128) -> Option<LinExpr> {
+        self.merge(other, |c| c.checked_mul(k), i128::checked_add)
+    }
+
+    /// Keeps the terms `keep` accepts, in place; the constant is unchanged.
+    pub(crate) fn retain_terms(&mut self, mut keep: impl FnMut(Var, i128) -> bool) {
+        self.terms.retain(|&(v, c)| keep(v, c.get()));
+    }
+
+    /// `self + k·other` in one merge of the two sorted term vectors, with
+    /// the plain `i128` operators.
     fn merged(&self, other: &LinExpr, k: i128) -> LinExpr {
+        self.merge(other, |c| Some(c * k), |a, b| Some(a + b))
+            .expect("unchecked arithmetic always yields a value")
+    }
+
+    /// `self + scale(other)`: one merge of the two sorted term vectors,
+    /// `None` when `scale` or `add` does.
+    fn merge(
+        &self,
+        other: &LinExpr,
+        scale: impl Fn(i128) -> Option<i128>,
+        add: impl Fn(i128, i128) -> Option<i128>,
+    ) -> Option<LinExpr> {
         let (a, b) = (&self.terms, &other.terms);
         let mut terms = Vec::with_capacity(a.len() + b.len());
         let (mut i, mut j) = (0, 0);
@@ -250,13 +303,16 @@ impl LinExpr {
                     i += 1;
                 }
                 std::cmp::Ordering::Greater => {
-                    terms.push((b[j].0, b[j].1 * k));
+                    let c = scale(b[j].1.get())?;
+                    if c != 0 {
+                        terms.push((b[j].0, Coeff::new(c)));
+                    }
                     j += 1;
                 }
                 std::cmp::Ordering::Equal => {
-                    let c = a[i].1 + b[j].1 * k;
+                    let c = add(a[i].1.get(), scale(b[j].1.get())?)?;
                     if c != 0 {
-                        terms.push((a[i].0, c));
+                        terms.push((a[i].0, Coeff::new(c)));
                     }
                     i += 1;
                     j += 1;
@@ -264,11 +320,16 @@ impl LinExpr {
             }
         }
         terms.extend_from_slice(&a[i..]);
-        terms.extend(b[j..].iter().map(|&(v, c)| (v, c * k)));
-        LinExpr {
-            terms,
-            constant: self.constant + other.constant * k,
+        for &(v, c) in &b[j..] {
+            let c = scale(c.get())?;
+            if c != 0 {
+                terms.push((v, Coeff::new(c)));
+            }
         }
+        Some(LinExpr {
+            terms,
+            constant: add(self.constant, scale(other.constant)?)?,
+        })
     }
 
     /// Renders the expression with variable names from a pool.
@@ -362,7 +423,7 @@ impl Neg for LinExpr {
     type Output = LinExpr;
     fn neg(mut self) -> LinExpr {
         for (_, c) in &mut self.terms {
-            *c = -*c;
+            *c = Coeff::new(-c.get());
         }
         self.constant = -self.constant;
         self
@@ -376,7 +437,7 @@ impl Mul<i128> for LinExpr {
             return LinExpr::zero();
         }
         for (_, c) in &mut self.terms {
-            *c *= rhs;
+            *c = Coeff::new(c.get() * rhs);
         }
         self.constant *= rhs;
         self
@@ -577,7 +638,7 @@ mod tests {
             let (mut e, mut m) = (LinExpr::zero(), Model::default());
             for _ in 0..12 {
                 let v = vars[rng.below(vars.len() as u64) as usize];
-                match rng.below(7) {
+                match rng.below(8) {
                     0 => {
                         let c = rng.int(-3, 3);
                         e.add_term(v, c);
@@ -593,12 +654,20 @@ mod tests {
                             f += LinExpr::scaled_var(w, c);
                             n.add_term(w, c);
                         }
-                        if rng.below(2) == 0 {
-                            e += f;
-                            m.add(&n, 1);
-                        } else {
-                            e -= f;
-                            m.add(&n, -1);
+                        match rng.below(3) {
+                            0 => {
+                                e += f;
+                                m.add(&n, 1);
+                            }
+                            1 => {
+                                e -= f;
+                                m.add(&n, -1);
+                            }
+                            _ => {
+                                let k = rng.int(-3, 3);
+                                e = e.checked_add_scaled(&f, k).expect("small values");
+                                m.add(&n, k);
+                            }
                         }
                     }
                     3 => {
@@ -620,9 +689,13 @@ mod tests {
                         e = e.substitute(v, &r);
                         m = m.substitute(v, &rm);
                     }
-                    _ => {
+                    6 => {
                         let assignment = |w: Var| w.index() as i128 - 2;
                         assert_eq!(e.eval(&assignment), m.eval(&assignment));
+                    }
+                    _ => {
+                        e.retain_terms(|w, _| w != v);
+                        m.coeffs.remove(&v);
                     }
                 }
                 assert_matches(&e, &m, &vars, &mut rng);
