@@ -74,6 +74,8 @@ fn main() {
     let mut hangs = 0usize;
     let mut escapes = 0usize;
     let mut failures: Vec<String> = Vec::new();
+    let slow_lane = posr_obs::counter("lia.rat.slow_lane");
+    let slow_lane_before = slow_lane.value();
 
     while (Instant::now() < deadline || round < MIN_ROUNDS) && failures.len() < 10 {
         let instance = &instances[(round as usize) % instances.len()];
@@ -174,6 +176,8 @@ fn main() {
     let _ = writeln!(json, "  \"wrong_verdicts\": {wrong_verdicts},");
     let _ = writeln!(json, "  \"hangs\": {hangs},");
     let _ = writeln!(json, "  \"panic_escapes\": {escapes},");
+    let slow_lane_trips = slow_lane.value() - slow_lane_before;
+    let _ = writeln!(json, "  \"slow_lane\": {slow_lane_trips},");
     let _ = writeln!(json, "  \"failures\": {},", failures.len());
     let _ = writeln!(json, "  \"ok\": {}", failures.is_empty());
     json.push_str("}\n");
@@ -190,7 +194,8 @@ fn main() {
     println!(
         "{round} rounds, {injected_faults} faults injected: {sat} sat / {unsat} unsat / \
          {unknown} unknown ({degraded} clean degradations); \
-         {wrong_verdicts} wrong verdicts, {hangs} hangs, {escapes} panic escapes"
+         {wrong_verdicts} wrong verdicts, {hangs} hangs, {escapes} panic escapes; \
+         {slow_lane_trips} slow-lane trips"
     );
     if !failures.is_empty() {
         for f in &failures {

@@ -130,6 +130,8 @@ fn main() {
     let mut replayed = 0usize;
     let mut incomplete = 0usize;
     let mut failures: Vec<String> = Vec::new();
+    let slow_lane = posr_obs::counter("lia.rat.slow_lane");
+    let slow_lane_before = slow_lane.value();
 
     // always run a floor of rounds so a tiny budget still means something
     while (Instant::now() < deadline || round < 200) && failures.len() < 10 {
@@ -199,6 +201,8 @@ fn main() {
         json,
         "  \"proofs\": {{\"replayed\":{replayed},\"incomplete\":{incomplete}}},"
     );
+    let slow_lane_trips = slow_lane.value() - slow_lane_before;
+    let _ = writeln!(json, "  \"slow_lane\": {slow_lane_trips},");
     let _ = writeln!(json, "  \"failures\": {},", failures.len());
     let _ = writeln!(json, "  \"ok\": {}", failures.is_empty());
     json.push_str("}\n");
@@ -214,7 +218,8 @@ fn main() {
 
     println!(
         "{round} rounds: {sat} sat / {unsat} unsat / {unknown} unknown; \
-         {replayed} proofs replayed, {incomplete} incomplete (withheld by the engine)"
+         {replayed} proofs replayed, {incomplete} incomplete (withheld by the engine); \
+         {slow_lane_trips} slow-lane trips"
     );
     if !failures.is_empty() {
         for f in &failures {

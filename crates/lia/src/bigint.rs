@@ -7,7 +7,9 @@
 //! ~254 bits even when the *reduced* result fits comfortably in `i128`.
 //! The slow lane computes those intermediates here exactly, reduces by
 //! the gcd, and converts back — only a result that genuinely cannot be
-//! represented still raises the overflow marker.
+//! represented still raises the overflow marker.  The simplex's integer
+//! row merges take the same lane: a merged row that overflows `i128` is
+//! recomputed here and divided by its content.
 //!
 //! The representation is sign + little-endian `u64` limbs (no trailing
 //! zero limbs; zero is the empty limb vector with a positive sign).

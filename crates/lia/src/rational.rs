@@ -1,12 +1,13 @@
 //! Exact rational arithmetic over `i128`, with a big-integer slow lane.
 //!
-//! The simplex feasibility checker works over the rationals.  `Rat` stays
-//! a `Copy` pair of `i128`s — the tableau hot paths depend on that — and
-//! every operation first tries machine arithmetic.  On overflow the
-//! operation falls back to a *slow lane* over the vendored
-//! [`crate::bigint::BigInt`]: the exact intermediate is computed with
-//! arbitrary precision, reduced by the gcd, and converted back to `i128`.
-//! Deep product-automaton coefficients thus overflow only when the
+//! The simplex's assignment, bounds and certificates are rationals (its
+//! rows are integer numerators over one row denominator, see
+//! `simplex.rs`).  `Rat` stays a `Copy` pair of `i128`s — the assignment
+//! updates depend on that — and every operation first tries machine
+//! arithmetic.  On overflow the operation falls back to a *slow lane*
+//! over the vendored [`crate::bigint::BigInt`]: the exact intermediate is
+//! computed with arbitrary precision, reduced by the gcd, and converted
+//! back to `i128`.  Deep product-automaton coefficients thus overflow only when the
 //! *reduced result* genuinely needs more than 127 bits; comparisons never
 //! overflow at all (they finish exactly in the slow lane).  A result that
 //! truly cannot be represented panics with a recognisable message; the
@@ -58,8 +59,9 @@ pub fn catch_overflow<T>(f: impl FnOnce() -> T) -> Result<T, String> {
 }
 
 /// Operations that had to take the big-integer slow lane (each one was a
-/// spurious resource-out before the lane existed).
-static OBS_SLOW_LANE: LazyLock<posr_obs::Counter> =
+/// spurious resource-out before the lane existed), here and in the
+/// simplex's exact row merges.
+pub(crate) static OBS_SLOW_LANE: LazyLock<posr_obs::Counter> =
     LazyLock::new(|| posr_obs::counter("lia.rat.slow_lane"));
 
 /// An exact rational number `num / den` with `den > 0` and `gcd(num, den) = 1`.

@@ -27,10 +27,13 @@
 //!   earlier checks, so a re-check after one new bound typically pivots
 //!   once or not at all — this is what makes the theory side of CDCL(T)
 //!   as incremental as the Boolean side.
-//! * **Rows are flat and sparse.**  A basic variable's row is a
-//!   [`SparseRow`]: paired column/coefficient arrays sorted by column,
-//!   drawn from a per-tableau arena and recycled across pivots instead of
-//!   cloned.  A **column occurrence index** (`col_rows[j]` = the basic
+//! * **Rows are flat, sparse and fraction-free.**  A basic variable's row
+//!   is a [`SparseRow`]: column-sorted `i128` numerators over one
+//!   positive row denominator `D`, `x_b = Σ (c_k / D)·x_k`, divided by
+//!   their content so that `gcd(D, c_1, …, c_m) = 1` — the unique integer
+//!   form of the row's rationals.  Rows are drawn from a per-tableau
+//!   arena and recycled across pivots instead of cloned.  A **column
+//!   occurrence index** (`col_rows[j]` = the basic
 //!   variables whose rows mention column `j`) is maintained through every
 //!   pivot and assignment update, so `update`, `pivot_and_update` and
 //!   `pivot` touch only the rows that actually contain the moving column
@@ -38,6 +41,24 @@
 //!   [`IncrementalSimplex::row_touches`] counts rows actually visited,
 //!   [`IncrementalSimplex::dense_row_touches`] the counterfactual cost of
 //!   the old full scans, and both flow into `posr-obs` counters.
+//! * **Pivots are integer arithmetic.**  Pivoting `x_b` out for `x_n`
+//!   turns `b`'s row around by a sign flip, `|c_bn|·x_n = ±D_b·x_b ∓
+//!   Σ c_bk·x_k`, which keeps its content 1.  Substituting that row
+//!   (denominator `D_n`, numerators `e_k`) into an occurrence row with
+//!   numerator `c_on` scales the old row by `m = D_n / g` and the
+//!   entering row by `f = c_on / g`, where `g = gcd(D_n, c_on)`: every
+//!   entry becomes `c_ok·m + f·e_k` over `D_o·m` — two multiplies and
+//!   one add, no gcd.  A content pass that stops at the first unit gcd
+//!   restores the normal form when the new denominator is not 1.  The
+//!   coefficients are the same rationals a per-entry [`Rat`] tableau
+//!   holds, so the pivot sequence, `β`, the models and the cores are
+//!   too.  `β`, the bounds and `θ` stay [`Rat`]s; a coefficient becomes
+//!   `c / D` only where a rational is needed (assignment updates, the
+//!   implied-bound sums), and the Bland candidate test and the Farkas
+//!   core read signs only.  A merge that overflows `i128` is recomputed
+//!   exactly in [`crate::bigint::BigInt`], reduced by its content and
+//!   counted on `lia.rat.slow_lane`; only a reduced row that needs more
+//!   than 127 bits raises the overflow marker.
 //! * **Backtracking** is stack-shaped: [`IncrementalSimplex::retract_to`]
 //!   unwinds the bound trail to a given assertion count (the CDCL engine
 //!   keeps assertions aligned with its theory-literal trail).  Retraction
@@ -67,7 +88,8 @@
 
 use std::collections::{BTreeMap, HashMap};
 
-use crate::rational::{gcd, Rat};
+use crate::bigint::BigInt;
+use crate::rational::{gcd, overflow_panic, Rat};
 use crate::term::{LinExpr, Var};
 
 /// Pivots performed across every tableau in the process (obs counter; the
@@ -230,47 +252,143 @@ struct UndoEntry {
     old: Option<(Rat, u32)>,
 }
 
-/// A flat sparse row: paired column/coefficient arrays, columns strictly
-/// ascending, coefficients nonzero.  Rows are recycled through the
-/// tableau's arena instead of being reallocated per pivot.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
+/// A flat sparse row over one denominator: `x = Σ (coeffs[i] / den)·x_{cols[i]}`
+/// with columns strictly ascending, numerators nonzero, `den > 0` and
+/// `gcd(den, coeffs…) = 1`.  Every numerator and the denominator fit in
+/// 127 bits (never `i128::MIN`), so negation cannot overflow.  Rows are
+/// recycled through the tableau's arena instead of being reallocated per
+/// pivot.
+#[derive(Clone, Debug, PartialEq, Eq)]
 struct SparseRow {
     cols: Vec<u32>,
-    coeffs: Vec<Rat>,
+    coeffs: Vec<i128>,
+    den: i128,
+}
+
+impl Default for SparseRow {
+    fn default() -> SparseRow {
+        SparseRow {
+            cols: Vec::new(),
+            coeffs: Vec::new(),
+            den: 1,
+        }
+    }
 }
 
 impl SparseRow {
     fn clear(&mut self) {
         self.cols.clear();
         self.coeffs.clear();
+        self.den = 1;
     }
 
     fn len(&self) -> usize {
         self.cols.len()
     }
 
-    /// Coefficient of `col`, by binary search.
-    fn get(&self, col: usize) -> Option<Rat> {
+    /// Numerator of `col`, by binary search.
+    fn get(&self, col: usize) -> Option<i128> {
         self.cols
             .binary_search(&(col as u32))
             .ok()
             .map(|i| self.coeffs[i])
     }
 
-    /// Appends an entry; `col` must exceed every column already present.
-    fn push(&mut self, col: usize, coeff: Rat) {
-        debug_assert!(self.cols.last().is_none_or(|&c| c < col as u32));
-        debug_assert!(!coeff.is_zero());
-        self.cols.push(col as u32);
-        self.coeffs.push(coeff);
+    /// The rational coefficient `num / den` of a numerator of this row.
+    fn rat(&self, num: i128) -> Rat {
+        if self.den == 1 {
+            Rat::from_int(num)
+        } else {
+            Rat::new(num, self.den)
+        }
     }
 
-    /// `(column, coefficient)` pairs in ascending column order.
-    fn iter(&self) -> impl Iterator<Item = (usize, Rat)> + '_ {
+    /// Appends an entry; `col` must exceed every column already present.
+    fn push(&mut self, col: usize, num: i128) {
+        debug_assert!(self.cols.last().is_none_or(|&c| c < col as u32));
+        debug_assert!(num != 0);
+        self.cols.push(col as u32);
+        self.coeffs.push(num);
+    }
+
+    /// `(column, numerator)` pairs in ascending column order.
+    fn iter(&self) -> impl Iterator<Item = (usize, i128)> + '_ {
         self.cols
             .iter()
             .zip(&self.coeffs)
             .map(|(&c, &a)| (c as usize, a))
+    }
+
+    /// Divides the denominator and the numerators by their content.  The
+    /// gcd scan stops at the first unit, which on tableau rows is almost
+    /// always within the first entries.
+    fn normalise_content(&mut self) {
+        let mut g = self.den;
+        for &c in &self.coeffs {
+            if g == 1 {
+                return;
+            }
+            g = gcd(g, c);
+        }
+        if g > 1 {
+            self.den /= g;
+            for c in &mut self.coeffs {
+                *c /= g;
+            }
+        }
+    }
+}
+
+/// `a·b + c` when it fits in 127 bits (so the result negates safely).
+#[inline]
+fn mul_add(a: i128, b: i128, c: i128) -> Option<i128> {
+    a.checked_mul(b)?.checked_add(c).filter(|&v| v != i128::MIN)
+}
+
+/// A slow-lane value back in machine range, or the overflow marker when
+/// it needs more than 127 bits.
+fn fit127(v: &BigInt) -> i128 {
+    match v.to_i128() {
+        Some(x) if x != i128::MIN => x,
+        _ => overflow_panic(),
+    }
+}
+
+/// The exact substituted entry `c_ok·m + f·e_k`.
+fn exact_entry(c_ok: i128, m: i128, f: i128, e_k: i128) -> BigInt {
+    BigInt::from_i128(c_ok)
+        .mul(&BigInt::from_i128(m))
+        .add(&BigInt::from_i128(f).mul(&BigInt::from_i128(e_k)))
+}
+
+/// The slow lane of a row merge that overflowed `i128`: recomputes the
+/// entries of the columns `out` already holds, and the denominator
+/// `D_old·m`, exactly in `BigInt`, divides them by their content and
+/// lands them back in machine range.  Only a reduced row that needs more
+/// than 127 bits raises the overflow marker.
+#[cold]
+fn substitute_exact(old: &SparseRow, m: i128, f: i128, sub: &SparseRow, out: &mut SparseRow) {
+    crate::rational::OBS_SLOW_LANE.incr();
+    let den = BigInt::from_i128(old.den).mul(&BigInt::from_i128(m));
+    let entries: Vec<BigInt> = out
+        .cols
+        .iter()
+        .map(|&k| {
+            let k = k as usize;
+            exact_entry(old.get(k).unwrap_or(0), m, f, sub.get(k).unwrap_or(0))
+        })
+        .collect();
+    let one = BigInt::from_i128(1);
+    let mut content = den.clone();
+    for e in &entries {
+        if content == one {
+            break;
+        }
+        content = content.gcd(e);
+    }
+    out.den = fit127(&den.divrem(&content).0);
+    for (c, e) in out.coeffs.iter_mut().zip(&entries) {
+        *c = fit127(&e.divrem(&content).0);
     }
 }
 
@@ -457,7 +575,7 @@ impl IncrementalSimplex {
                 Some(def) => {
                     for (j, a) in def.iter() {
                         let entry = row.entry(j).or_insert(Rat::ZERO);
-                        *entry += coeff * a;
+                        *entry += coeff * def.rat(a);
                     }
                 }
                 None => {
@@ -471,11 +589,21 @@ impl IncrementalSimplex {
         for (&j, &a) in &row {
             value += a * self.beta[j];
         }
-        let s = self.add_var(None);
+        // clear the denominators by their lcm: each prime power of the lcm
+        // is some entry's full denominator, whose numerator it cannot
+        // divide, so the row's content is already 1
+        let den = row.values().fold(1i128, |l, a| {
+            mul_add(l / gcd(l, a.denom()), a.denom(), 0).unwrap_or_else(|| overflow_panic())
+        });
         let mut frozen = self.alloc_row();
+        frozen.den = den;
         for (&j, &a) in &row {
-            frozen.push(j, a);
-            self.col_rows[j].push(s as u32);
+            let num = mul_add(a.numer(), den / a.denom(), 0).unwrap_or_else(|| overflow_panic());
+            frozen.push(j, num);
+        }
+        let s = self.add_var(None);
+        for &j in &frozen.cols {
+            self.col_rows[j as usize].push(s as u32);
         }
         self.rows[s] = Some(frozen);
         self.beta[s] = value;
@@ -695,17 +823,22 @@ impl IncrementalSimplex {
                 if row.len() > row_cap {
                     return None;
                 }
+                // Σ c·bound over the numerators, divided by D once
                 let mut sum = Rat::ZERO;
-                for (n, a) in row.iter() {
-                    let (v, tag) = if upper == a.is_positive() {
+                for (n, c) in row.iter() {
+                    let (v, tag) = if upper == (c > 0) {
                         self.upper[n]?
                     } else {
                         self.lower[n]?
                     };
                     tags.push(tag);
-                    sum += a * v;
+                    sum += Rat::from_int(c) * v;
                 }
-                Some(sum)
+                Some(if row.den == 1 {
+                    sum
+                } else {
+                    sum / Rat::from_int(row.den)
+                })
             }
         }
     }
@@ -730,21 +863,24 @@ impl IncrementalSimplex {
         self.row_touches += self.col_rows[n].len() as u64;
         for idx in 0..self.col_rows[n].len() {
             let b = self.col_rows[n][idx] as usize;
-            let a_bn = self.rows[b]
-                .as_ref()
-                .expect("occurrence owner is basic")
-                .get(n)
-                .expect("indexed row contains the column");
+            let a_bn = self.coeff_in(b, n);
             self.beta[b] += a_bn * delta;
             self.mark_suspect(b);
         }
     }
 
+    /// The rational coefficient of nonbasic `n` in the row of basic `b`,
+    /// which the occurrence index says contains it.
+    fn coeff_in(&self, b: usize, n: usize) -> Rat {
+        let row = self.rows[b].as_ref().expect("occurrence owner is basic");
+        row.rat(row.get(n).expect("indexed row contains the column"))
+    }
+
     /// Pivot basic variable `b` with nonbasic variable `n` and set `b` to `v`.
     fn pivot_and_update(&mut self, b: usize, n: usize, v: Rat) {
         let row_b = self.rows[b].take().expect("b must be basic");
-        let a_bn = row_b.get(n).expect("n must occur in the row of b");
-        let theta = (v - self.beta[b]) / a_bn;
+        let c_bn = row_b.get(n).expect("n must occur in the row of b");
+        let theta = (v - self.beta[b]) / row_b.rat(c_bn);
         self.beta[b] = v;
         self.beta[n] += theta;
         // n enters the basis with a moved assignment: it may overshoot its
@@ -757,45 +893,44 @@ impl IncrementalSimplex {
             if other == b {
                 continue; // b's value was already set to the target
             }
-            let a_on = self.rows[other]
-                .as_ref()
-                .expect("occurrence owner is basic")
-                .get(n)
-                .expect("indexed row contains the column");
+            let a_on = self.coeff_in(other, n);
             self.beta[other] += a_on * theta;
             self.mark_suspect(other);
         }
-        self.pivot(b, n, row_b, a_bn);
+        self.pivot(b, n, row_b, c_bn);
         self.pivots += 1;
     }
 
     /// Structural pivot: `b` leaves the basis, `n` enters it.  Touches only
     /// the rows the occurrence index lists for `n`; `row_b` is consumed and
     /// recycled through the arena.
-    fn pivot(&mut self, b: usize, n: usize, row_b: SparseRow, a_bn: Rat) {
+    fn pivot(&mut self, b: usize, n: usize, row_b: SparseRow, c_bn: i128) {
         // b's row disappears: drop b from the occurrence lists of its
         // columns first, so the index never points at a missing row (this
         // also removes b from col_rows[n] before it is drained below)
         for (k, _) in row_b.iter() {
             remove_occ(&mut self.col_rows[k], b);
         }
-        // n = (b - Σ_{k≠n} a_bk·k) / a_bn — build n's row sorted, merging
-        // the new column b into position
-        let inv = Rat::ONE / a_bn;
+        // |c_bn|·n = ±D_b·b ∓ Σ_{k≠n} c_bk·k — a sign flip of b's row, whose
+        // content stays 1; build it sorted, merging the new column b into
+        // position
+        let sign = c_bn.signum();
+        let own = sign * row_b.den;
         let mut new_row_n = self.alloc_row();
+        new_row_n.den = c_bn.abs();
         let mut b_inserted = false;
-        for (k, a_bk) in row_b.iter() {
+        for (k, c_bk) in row_b.iter() {
             if k == n {
                 continue;
             }
             if !b_inserted && b < k {
-                new_row_n.push(b, inv);
+                new_row_n.push(b, own);
                 b_inserted = true;
             }
-            new_row_n.push(k, -a_bk * inv);
+            new_row_n.push(k, -sign * c_bk);
         }
         if !b_inserted {
-            new_row_n.push(b, inv);
+            new_row_n.push(b, own);
         }
         // substitute n in exactly the rows that contain it
         let occ = std::mem::take(&mut self.col_rows[n]);
@@ -805,8 +940,7 @@ impl IncrementalSimplex {
             let other = o as usize;
             debug_assert_ne!(other, b, "b was removed from the index above");
             let old = self.rows[other].take().expect("occurrence owner is basic");
-            let a_on = old.get(n).expect("indexed row contains the column");
-            let merged = self.substitute(other, &old, n, a_on, &new_row_n);
+            let merged = self.substitute(other, &old, n, &new_row_n);
             self.free_row(old);
             self.rows[other] = Some(merged);
         }
@@ -818,19 +952,35 @@ impl IncrementalSimplex {
         self.free_row(row_b);
     }
 
-    /// `old − old[drop_col]·drop_col + a_on·sub`, as a sorted two-pointer
-    /// merge.  Maintains the occurrence index for `owner`: fill-in columns
-    /// gain `owner`, cancelled columns lose it (`drop_col` itself was
-    /// already drained by the caller).
+    /// `old` with `drop_col` replaced by `sub` (the entering variable's
+    /// row), as a sorted two-pointer merge over integers: with
+    /// `g = gcd(D_sub, c_on)`, `m = D_sub / g` and `f = c_on / g`, each
+    /// entry is `c_ok·m + f·e_k` over the denominator `D_old·m`, followed
+    /// by a content pass when that denominator is not 1.  Maintains the
+    /// occurrence index for `owner`: fill-in columns gain `owner`,
+    /// cancelled columns lose it (`drop_col` itself was already drained by
+    /// the caller).
     fn substitute(
         &mut self,
         owner: usize,
         old: &SparseRow,
         drop_col: usize,
-        a_on: Rat,
         sub: &SparseRow,
     ) -> SparseRow {
+        let c_on = old.get(drop_col).expect("indexed row contains the column");
+        let g = if sub.den == 1 { 1 } else { gcd(sub.den, c_on) };
+        let (m, f) = (sub.den / g, c_on / g);
         let mut out = self.alloc_row();
+        // an entry past 127 bits gets a placeholder and sends the whole
+        // row to the exact recomputation below
+        let mut overflowed = false;
+        let mut fit = |v: Option<i128>| {
+            v.unwrap_or_else(|| {
+                overflowed = true;
+                1
+            })
+        };
+        let scale = |c: i128| if m == 1 { Some(c) } else { mul_add(c, m, 0) };
         let (mut i, mut j) = (0usize, 0usize);
         loop {
             let ci = old.cols.get(i).copied();
@@ -844,28 +994,39 @@ impl IncrementalSimplex {
             if take_old && take_sub {
                 let k = ci.expect("both present") as usize;
                 debug_assert_ne!(k, drop_col, "sub never contains the dropped column");
-                let v = old.coeffs[i] + a_on * sub.coeffs[j];
-                if v.is_zero() {
-                    // cancellation: owner's row no longer mentions k
+                let (c_ok, e_k) = (old.coeffs[i], sub.coeffs[j]);
+                let v = scale(c_ok).and_then(|s| mul_add(f, e_k, s));
+                // a cancellation is decided exactly even past 127 bits, so
+                // the index stays right on the slow lane too
+                if v == Some(0) || v.is_none() && exact_entry(c_ok, m, f, e_k).is_zero() {
                     remove_occ(&mut self.col_rows[k], owner);
                 } else {
-                    out.push(k, v);
+                    out.push(k, fit(v));
                 }
                 i += 1;
                 j += 1;
             } else if take_old {
                 let k = ci.expect("old present") as usize;
                 if k != drop_col {
-                    out.push(k, old.coeffs[i]);
+                    out.push(k, fit(scale(old.coeffs[i])));
                 }
                 i += 1;
             } else {
                 let k = cj.expect("sub present") as usize;
                 // fill-in: owner's row gains column k
-                out.push(k, a_on * sub.coeffs[j]);
+                out.push(k, fit(mul_add(f, sub.coeffs[j], 0)));
                 self.col_rows[k].push(owner as u32);
                 j += 1;
             }
+        }
+        match mul_add(old.den, m, 0) {
+            Some(den) if !overflowed => {
+                out.den = den;
+                if den != 1 {
+                    out.normalise_content();
+                }
+            }
+            _ => substitute_exact(old, m, f, sub, &mut out),
         }
         out
     }
@@ -971,9 +1132,9 @@ impl IncrementalSimplex {
             let row = self.rows[b].as_ref().expect("basic");
             let candidate = row
                 .iter()
-                .find(|&(n, a)| {
+                .find(|&(n, c)| {
                     debug_assert!(!self.is_basic(n));
-                    if lower_violation == a.is_positive() {
+                    if lower_violation == (c > 0) {
                         self.upper[n].is_none_or(|(u, _)| self.beta[n] < u)
                     } else {
                         self.lower[n].is_none_or(|(l, _)| self.beta[n] > l)
@@ -1001,11 +1162,11 @@ impl IncrementalSimplex {
             self.upper[b].expect("violated bound").1
         };
         core.push(own);
-        for (n, a) in row.iter() {
-            // lower violation needs β(b) to rise: a > 0 nonbasics are
-            // blocked at their upper bound, a < 0 at their lower (and
+        for (n, c) in row.iter() {
+            // lower violation needs β(b) to rise: c > 0 nonbasics are
+            // blocked at their upper bound, c < 0 at their lower (and
             // dually for an upper violation)
-            let blocking_upper = lower_violation == a.is_positive();
+            let blocking_upper = lower_violation == (c > 0);
             let tag = if blocking_upper {
                 self.upper[n].expect("blocking bound").1
             } else {
@@ -1345,15 +1506,18 @@ mod tests {
                 row.cols.windows(2).all(|w| w[0] < w[1]),
                 "row of {b} not strictly sorted"
             );
+            assert!(row.den > 0, "row of {b} has denominator {}", row.den);
+            let content = row.coeffs.iter().fold(row.den, |g, &c| gcd(g, c));
+            assert_eq!(content, 1, "row of {b} has content {content}");
             let mut value = Rat::ZERO;
-            for (k, a) in row.iter() {
-                assert!(!a.is_zero(), "zero coefficient in row of {b}");
+            for (k, c) in row.iter() {
+                assert!(c != 0, "zero coefficient in row of {b}");
                 assert!(s.rows[k].is_none(), "row of {b} mentions basic {k}");
                 assert!(
                     s.col_rows[k].contains(&(b as u32)),
                     "occurrence index misses {b} in column {k}"
                 );
-                value += a * s.beta[k];
+                value += row.rat(c) * s.beta[k];
             }
             assert_eq!(value, s.beta[b], "β inconsistent at basic {b}");
         }
@@ -1768,12 +1932,14 @@ mod tests {
         }
     }
 
-    fn random_constraint(rng: &mut Rng, vars: &[Var]) -> SimplexConstraint {
+    /// A random constraint over 1–3 of `vars` with coefficients drawn
+    /// from `[-coeff_max, coeff_max]`.
+    fn random_constraint(rng: &mut Rng, vars: &[Var], coeff_max: i128) -> SimplexConstraint {
         let n_terms = 1 + rng.below(3) as usize;
         let mut expr = LinExpr::constant(rng.int(-10, 10));
         for _ in 0..n_terms {
             let v = vars[rng.below(vars.len() as u64) as usize];
-            let mut c = rng.int(-3, 3);
+            let mut c = rng.int(-coeff_max, coeff_max);
             if c == 0 {
                 c = 1;
             }
@@ -1792,12 +1958,19 @@ mod tests {
     /// observable states — same assert verdicts and clash tags, same check
     /// verdicts, same pivot counts, same models, same Farkas cores — with
     /// every returned core certified infeasible by a one-shot re-check and
-    /// the occurrence-index invariants intact after every operation.
+    /// the occurrence-index invariants intact after every operation.  The
+    /// small coefficients over 6 variables keep most rows integral; the
+    /// wide ones over 10 variables give rows denominators above 1 and
+    /// merges with a content to divide out.
     #[test]
     fn sparse_tableau_matches_dense_oracle_over_random_sessions() {
         let mut pool = VarPool::new();
-        let vars: Vec<Var> = (0..6).map(|i| pool.fresh(&format!("v{i}"))).collect();
-        for seed in 1..=10u64 {
+        let all_vars: Vec<Var> = (0..10).map(|i| pool.fresh(&format!("v{i}"))).collect();
+        let narrow = (1..=10u64).map(|seed| (seed, 6, 3));
+        let wide = (11..=30u64).map(|seed| (seed, 10, 60));
+        let mut max_den = 1;
+        for (seed, n_vars, coeff_max) in narrow.chain(wide) {
+            let vars = &all_vars[..n_vars];
             let mut rng = Rng(seed.wrapping_mul(0x9e37_79b9_7f4a_7c15));
             let mut sparse = IncrementalSimplex::new();
             let mut oracle = dense::DenseSimplex::new();
@@ -1807,7 +1980,7 @@ mod tests {
             for _ in 0..80 {
                 match rng.below(10) {
                     0..=4 => {
-                        let c = random_constraint(&mut rng, &vars);
+                        let c = random_constraint(&mut rng, vars, coeff_max);
                         let tag = asserted.len() as u32;
                         let rs = sparse.assert_constraint(&c, tag);
                         let ro = oracle.assert_constraint(&c, tag);
@@ -1865,8 +2038,11 @@ mod tests {
                 }
                 assert_eq!(sparse.num_asserted(), oracle.num_asserted());
                 check_invariants(&sparse);
+                let dens = sparse.rows.iter().flatten().map(|row| row.den);
+                max_den = dens.fold(max_den, i128::max);
             }
         }
+        assert!(max_den > 1, "no session produced a fractional row");
     }
 
     /// The dense oracle agrees with the one-shot public entry point — a
@@ -1878,8 +2054,9 @@ mod tests {
         let mut rng = Rng(0xdead_beef_cafe_f00d);
         for _ in 0..50 {
             let n = 2 + rng.below(6) as usize;
-            let cs: Vec<SimplexConstraint> =
-                (0..n).map(|_| random_constraint(&mut rng, &vars)).collect();
+            let cs: Vec<SimplexConstraint> = (0..n)
+                .map(|_| random_constraint(&mut rng, &vars, 3))
+                .collect();
             let mut oracle = dense::DenseSimplex::new();
             let mut early = None;
             for (i, c) in cs.iter().enumerate() {
@@ -1897,6 +2074,87 @@ mod tests {
                 (Err(c1), Err(c2)) => assert_eq!(c1, c2),
                 (a, b) => panic!("verdicts diverged: {a:?} vs {b:?}"),
             }
+        }
+    }
+
+    /// The row slow lane: in both systems (drawn by a random search over
+    /// coefficients near 2^60–2^66) one pivot's integer merge overflows
+    /// `i128`, and the exact `BigInt` recomputation divides the row by its
+    /// content back into range.  Verdict, pivot count, model and core must
+    /// still be the dense `Rat` oracle's, and `lia.rat.slow_lane` must
+    /// count the recomputation.
+    #[test]
+    fn overflowing_row_merge_reduces_back_and_matches_the_dense_oracle() {
+        let mut pool = VarPool::new();
+        let x = pool.fresh("x");
+        let y = pool.fresh("y");
+        let lin = |a: i128, b: i128, k: i128| {
+            LinExpr::scaled_var(x, a) + LinExpr::scaled_var(y, b) + LinExpr::constant(k)
+        };
+        let boxed = |mut cs: Vec<SimplexConstraint>, y_max: i128| {
+            cs.push(ge(LinExpr::var(x)));
+            cs.push(le(LinExpr::var(x) - LinExpr::constant(1)));
+            cs.push(ge(LinExpr::var(y)));
+            cs.push(le(LinExpr::var(y) - LinExpr::constant(y_max)));
+            cs
+        };
+        // feasible, with the model x = 1, y = 5/2
+        let feasible = boxed(
+            vec![
+                eq(lin(279_524_882_516_437_459, 2, -279_524_882_516_437_464)),
+                ge(lin(
+                    -3,
+                    44_839_907_276_867_500_789,
+                    -44_839_907_276_867_500_783,
+                )),
+            ],
+            8,
+        );
+        // infeasible, with the core {0, 1, x ≤ 1}
+        let infeasible = boxed(
+            vec![
+                le(lin(
+                    -81_587_383_914_745_419,
+                    -461_621_880_982_681_366,
+                    543_209_264_897_426_785,
+                )),
+                le(lin(-4, 144_754_795_225_351_855, -144_754_795_225_351_850)),
+            ],
+            4,
+        );
+        let slow_lane: posr_obs::Counter = *crate::rational::OBS_SLOW_LANE;
+        for (cs, expect_feasible) in [(feasible, true), (infeasible, false)] {
+            let scope = posr_obs::CounterScope::new();
+            let attached = scope.attach();
+            let mut sparse = IncrementalSimplex::new();
+            for (i, c) in cs.iter().enumerate() {
+                sparse
+                    .assert_constraint(c, i as u32)
+                    .expect("no bound clash");
+            }
+            let rs = sparse.check();
+            drop(attached);
+            check_invariants(&sparse);
+            let mut oracle = dense::DenseSimplex::new();
+            for (i, c) in cs.iter().enumerate() {
+                oracle
+                    .assert_constraint(c, i as u32)
+                    .expect("no bound clash");
+            }
+            assert_eq!(rs, oracle.check());
+            assert_eq!(rs.is_ok(), expect_feasible, "verdict: {rs:?}");
+            assert_eq!(sparse.pivots(), oracle.pivots());
+            assert_eq!(sparse.model(), oracle.model());
+            if expect_feasible {
+                check_model(&cs, &sparse.model());
+                assert_eq!(sparse.model()[&y], Rat::new(5, 2));
+            } else {
+                assert_eq!(rs, Err(vec![0, 1, 3]));
+            }
+            assert!(
+                scope.get(slow_lane) > 0,
+                "the merge no longer overflows: the system does not reach the row slow lane"
+            );
         }
     }
 }

@@ -138,21 +138,15 @@ fn forced_overflow_degrades_every_entry_point_cleanly() {
     }
 }
 
-/// The BigInt slow lane: a coefficient system past the `i64` boundary used
+/// The BigInt slow lane: coefficient systems past the `i64` boundary used
 /// to drown in `OVERFLOW_MSG` panics (reported as `Unknown`); the checked
-/// arbitrary-precision fallback now decides it both ways.
+/// arbitrary-precision fallback now decides them both ways.
 #[test]
 fn huge_coefficient_systems_answer_definitely_via_the_slow_lane() {
     let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     let slow_lane = posr_obs::counter("lia.rat.slow_lane");
     let before = slow_lane.value();
 
-    // both past i64::MAX; the shared power-of-2 factor is what lets the
-    // slow lane's gcd reduction pull overflowed intermediates back into
-    // i128 range (fully coprime coefficients would produce tableau entries
-    // that genuinely need >127 bits and correctly stay Unknown)
-    let c1: i128 = 1i128 << 63;
-    let c2: i128 = (1i128 << 63) + 2;
     let mut pool = VarPool::new();
     let x = pool.fresh("x");
     let y = pool.fresh("y");
@@ -162,27 +156,47 @@ fn huge_coefficient_systems_answer_definitely_via_the_slow_lane() {
             LinExpr::constant(c),
         )
     };
-
-    // c1·x + c2·y = c1 + c2 ∧ c2·x + c1·y = c1 + c2 has the unique
-    // rational solution x = y = 1
-    let base = vec![sym(c1, c2, c1 + c2), sym(c2, c1, c1 + c2)];
-    let sat = Formula::and(base.clone());
-    match Solver::new().solve(&sat) {
-        SolverResult::Sat(model) => {
-            assert_eq!(model.value(x), 1);
-            assert_eq!(model.value(y), 1);
+    // a·x + b·y = a + b ∧ c·x + d·y = c + d has the unique rational
+    // solution x = y = 1 (the determinants below are nonzero) …
+    let decides_both_ways = |[a, b]: [i128; 2], [c, d]: [i128; 2]| {
+        let base = vec![sym(a, b, a + b), sym(c, d, c + d)];
+        let sat = Formula::and(base.clone());
+        match Solver::new().solve(&sat) {
+            SolverResult::Sat(model) => {
+                assert_eq!(model.value(x), 1);
+                assert_eq!(model.value(y), 1);
+            }
+            other => panic!("expected sat past the i64 boundary, got {other:?}"),
         }
-        other => panic!("expected sat past the i64 boundary, got {other:?}"),
-    }
 
-    // … so forcing x + y = 3 on top is a refutation, not a resource-out
-    let mut parts = base;
-    parts.push(Formula::eq(
-        LinExpr::var(x) + LinExpr::var(y),
-        LinExpr::constant(3),
-    ));
-    let unsat = Formula::and(parts);
-    assert_eq!(Solver::new().solve(&unsat), SolverResult::Unsat);
+        // … so forcing x + y = 3 on top is a refutation, not a resource-out
+        let mut parts = base;
+        parts.push(Formula::eq(
+            LinExpr::var(x) + LinExpr::var(y),
+            LinExpr::constant(3),
+        ));
+        let unsat = Formula::and(parts);
+        assert_eq!(Solver::new().solve(&unsat), SolverResult::Unsat);
+    };
+
+    // both past i64::MAX, sharing a power-of-2 factor: the integer tableau
+    // rows stay inside i128 here, only the rationals around them grow
+    let c1: i128 = 1i128 << 63;
+    let c2: i128 = (1i128 << 63) + 2;
+    decides_both_ways([c1, c2], [c2, c1]);
+
+    // all four past i64::MAX with no shared factor (drawn by a random
+    // search over [2^63, 2^67]): the pivot's row merge needs ~130 bits and
+    // is recomputed exactly, then divided by its content back into range
+    let mid = slow_lane.value();
+    decides_both_ways(
+        [12_933_556_954_801_530_028, 10_409_901_856_419_683_819],
+        [22_818_310_772_371_801_235, 77_509_770_081_162_479_014],
+    );
+    assert!(
+        slow_lane.value() > mid,
+        "the second system decided without taking the slow lane"
+    );
 
     assert!(
         slow_lane.value() > before,
