@@ -95,8 +95,8 @@ fn flagship_instances() -> Vec<(&'static str, StringFormula, &'static str)> {
 /// with hundreds of states, sized to stress the tableau rather than the
 /// search.  `(a^{n-1}b)*` compiles to an `n`-state cycle, so a diseq +
 /// equal-length constraint over two such variables drives the tag
-/// encoding through a product on the order of `n²` states — the regime
-/// where the occurrence-indexed sparse rows pay off over dense scans.
+/// encoding through a product on the order of `n²` states, whose flow
+/// rows make the tableau large.
 /// Kept out of [`flagship_instances`] so the flagship table and the
 /// tracing-overhead guard stay fast.
 fn big_instances() -> Vec<(&'static str, StringFormula, &'static str)> {
@@ -430,10 +430,6 @@ struct LiaMetrics {
     instance_verdict: &'static str,
     wall: Duration,
     stats: posr_lia::SolverStats,
-    /// Rows a dense tableau scan would have visited over the same run —
-    /// the counterfactual baseline of `stats.row_touches`, taken as a
-    /// delta of the process-wide `obs` counter the simplex maintains.
-    dense_row_touches: u64,
 }
 
 impl LiaMetrics {
@@ -446,17 +442,10 @@ impl LiaMetrics {
             + self.stats.final_checks
     }
 
-    /// Dense-counterfactual rows per row actually touched: since both
-    /// counters cover the same pivot sequence, this is exactly the
-    /// row-touches-per-pivot reduction of the occurrence-indexed layout.
-    fn row_touch_ratio(&self) -> f64 {
-        self.dense_row_touches as f64 / self.stats.row_touches.max(1) as f64
-    }
-
     fn json(&self) -> String {
         let s = &self.stats;
         format!(
-            "{{\"verdict\":\"{}\",\"instance_verdict\":\"{}\",\"wall_ms\":{:.3},\"conflicts\":{},\"decisions\":{},\"propagations\":{},\"bound_checks\":{},\"gcd_checks\":{},\"simplex_checks\":{},\"final_checks\":{},\"theory_checks\":{},\"theory_props\":{},\"tprop_entailed\":{},\"simplex_pivots\":{},\"row_touches\":{},\"dense_row_touches\":{},\"learned\":{}}}",
+            "{{\"verdict\":\"{}\",\"instance_verdict\":\"{}\",\"wall_ms\":{:.3},\"conflicts\":{},\"decisions\":{},\"propagations\":{},\"bound_checks\":{},\"gcd_checks\":{},\"simplex_checks\":{},\"final_checks\":{},\"theory_checks\":{},\"theory_props\":{},\"simplex_pivots\":{},\"row_touches\":{},\"learned\":{}}}",
             self.verdict,
             self.instance_verdict,
             self.wall.as_secs_f64() * 1e3,
@@ -469,10 +458,8 @@ impl LiaMetrics {
             s.final_checks,
             self.theory_checks(),
             s.theory_props,
-            s.tprop_entailed,
             s.simplex_pivots,
             s.row_touches,
-            self.dense_row_touches,
             s.learned_total,
         )
     }
@@ -570,23 +557,15 @@ fn tracing_overhead() -> OverheadGuard {
     }
 }
 
-/// The dense-counterfactual row-touch counter; runs are sequential, so
-/// deltas of the process-wide value attribute exactly like `global_stats`.
-fn dense_row_touches_now() -> u64 {
-    posr_obs::counter_value(posr_lia::simplex::obs_dense_row_touch_counter())
-}
-
 /// Runs one flagship (string-level) family.
 fn run_flagship_family(formula: &StringFormula) -> LiaMetrics {
     let before = posr_lia::global_stats();
-    let dense_before = dense_row_touches_now();
     let (verdict, wall) = solve_flagship(formula);
     LiaMetrics {
         verdict,
         instance_verdict: verdict,
         wall,
         stats: posr_lia::global_stats().since(&before),
-        dense_row_touches: dense_row_touches_now() - dense_before,
     }
 }
 
@@ -594,20 +573,14 @@ fn run_flagship_family(formula: &StringFormula) -> LiaMetrics {
 /// rounds on a persistent session).
 fn run_tagauto_family(instance: &CegarInstance) -> LiaMetrics {
     let before = posr_lia::global_stats();
-    let dense_before = dense_row_touches_now();
     let run = run_cegar(instance, 2);
     LiaMetrics {
         verdict: run.final_verdict,
         instance_verdict: run.instance_verdict,
         wall: run.wall,
         stats: posr_lia::global_stats().since(&before),
-        dense_row_touches: dense_row_touches_now() - dense_before,
     }
 }
-
-/// Required dense/sparse row-touch ratio on at least one big family —
-/// the measured row-touches-per-pivot reduction of the sparse layout.
-const ROW_TOUCH_RATIO_REQUIRED: f64 = 2.0;
 
 /// Runs per family: the first is the measured one, the rest only feed the
 /// wall-time percentiles.
@@ -655,12 +628,7 @@ fn matched_flow_pairs(tracks: &[posr_obs::TrackSnapshot]) -> usize {
 ///
 /// * every family must reach its expected verdict — for the CEGAR
 ///   families, the instance verdict before any forced block against the
-///   one the family's name states,
-/// * at least one *big* family (the [`big_instances`] product automata
-///   with hundreds of states) must show a ≥ [`ROW_TOUCH_RATIO_REQUIRED`]×
-///   reduction in row touches per pivot against the dense counterfactual
-///   the simplex tracks alongside its actual visits — the headline claim
-///   of the sparse tableau layout, and
+///   one the family's name states, and
 /// * every CEGAR family must leave matched refinement flow arrows in its
 ///   trace.
 ///
@@ -743,12 +711,10 @@ fn bench_lia(tracks_out: &mut Vec<posr_obs::TrackSnapshot>) -> (String, String, 
     posr_obs::set_enabled(obs_was_enabled);
 
     let mut verdicts_ok = true;
-    let mut best_touch_ratio = 0.0f64;
-    let mut touch_family = String::new();
     let mut table = String::new();
     let _ = writeln!(
         table,
-        "| family | expected | instance verdict | final verdict | wall | wall p50/p99 ms | conflicts | theory checks | tprops (guided) | pivots | row touches sparse/dense | flows | decomp/enc/cdcl/simplex/proof ms |"
+        "| family | expected | instance verdict | final verdict | wall | wall p50/p99 ms | conflicts | theory checks | tprops | pivots | row touches | flows | decomp/enc/cdcl/simplex/proof ms |"
     );
     let _ = writeln!(
         table,
@@ -758,7 +724,6 @@ fn bench_lia(tracks_out: &mut Vec<posr_obs::TrackSnapshot>) -> (String, String, 
         let BenchRow {
             name,
             expected,
-            big,
             full,
             phases,
             wall_p50_ms,
@@ -768,13 +733,9 @@ fn bench_lia(tracks_out: &mut Vec<posr_obs::TrackSnapshot>) -> (String, String, 
         } = row;
         let ok = full.instance_verdict == *expected;
         verdicts_ok &= ok;
-        if *big && full.row_touch_ratio() > best_touch_ratio {
-            best_touch_ratio = full.row_touch_ratio();
-            touch_family = name.clone();
-        }
         let _ = writeln!(
             table,
-            "| {name} | {expected} | {}{} | {} | {:.1?} | {:.1} / {:.1} | {} | {} | {} ({}) | {} | {} / {} | {} | {:.1}/{:.1}/{:.1}/{:.1}/{:.1} |",
+            "| {name} | {expected} | {}{} | {} | {:.1?} | {:.1} / {:.1} | {} | {} | {} | {} | {} | {} | {:.1}/{:.1}/{:.1}/{:.1}/{:.1} |",
             full.instance_verdict,
             if ok { "" } else { " ❌" },
             full.verdict,
@@ -784,10 +745,8 @@ fn bench_lia(tracks_out: &mut Vec<posr_obs::TrackSnapshot>) -> (String, String, 
             full.stats.conflicts,
             full.theory_checks(),
             full.stats.theory_props,
-            full.stats.tprop_entailed,
             full.stats.simplex_pivots,
             full.stats.row_touches,
-            full.dense_row_touches,
             flow_pairs,
             phases.decomposition_ms,
             phases.encoding_ms,
@@ -802,7 +761,7 @@ fn bench_lia(tracks_out: &mut Vec<posr_obs::TrackSnapshot>) -> (String, String, 
         .iter()
         .filter(|row| row.cegar)
         .all(|row| row.flow_pairs >= 1);
-    let gate_ok = verdicts_ok && best_touch_ratio >= ROW_TOUCH_RATIO_REQUIRED && flow_ok;
+    let gate_ok = verdicts_ok && flow_ok;
 
     println!("measuring tracing overhead (flagship set, 5 interleaved reps)…");
     let overhead = tracing_overhead();
@@ -814,7 +773,7 @@ fn bench_lia(tracks_out: &mut Vec<posr_obs::TrackSnapshot>) -> (String, String, 
         if overhead.ok { "ok" } else { "EXCEEDED" },
     );
 
-    let mut json = String::from("{\n  \"schema\": \"posr-bench-lia/v5\",\n  \"families\": [\n");
+    let mut json = String::from("{\n  \"schema\": \"posr-bench-lia/v6\",\n  \"families\": [\n");
     for (i, row) in rows.iter().enumerate() {
         let _ = writeln!(
             json,
@@ -833,7 +792,7 @@ fn bench_lia(tracks_out: &mut Vec<posr_obs::TrackSnapshot>) -> (String, String, 
     }
     let _ = writeln!(
         json,
-        "  ],\n  \"gate\": {{\"verdicts_ok\":{verdicts_ok},\"max_row_touch_ratio\":{best_touch_ratio:.2},\"row_touch_family\":\"{touch_family}\",\"required_row_touch_ratio\":{ROW_TOUCH_RATIO_REQUIRED},\"cegar_flow_pairs_ok\":{flow_ok},\"ok\":{gate_ok}}},"
+        "  ],\n  \"gate\": {{\"verdicts_ok\":{verdicts_ok},\"cegar_flow_pairs_ok\":{flow_ok},\"ok\":{gate_ok}}},"
     );
     let _ = write!(
         json,
@@ -986,9 +945,8 @@ fn main() {
     }
     if !bench_ok {
         eprintln!(
-            "FAIL: BENCH_lia gate — a family missed its expected verdict, no big \
-             family shows the required {ROW_TOUCH_RATIO_REQUIRED}x row-touch reduction, \
-             or a CEGAR family's trace carries no matched refinement flow arrows"
+            "FAIL: BENCH_lia gate — a family missed its expected verdict, or a \
+             CEGAR family's trace carries no matched refinement flow arrows"
         );
         std::process::exit(1);
     }

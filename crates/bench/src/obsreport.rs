@@ -202,8 +202,8 @@ pub fn render_solve_log(text: &str) -> Result<String, String> {
 /// Diffs two `BENCH_lia.json` documents family-by-family: the wall time,
 /// conflicts, and theory checks of each family's `full` record, with the
 /// relative change.  Families present in only one document are listed as
-/// added/removed.  Every schema version so far (v3–v5) keeps the `full`
-/// record, so any two snapshots compare.
+/// added/removed.  Every schema version so far (v3–v6) keeps the `full`
+/// record with these three fields, so any two snapshots compare.
 ///
 /// # Errors
 /// Returns a message when either document is not a BENCH_lia report.

@@ -61,13 +61,14 @@
 //!   rediscovered as full conflicts (`SolverConfig::theory_propagation`,
 //!   on by default);
 //! * at the leaves (a full assignment, or every original clause already
-//!   satisfied) a **persistent, backtrackable simplex**
+//!   satisfied), and only there, a **persistent, backtrackable simplex**
 //!   ([`crate::simplex::IncrementalSimplex`]) re-checks rational
 //!   feasibility: atoms are registered once at [`Engine::grow_theory`],
-//!   asserted literals become O(1) bound assertions kept in lock-step
-//!   with the trail (retracted on backjump), and the pivot loop
-//!   warm-starts from the previous basis — its Farkas certificate is the
-//!   explanation;
+//!   the literals asserted since the last leaf are synced as O(1) bound
+//!   assertions (retracted on backjump), and the pivot loop warm-starts
+//!   from the previous basis — its Farkas certificate is the explanation.
+//!   Bounds and the divisibility test refute most partial assignments
+//!   before a leaf is reached;
 //! * integrality is decided by **splitting on demand** (Barrett,
 //!   Nieuwenhuis, Oliveras & Tinelli, LPAR'06): when the tableau's
 //!   rational model is fractional on a variable `x`, the engine interns
@@ -148,37 +149,6 @@ const MINIMIZE_BUDGET: usize = 8;
 /// cost next to nothing to keep and propagate eagerly).
 const GC_EXEMPT_LEN: usize = 2;
 
-/// The assignment-guided scan skips tableau rows longer than this: the
-/// implied-bound sum is linear in the row, and a row this wide almost
-/// never has every nonbasic bounded on the needed side anyway.  This is
-/// the *starting* cap — the engine adapts it between
-/// [`GUIDED_ROW_CAP_MIN`] and [`GUIDED_ROW_CAP_MAX`] by observed payoff.
-const GUIDED_ROW_CAP: usize = 128;
-const GUIDED_ROW_CAP_MIN: usize = 32;
-const GUIDED_ROW_CAP_MAX: usize = 512;
-
-/// Pivot budget of the *eager* simplex check behind guided propagation: a
-/// warm-started re-check normally needs zero or a handful of pivots, and
-/// that is the only case worth paying for early — when the budget runs out
-/// the check is abandoned (resumably) and the leaf check finishes the work.
-/// Also a starting value, adapted between [`GUIDED_PIVOT_BUDGET_MIN`] and
-/// [`GUIDED_PIVOT_BUDGET_MAX`].
-const GUIDED_PIVOT_BUDGET: u64 = 16;
-const GUIDED_PIVOT_BUDGET_MIN: u64 = 4;
-const GUIDED_PIVOT_BUDGET_MAX: u64 = 64;
-
-/// Consecutive payoff observations (budget exhaustions, or scans that
-/// entailed a literal) before the guided budgets move one step.
-const GUIDED_ADAPT_STREAK: u32 = 3;
-
-/// Times the guided budgets were doubled after a productive streak.
-static OBS_GUIDED_RAISED: LazyLock<posr_obs::Counter> =
-    LazyLock::new(|| posr_obs::counter("cdcl.guided_budget_raised"));
-
-/// Times the guided budgets were halved after repeated exhaustion.
-static OBS_GUIDED_LOWERED: LazyLock<posr_obs::Counter> =
-    LazyLock::new(|| posr_obs::counter("cdcl.guided_budget_lowered"));
-
 /// Wall time of the theory sub-layers inside `cdcl.solve`, in µs, flushed
 /// once per [`Engine::solve`]: interval propagation, the divisibility
 /// test, explanation (reading cores back and minimising them) and the
@@ -202,7 +172,7 @@ pub fn layer_time_counters() -> [(&'static str, posr_obs::Counter); 4] {
     ]
 }
 
-/// Distribution of pivots per simplex `check()` (leaf and guided).
+/// Distribution of pivots per leaf simplex `check()`.
 static HIST_CHECK_PIVOTS: LazyLock<posr_obs::Histogram> =
     LazyLock::new(|| posr_obs::histogram("simplex.check_pivots"));
 
@@ -274,8 +244,10 @@ pub struct SolverStats {
     /// whole row set each time.  Derived from the `obs` row-touch counter
     /// like `simplex_pivots`.
     pub row_touches: u64,
-    /// The subset of `theory_props` enqueued by the assignment-guided
-    /// tableau scan (multi-variable atoms the interval scan cannot see).
+    /// Always 0: the engine has no tableau-row propagation, so every
+    /// theory-propagated literal comes from the interval scan and is
+    /// counted in `theory_props`.  Kept because perfbench reports it as
+    /// `lia.tprop_entailed`.
     pub tprop_entailed: u64,
 }
 
@@ -303,7 +275,7 @@ type Field = fn(&mut SolverStats) -> &mut u64;
 /// process-wide totals are [`global_stats`]; a [`posr_obs::CounterScope`]
 /// attached to the solving threads sees exactly their share
 /// ([`scope_stats`]).
-const COUNTED: [(&str, Field); 14] = [
+const COUNTED: [(&str, Field); 13] = [
     ("lia.conflicts", |s| &mut s.conflicts),
     ("lia.decisions", |s| &mut s.decisions),
     ("lia.propagations", |s| &mut s.propagations),
@@ -317,10 +289,9 @@ const COUNTED: [(&str, Field); 14] = [
     ("lia.theory_props", |s| &mut s.theory_props),
     ("lia.simplex_pivots", |s| &mut s.simplex_pivots),
     ("lia.row_touches", |s| &mut s.row_touches),
-    ("lia.tprop_entailed", |s| &mut s.tprop_entailed),
 ];
 
-static OBS_STATS: LazyLock<[posr_obs::Counter; 14]> =
+static OBS_STATS: LazyLock<[posr_obs::Counter; 13]> =
     LazyLock::new(|| COUNTED.map(|(name, _)| posr_obs::counter(name)));
 
 fn stats_from(value: impl Fn(posr_obs::Counter) -> u64) -> SolverStats {
@@ -438,19 +409,6 @@ impl AtomTable {
     }
 }
 
-/// The registered atoms constraining one tableau column, keyed for the
-/// assignment-guided scan: `upper` holds `(hi, lit)` pairs — asserting
-/// `lit` bounds the owner above by `hi` — sorted ascending by `hi`;
-/// `lower` holds `(lo, lit)` pairs sorted ascending by `lo`.  The feasible
-/// assignment β prunes both lists to the candidate run before any row sum
-/// is computed (β ≤ implied-upper and implied-lower ≤ β always hold after
-/// a consistent check, so atoms β already violates cannot be entailed).
-#[derive(Default)]
-struct GuidedAtoms {
-    upper: Vec<(Rat, Lit)>,
-    lower: Vec<(Rat, Lit)>,
-}
-
 pub(crate) struct Engine {
     config: SolverConfig,
     /// Interns the atoms and gates of every asserted formula, and the
@@ -498,32 +456,6 @@ pub(crate) struct Engine {
     /// explanation is read off the trail as of this mark.  Only
     /// meaningful while `reason[var] == TPROP_REASON`.
     tprop_mark: Vec<usize>,
-    /// Per Boolean variable: the theory-stack tags of the asserted bounds
-    /// whose tableau row entailed an assignment-*guided* propagation, or
-    /// `None` when the literal came from the interval scan.  Only
-    /// meaningful while `reason[var] == TPROP_REASON`.
-    tprop_guided: Vec<Option<Vec<u32>>>,
-    /// Multi-variable atoms indexed by owning slack column, for the
-    /// assignment-guided scan after each consistent eager simplex check
-    /// (single-variable owners are already covered by the interval scan).
-    guided: BTreeMap<usize, GuidedAtoms>,
-    /// Registered columns whose implied bounds may have moved since the
-    /// last guided scan (owners of newly asserted bounds plus the basics
-    /// whose rows contain them); the scan visits only these unless the
-    /// check pivoted (pivots restructure rows arbitrarily).
-    guided_dirty: Vec<usize>,
-    /// Adaptive pivot budget of the eager guided check: starts at
-    /// [`GUIDED_PIVOT_BUDGET`], doubled after [`GUIDED_ADAPT_STREAK`]
-    /// consecutive productive scans, halved after as many consecutive
-    /// budget exhaustions.
-    guided_pivot_budget: u64,
-    /// Adaptive row cap of the guided implied-bound scan; moves in
-    /// lock-step with `guided_pivot_budget`.
-    guided_row_cap: usize,
-    /// Consecutive guided checks whose pivot budget ran out.
-    guided_exhausted_streak: u32,
-    /// Consecutive guided scans that entailed at least one literal.
-    guided_productive_streak: u32,
     /// Collects the `obs` pivot/row-touch increments made on this engine's
     /// solving thread; `SolverStats::simplex_pivots` and `row_touches` are
     /// *derived* from it, so the two accountings cannot drift.
@@ -616,13 +548,6 @@ impl Engine {
             simplex: IncrementalSimplex::new(),
             atom_table: AtomTable::default(),
             tprop_mark: Vec::new(),
-            tprop_guided: Vec::new(),
-            guided: BTreeMap::new(),
-            guided_dirty: Vec::new(),
-            guided_pivot_budget: GUIDED_PIVOT_BUDGET,
-            guided_row_cap: GUIDED_ROW_CAP,
-            guided_exhausted_streak: 0,
-            guided_productive_streak: 0,
             pivot_scope: posr_obs::CounterScope::new(),
             theory_checked: 0,
             bounds: BoundEnv::new(),
@@ -737,10 +662,6 @@ impl Engine {
             // and index the atom for theory propagation
             let pos_prep = pos.as_ref().map(|c| self.simplex.prepare(c));
             let neg_prep = neg.as_ref().map(|c| self.simplex.prepare(c));
-            if self.config.theory_propagation {
-                self.register_guided(Lit::positive(var), pos_prep.as_ref());
-                self.register_guided(Lit::negative(var), neg_prep.as_ref());
-            }
             self.lit_prepared.push(pos_prep);
             self.lit_prepared.push(neg_prep);
             if self.config.theory_propagation {
@@ -764,30 +685,7 @@ impl Engine {
             self.phase.push(true);
             self.seen.push(false);
             self.tprop_mark.push(0);
-            self.tprop_guided.push(None);
             self.heap.grow(var, &self.activity);
-        }
-    }
-
-    /// Indexes a prepared atom for the assignment-guided scan when its
-    /// owner is a slack column (a multi-variable form): the interval scan
-    /// already entails everything a single-variable owner can, so the
-    /// guided pass contributes exactly the row-entailed atoms the interval
-    /// scan cannot see.
-    fn register_guided(&mut self, lit: Lit, prepared: Option<&PreparedBound>) {
-        let Some(p) = prepared else { return };
-        let Some(col) = p.tableau_owner() else { return };
-        if !self.simplex.is_slack(col) {
-            return;
-        }
-        let g = self.guided.entry(col).or_default();
-        if let Some(hi) = p.hi() {
-            let at = g.upper.partition_point(|(v, _)| *v < hi);
-            g.upper.insert(at, (hi, lit));
-        }
-        if let Some(lo) = p.lo() {
-            let at = g.lower.partition_point(|(v, _)| *v <= lo);
-            g.lower.insert(at, (lo, lit));
         }
     }
 
@@ -1078,224 +976,6 @@ impl Engine {
         Step::Ok
     }
 
-    /// Assignment-guided theory propagation at the propagation fixpoint
-    /// *before a decision* (not at every intermediate theory check — the
-    /// eager simplex runs once per decision point, when its verdict can
-    /// still preempt the decision): runs the persistent simplex and, when
-    /// feasible, scans the registered multi-variable atoms against the
-    /// bounds the tableau rows imply — enqueueing the entailed ones
-    /// through the [`TPROP_REASON`] path.  The check itself is the
-    /// warm-start case the persistent tableau makes cheap (a handful of
-    /// bound assertions, usually zero pivots), and a conflict it finds
-    /// here is one the leaf would otherwise rediscover a subtree later.
-    fn guided_step(&mut self) -> Step {
-        if !self.config.theory_propagation
-            || self.guided.is_empty()
-            || self.theory_stack.len() <= self.simplex_checked
-        {
-            return Step::Ok;
-        }
-        // the bounds asserted since the last sync are what can move an
-        // implied bound: their owner columns, plus the basics whose rows
-        // contain them — collected before the sync consumes the range
-        for i in self.simplex.num_asserted()..self.theory_stack.len() {
-            let Some(p) = self.lit_prepared[self.theory_lits[i].code()].as_ref() else {
-                continue;
-            };
-            let Some(c) = p.tableau_owner() else { continue };
-            if self.guided.contains_key(&c) {
-                self.guided_dirty.push(c);
-            }
-            for &b in self.simplex.rows_containing(c) {
-                let b = b as usize;
-                if self.guided.contains_key(&b) {
-                    self.guided_dirty.push(b);
-                }
-            }
-        }
-        let pivots_before = self.simplex.pivots();
-        match self.simplex_check_budgeted(self.guided_pivot_budget) {
-            Some(Step::Ok) => {
-                // pivots rewrite rows wholesale; fall back to a full scan
-                let scan_all = self.simplex.pivots() != pivots_before;
-                let entailed_before = self.stats.tprop_entailed;
-                self.simplex_guided_propagate(scan_all);
-                self.guided_exhausted_streak = 0;
-                if self.stats.tprop_entailed > entailed_before {
-                    // the eager check is earning its keep: after a streak
-                    // of productive scans, spend more on it
-                    self.guided_productive_streak += 1;
-                    if self.guided_productive_streak >= GUIDED_ADAPT_STREAK
-                        && self.guided_pivot_budget < GUIDED_PIVOT_BUDGET_MAX
-                    {
-                        self.guided_productive_streak = 0;
-                        self.guided_pivot_budget =
-                            (self.guided_pivot_budget * 2).min(GUIDED_PIVOT_BUDGET_MAX);
-                        self.guided_row_cap = (self.guided_row_cap * 2).min(GUIDED_ROW_CAP_MAX);
-                        OBS_GUIDED_RAISED.incr();
-                    }
-                } else {
-                    self.guided_productive_streak = 0;
-                }
-                Step::Ok
-            }
-            Some(conflict) => conflict,
-            None => {
-                // budget ran out: the tableau needs real pivot work, which
-                // the leaf check will finish — drop the propagation attempt
-                // (it is an optimisation, never required for soundness).
-                // Repeated exhaustion means warm starts are not warm here;
-                // back the budget off so the wasted eager pivots shrink.
-                self.guided_dirty.clear();
-                self.guided_productive_streak = 0;
-                self.guided_exhausted_streak += 1;
-                if self.guided_exhausted_streak >= GUIDED_ADAPT_STREAK
-                    && self.guided_pivot_budget > GUIDED_PIVOT_BUDGET_MIN
-                {
-                    self.guided_exhausted_streak = 0;
-                    self.guided_pivot_budget =
-                        (self.guided_pivot_budget / 2).max(GUIDED_PIVOT_BUDGET_MIN);
-                    self.guided_row_cap = (self.guided_row_cap / 2).max(GUIDED_ROW_CAP_MIN);
-                    OBS_GUIDED_LOWERED.incr();
-                }
-                Step::Ok
-            }
-        }
-    }
-
-    /// [`Engine::simplex_check`] with a pivot budget (see
-    /// [`IncrementalSimplex::check_budgeted`]): `None` means the budget ran
-    /// out — the new bounds are synced into the tableau but `simplex_checked`
-    /// is *not* advanced, so the next unbudgeted check resumes the pivot
-    /// sequence and delivers the verdict.
-    fn simplex_check_budgeted(&mut self, max_pivots: u64) -> Option<Step> {
-        if self.theory_stack.len() <= self.simplex_checked {
-            return Some(Step::Ok);
-        }
-        self.stats.simplex_checks += 1;
-        let _span = posr_obs::span!("simplex", "simplex.check");
-        let t0 = Instant::now();
-        let pivots_before = self.simplex.pivots();
-        let mut outcome = Some(Ok(()));
-        for i in self.simplex.num_asserted()..self.theory_stack.len() {
-            let prepared = self.lit_prepared[self.theory_lits[i].code()]
-                .clone()
-                .expect("theory literals are registered at grow_theory");
-            if let Err(core) = self.simplex.assert_prepared(&prepared, i as u32) {
-                outcome = Some(Err(core));
-                break;
-            }
-        }
-        if let Some(Ok(())) = outcome {
-            outcome = self.simplex.check_budgeted(max_pivots);
-        }
-        self.times.simplex += t0.elapsed();
-        HIST_CHECK_PIVOTS.record(self.simplex.pivots().saturating_sub(pivots_before));
-        match outcome {
-            Some(Ok(())) => {
-                self.simplex_checked = self.theory_stack.len();
-                Some(Step::Ok)
-            }
-            Some(Err(core)) => {
-                let core: Vec<usize> = core.iter().map(|&i| i as usize).collect();
-                let (conflict, pid) = self.certified_conflict(core);
-                Some(Step::Conflict(conflict, pid))
-            }
-            None => None,
-        }
-    }
-
-    /// The guided scan proper: for every registered slack column, the
-    /// feasible assignment β prunes the atom lists to the candidates β
-    /// does not already refute (β always lies inside the implied interval,
-    /// so an atom β violates cannot be entailed), and only then is the
-    /// implied row bound computed and compared.  Entailed atoms are
-    /// enqueued with [`TPROP_REASON`] and their entailing bound tags — the
-    /// premises of the lazy explanation — recorded in `tprop_guided`.
-    fn simplex_guided_propagate(&mut self, scan_all: bool) {
-        let cols: Vec<usize> = if scan_all {
-            self.guided.keys().copied().collect()
-        } else {
-            let mut dirty = std::mem::take(&mut self.guided_dirty);
-            dirty.sort_unstable();
-            dirty.dedup();
-            dirty
-        };
-        self.guided_dirty.clear();
-        let mut entailed: Vec<(Lit, Vec<u32>)> = Vec::new();
-        let mut tags: Vec<u32> = Vec::new();
-        for col in cols {
-            let Some(atoms) = self.guided.get(&col) else {
-                continue;
-            };
-            let beta = self.simplex.beta_of(col);
-            let upper_run = &atoms.upper[atoms.upper.partition_point(|(hi, _)| *hi < beta)..];
-            if upper_run.iter().any(|&(_, l)| self.assign[l.var()] == 0) {
-                tags.clear();
-                if let Some(implied) =
-                    self.simplex
-                        .implied_bound(col, true, self.guided_row_cap, &mut tags)
-                {
-                    for &(hi, lit) in upper_run {
-                        if implied <= hi && self.assign[lit.var()] == 0 {
-                            entailed.push((lit, tags.clone()));
-                        }
-                    }
-                }
-            }
-            let lower_run = &atoms.lower[..atoms.lower.partition_point(|(lo, _)| *lo <= beta)];
-            if lower_run.iter().any(|&(_, l)| self.assign[l.var()] == 0) {
-                tags.clear();
-                if let Some(implied) =
-                    self.simplex
-                        .implied_bound(col, false, self.guided_row_cap, &mut tags)
-                {
-                    for &(lo, lit) in lower_run {
-                        if implied >= lo && self.assign[lit.var()] == 0 {
-                            entailed.push((lit, tags.clone()));
-                        }
-                    }
-                }
-            }
-        }
-        for (lit, tags) in entailed {
-            if self.assign[lit.var()] != 0 {
-                continue;
-            }
-            if self.proof.is_some() && !self.guided_certifiable(lit, &tags) {
-                // a lemma the checker could not replay would poison the
-                // proof; forgo the propagation instead (rare: the Farkas
-                // recovery only fails on non-irreducible premise sets)
-                continue;
-            }
-            self.stats.theory_props += 1;
-            self.stats.tprop_entailed += 1;
-            self.tprop_guided[lit.var()] = Some(tags);
-            self.enqueue(lit, TPROP_REASON);
-            // mirror the interval path: a root-level propagation must be
-            // materialised eagerly for the replayer
-            if self.proof.is_some() && self.decision_level() == 0 {
-                let (lemma, kind) = self.explain_tprop(lit);
-                self.log_lemma(&lemma, kind);
-            }
-        }
-    }
-
-    /// `true` when the guided entailment of `lit` from the premise tags has
-    /// a recoverable Farkas certificate (the rows of the premises plus the
-    /// negated literal's constraint combine to a positive contradiction).
-    fn guided_certifiable(&self, lit: Lit, tags: &[u32]) -> bool {
-        let Some(neg) = self.lit_constraint[lit.negate().code()].as_ref() else {
-            return false;
-        };
-        let mut idx: Vec<usize> = tags.iter().map(|&t| t as usize).collect();
-        idx.sort_unstable();
-        idx.dedup();
-        let mut rows = vec![le_row(neg)];
-        rows.extend(idx.iter().map(|&i| le_row(&self.theory_stack[i])));
-        farkas_coefficients(&rows).is_some()
-    }
-
     /// Theory propagation: scans the atoms of every form one of `changed`
     /// variables occurs in, and enqueues the literals the current
     /// intervals entail — with a [`TPROP_REASON`] marker instead of a
@@ -1358,66 +1038,28 @@ impl Engine {
             }
             self.stats.theory_props += 1;
             self.tprop_mark[lit.var()] = self.bounds.mark();
-            self.tprop_guided[lit.var()] = None;
             self.enqueue(lit, TPROP_REASON);
             // a level-0 theory propagation extends the *root* trail, which
             // a replayer cannot reproduce from clauses alone — materialise
             // its explanation eagerly as a bound lemma
             if self.proof.is_some() && self.decision_level() == 0 {
-                let (lemma, kind) = self.explain_tprop(lit);
-                self.log_lemma(&lemma, kind);
+                let lemma = self.explain_tprop(lit);
+                self.log_lemma(&lemma, CertKind::Bounds);
             }
         }
     }
 
-    /// Materialises the lazy explanation of a theory-propagated literal,
-    /// returning the lemma clause and the certificate kind a replayer
-    /// verifies it under.
+    /// Materialises the lazy explanation of a theory-propagated literal as
+    /// a lemma clause a replayer verifies as a bound lemma.
     ///
-    /// A *guided* propagation recorded its premises (the bound tags of one
-    /// tableau row) at enqueue time; the lemma is `lit ∨ ¬premises` and
-    /// the certificate is the Farkas combination of the premise rows with
-    /// the negated literal — interval propagation cannot replay a
-    /// multi-variable row entailment.
-    ///
-    /// An *interval* propagation is read off the bound trail: the scan
-    /// found the negated literal's constraint refuted by the bounds current
-    /// at its mark, so the constraints those bounds rest on — walked back
-    /// through the trail as of the mark — are asserted literals implying
-    /// `lit`.  Every entry below the mark outlives the literal (both sit on
-    /// the literal's decision level or below).
-    fn explain_tprop(&mut self, lit: Lit) -> (Vec<Lit>, CertKind) {
+    /// The explanation is read off the bound trail: the scan found the
+    /// negated literal's constraint refuted by the bounds current at its
+    /// mark, so the constraints those bounds rest on — walked back through
+    /// the trail as of the mark — are asserted literals implying `lit`.
+    /// Every entry below the mark outlives the literal (both sit on the
+    /// literal's decision level or below).
+    fn explain_tprop(&mut self, lit: Lit) -> Vec<Lit> {
         let t0 = Instant::now();
-        if let Some(tags) = self.tprop_guided[lit.var()].clone() {
-            let mut idx: Vec<usize> = tags.iter().map(|&t| t as usize).collect();
-            idx.sort_unstable();
-            idx.dedup();
-            idx.retain(|&i| i < self.theory_stack.len());
-            let mut lits = vec![lit];
-            for &i in &idx {
-                lits.push(self.theory_lits[i].negate());
-            }
-            let kind = if self.proof.is_some() {
-                // same row order as the clause: entry j is the constraint
-                // of the negation of clause literal j
-                let neg = self.lit_constraint[lit.negate().code()]
-                    .as_ref()
-                    .expect("theory-propagated literals carry a constraint");
-                let mut rows = vec![le_row(neg)];
-                rows.extend(idx.iter().map(|&i| le_row(&self.theory_stack[i])));
-                match farkas_coefficients(&rows) {
-                    Some(lambda) => CertKind::Farkas(lambda),
-                    None => {
-                        self.proof_incomplete("guided propagation without a Farkas certificate");
-                        CertKind::Bounds
-                    }
-                }
-            } else {
-                CertKind::Bounds
-            };
-            self.times.explain += t0.elapsed();
-            return (lits, kind);
-        }
         let neg = self.lit_constraint[lit.negate().code()]
             .as_ref()
             .expect("theory-propagated literals carry a constraint");
@@ -1427,7 +1069,7 @@ impl Engine {
         let mut lits = vec![lit];
         lits.extend(core.iter().map(|&i| self.theory_lits[i].negate()));
         self.times.explain += t0.elapsed();
-        (lits, CertKind::Bounds)
+        lits
     }
 
     /// Divisibility check over the asserted equality subsystem with the
@@ -1711,9 +1353,9 @@ impl Engine {
             reason_lits = if r == TPROP_REASON {
                 // lazy theory explanation, materialised only now that the
                 // propagated literal is actually resolved on
-                let (lemma, kind) = self.explain_tprop(p);
+                let lemma = self.explain_tprop(p);
                 if self.proof.is_some() {
-                    let id = self.log_lemma(&lemma, kind);
+                    let id = self.log_lemma(&lemma, CertKind::Bounds);
                     hint_steps.push((index, id));
                 }
                 lemma
@@ -1842,9 +1484,9 @@ impl Engine {
                     continue;
                 }
                 let reason_lits = if r == TPROP_REASON {
-                    let (lemma, kind) = self.explain_tprop(l);
+                    let lemma = self.explain_tprop(l);
                     if self.proof.is_some() {
-                        let id = self.log_lemma(&lemma, kind);
+                        let id = self.log_lemma(&lemma, CertKind::Bounds);
                         hint_steps.push((i, id));
                     }
                     lemma
@@ -2139,24 +1781,6 @@ impl Engine {
                             }
                         }
                     } else {
-                        // stable partial assignment, about to decide: let
-                        // the eager simplex veto or narrow the decision
-                        match self.guided_step() {
-                            Step::Conflict(c, id) => {
-                                if !self.resolve_conflict(c, id) {
-                                    self.root_unsat = true;
-                                    return SolverResult::Unsat;
-                                }
-                                continue;
-                            }
-                            Step::Ok => {
-                                if self.qhead < self.trail.len() {
-                                    // guided propagation enqueued literals;
-                                    // propagate them instead of deciding
-                                    continue;
-                                }
-                            }
-                        }
                         if self.stats.conflicts - conflicts_at_restart >= restart_limit {
                             self.stats.restarts += 1;
                             posr_obs::instant("cdcl", "cdcl.restart");

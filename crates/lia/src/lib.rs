@@ -25,9 +25,10 @@
 //!   restarts, VSIDS), the one search engine of [`solver::Solver`] and the
 //!   only integer search: a fractional rational model is split by
 //!   deciding a fresh branch atom `x ≤ ⌊β(x)⌋`.  The theory side is
-//!   equally incremental — **theory propagation** with lazy explanations
-//!   and the persistent simplex asserted in lock-step with the trail — and
-//!   the engine is persistent, exporting cumulative [`cdcl::SolverStats`],
+//!   equally incremental — interval **theory propagation** with lazy
+//!   explanations at every fixpoint, and the persistent simplex synced
+//!   with the trail and checked at the leaves — and the engine is
+//!   persistent, exporting cumulative [`cdcl::SolverStats`],
 //! * [`incremental`] — the **incremental solving layer**: persistent
 //!   [`incremental::IncrementalSolver`] sessions with an assertion stack
 //!   (`push`/`pop` via selector-guarded frames), assumption solving, and

@@ -37,10 +37,9 @@
 //!   variables whose rows mention column `j`) is maintained through every
 //!   pivot and assignment update, so `update`, `pivot_and_update` and
 //!   `pivot` touch only the rows that actually contain the moving column
-//!   instead of scanning the whole tableau.  The work saved is measured:
-//!   [`IncrementalSimplex::row_touches`] counts rows actually visited,
-//!   [`IncrementalSimplex::dense_row_touches`] the counterfactual cost of
-//!   the old full scans, and both flow into `posr-obs` counters.
+//!   instead of scanning the whole tableau.
+//!   [`IncrementalSimplex::row_touches`] counts the rows actually visited
+//!   and flows into a `posr-obs` counter.
 //! * **Pivots are integer arithmetic.**  Pivoting `x_b` out for `x_n`
 //!   turns `b`'s row around by a sign flip, `|c_bn|·x_n = ±D_b·x_b ∓
 //!   Σ c_bk·x_k`, which keeps its content 1.  Substituting that row
@@ -53,8 +52,8 @@
 //!   coefficients are the same rationals a per-entry [`Rat`] tableau
 //!   holds, so the pivot sequence, `β`, the models and the cores are
 //!   too.  `β`, the bounds and `θ` stay [`Rat`]s; a coefficient becomes
-//!   `c / D` only where a rational is needed (assignment updates, the
-//!   implied-bound sums), and the Bland candidate test and the Farkas
+//!   `c / D` only where a rational is needed (assignment updates), and
+//!   the Bland candidate test and the Farkas
 //!   core read signs only.  A merge that overflows `i128` is recomputed
 //!   exactly in [`crate::bigint::BigInt`], reduced by its content and
 //!   counted on `lia.rat.slow_lane`; only a reduced row that needs more
@@ -70,13 +69,6 @@
 //! violated bound plus the blocking bounds of its nonbasics).  Tags are
 //! caller-chosen `u32`s — the CDCL engine passes theory-trail indices, so
 //! cores translate directly into learned clauses.
-//!
-//! On top of the feasible assignment the engine runs **assignment-guided
-//! theory propagation** (see `cdcl.rs`): after a consistent check, `β` is
-//! a cheap necessary-condition filter for entailed atoms, and
-//! [`IncrementalSimplex::implied_bound`] turns a candidate into an
-//! entailment certificate (the asserted bounds of one row) without any
-//! pivoting.
 //!
 //! The one-shot [`check_feasibility`] / [`check_feasibility_with_core`]
 //! entry points survive as thin wrappers (register + assert + check on a
@@ -101,11 +93,6 @@ static OBS_PIVOTS: std::sync::LazyLock<posr_obs::Counter> =
 static OBS_ROW_TOUCHES: std::sync::LazyLock<posr_obs::Counter> =
     std::sync::LazyLock::new(|| posr_obs::counter("simplex.row_touches"));
 
-/// Counterfactual row visits a dense full-tableau scan would have made for
-/// the same operations — the baseline the sparse win is measured against.
-static OBS_DENSE_ROW_TOUCHES: std::sync::LazyLock<posr_obs::Counter> =
-    std::sync::LazyLock::new(|| posr_obs::counter("simplex.row_touches.dense"));
-
 /// The process-wide pivot counter (scopes attach to it for per-solve
 /// attribution).
 pub fn obs_pivot_counter() -> posr_obs::Counter {
@@ -115,11 +102,6 @@ pub fn obs_pivot_counter() -> posr_obs::Counter {
 /// The process-wide sparse row-touch counter.
 pub fn obs_row_touch_counter() -> posr_obs::Counter {
     *OBS_ROW_TOUCHES
-}
-
-/// The process-wide counterfactual dense row-touch counter.
-pub fn obs_dense_row_touch_counter() -> posr_obs::Counter {
-    *OBS_DENSE_ROW_TOUCHES
 }
 
 /// Relation of a simplex constraint `expr ⋈ bound`.
@@ -220,28 +202,6 @@ pub struct PreparedBound {
     hi: Option<Rat>,
     /// For `Owner::Constant`: whether the constraint holds.
     const_sat: bool,
-}
-
-impl PreparedBound {
-    /// The tableau column that owns this bound (`None` for constant
-    /// constraints).  Used by assignment-guided propagation to group the
-    /// atoms asserting on one column.
-    pub(crate) fn tableau_owner(&self) -> Option<usize> {
-        match self.owner {
-            Owner::Constant => None,
-            Owner::Tableau(x) => Some(x),
-        }
-    }
-
-    /// The normalised lower bound this constraint asserts, if any.
-    pub(crate) fn lo(&self) -> Option<Rat> {
-        self.lo
-    }
-
-    /// The normalised upper bound this constraint asserts, if any.
-    pub(crate) fn hi(&self) -> Option<Rat> {
-        self.hi
-    }
 }
 
 /// One undone bound change: which side of which variable, and the value
@@ -432,8 +392,7 @@ pub struct IncrementalSimplex {
     /// or bounds moved since it was last verified in-bounds.  A superset
     /// of the actually-violating basics (violations only arise from those
     /// events), so `check` scans this set instead of the whole column
-    /// range — the per-fixpoint eager checks of theory propagation would
-    /// otherwise pay a dense scan each, pivoting or not.
+    /// range.
     suspect: Vec<u32>,
     /// `suspect_flag[v]` ⇔ `v` is in `suspect` (dedup guard).
     suspect_flag: Vec<bool>,
@@ -441,13 +400,10 @@ pub struct IncrementalSimplex {
     pivots: u64,
     /// Rows visited through the occurrence index (cumulative).
     row_touches: u64,
-    /// Rows a dense full scan would have visited for the same operations.
-    dense_row_touches: u64,
     /// High-water marks of what `flush_obs` already pushed to the
     /// process-wide counters.
     obs_pivots_flushed: u64,
     obs_touches_flushed: u64,
-    obs_dense_flushed: u64,
 }
 
 impl Default for IncrementalSimplex {
@@ -475,10 +431,8 @@ impl IncrementalSimplex {
             suspect_flag: Vec::new(),
             pivots: 0,
             row_touches: 0,
-            dense_row_touches: 0,
             obs_pivots_flushed: 0,
             obs_touches_flushed: 0,
-            obs_dense_flushed: 0,
         }
     }
 
@@ -496,13 +450,6 @@ impl IncrementalSimplex {
     /// updates and pivots.
     pub fn row_touches(&self) -> u64 {
         self.row_touches
-    }
-
-    /// Cumulative rows a dense full-tableau scan would have visited for
-    /// the same operations — the baseline [`IncrementalSimplex::row_touches`]
-    /// is measured against.
-    pub fn dense_row_touches(&self) -> u64 {
-        self.dense_row_touches
     }
 
     /// Number of tableau variables (problem columns plus slacks).
@@ -776,73 +723,6 @@ impl IncrementalSimplex {
         self.rows[v].is_some()
     }
 
-    /// `true` iff `col` is a slack (owns a multi-term form).
-    pub(crate) fn is_slack(&self, col: usize) -> bool {
-        self.col_vars[col].is_none()
-    }
-
-    /// Current assignment of a tableau column.
-    pub(crate) fn beta_of(&self, col: usize) -> Rat {
-        self.beta[col]
-    }
-
-    /// The basic variables whose rows currently contain `col` (the
-    /// occurrence index entry) — i.e. whose implied row bounds a bound
-    /// change on `col` can move.
-    pub(crate) fn rows_containing(&self, col: usize) -> &[u32] {
-        &self.col_rows[col]
-    }
-
-    /// The bound on `col` implied by the *asserted* bounds alone (no
-    /// pivoting): for a nonbasic column its own asserted bound; for a
-    /// basic column the row sum `Σ aⱼ·bound(xⱼ)`, taking each nonbasic's
-    /// upper bound when `upper == aⱼ > 0` and its lower bound otherwise.
-    /// The tags of every contributing bound are pushed onto `tags` —
-    /// exactly the premises of the entailment, ready to become a lazy
-    /// explanation.  Returns `None` when a needed bound is missing or the
-    /// row is longer than `row_cap`; `tags` may then hold a partial prefix
-    /// and the caller is expected to clear it.
-    pub(crate) fn implied_bound(
-        &self,
-        col: usize,
-        upper: bool,
-        row_cap: usize,
-        tags: &mut Vec<u32>,
-    ) -> Option<Rat> {
-        match &self.rows[col] {
-            None => {
-                let (v, tag) = if upper {
-                    self.upper[col]?
-                } else {
-                    self.lower[col]?
-                };
-                tags.push(tag);
-                Some(v)
-            }
-            Some(row) => {
-                if row.len() > row_cap {
-                    return None;
-                }
-                // Σ c·bound over the numerators, divided by D once
-                let mut sum = Rat::ZERO;
-                for (n, c) in row.iter() {
-                    let (v, tag) = if upper == (c > 0) {
-                        self.upper[n]?
-                    } else {
-                        self.lower[n]?
-                    };
-                    tags.push(tag);
-                    sum += Rat::from_int(c) * v;
-                }
-                Some(if row.den == 1 {
-                    sum
-                } else {
-                    sum / Rat::from_int(row.den)
-                })
-            }
-        }
-    }
-
     fn violates_lower(&self, v: usize) -> bool {
         matches!(self.lower[v], Some((l, _)) if self.beta[v] < l)
     }
@@ -859,7 +739,6 @@ impl IncrementalSimplex {
         if delta.is_zero() {
             return;
         }
-        self.dense_row_touches += self.beta.len() as u64;
         self.row_touches += self.col_rows[n].len() as u64;
         for idx in 0..self.col_rows[n].len() {
             let b = self.col_rows[n][idx] as usize;
@@ -886,7 +765,6 @@ impl IncrementalSimplex {
         // n enters the basis with a moved assignment: it may overshoot its
         // other bound, which is exactly what keeps the check loop going
         self.mark_suspect(n);
-        self.dense_row_touches += self.beta.len() as u64;
         self.row_touches += self.col_rows[n].len() as u64;
         for idx in 0..self.col_rows[n].len() {
             let other = self.col_rows[n][idx] as usize;
@@ -934,7 +812,6 @@ impl IncrementalSimplex {
         }
         // substitute n in exactly the rows that contain it
         let occ = std::mem::take(&mut self.col_rows[n]);
-        self.dense_row_touches += self.rows.len() as u64;
         self.row_touches += occ.len() as u64;
         for &o in &occ {
             let other = o as usize;
@@ -1045,9 +922,8 @@ impl IncrementalSimplex {
     /// budget ran out before a verdict.  The tableau is left in a
     /// consistent mid-loop state (invariants hold, remaining violations
     /// stay queued in the suspect set), so a later call resumes the pivot
-    /// sequence where this one stopped — eager callers use a small budget
-    /// to harvest cheap propagations without stalling on a tableau that
-    /// needs real pivot work, which the leaf check then finishes.
+    /// sequence where this one stopped — the CDCL leaf check slices its
+    /// pivots this way to poll for cancellation between slices.
     pub fn check_budgeted(&mut self, max_pivots: u64) -> Option<Result<(), Vec<u32>>> {
         let _span = posr_obs::span!("simplex", "simplex.pivot-session");
         // chaos-test injection point: a leaf check may panic (unwinds to
@@ -1077,8 +953,6 @@ impl IncrementalSimplex {
         self.obs_pivots_flushed = self.pivots;
         OBS_ROW_TOUCHES.add(self.row_touches - self.obs_touches_flushed);
         self.obs_touches_flushed = self.row_touches;
-        OBS_DENSE_ROW_TOUCHES.add(self.dense_row_touches - self.obs_dense_flushed);
-        self.obs_dense_flushed = self.dense_row_touches;
     }
 
     fn check_loop(&mut self, max_pivots: u64) -> Option<Result<(), Vec<u32>>> {
@@ -1427,7 +1301,7 @@ mod tests {
     }
 
     #[test]
-    fn sparse_saves_row_touches_on_a_long_chain() {
+    fn long_chain_counts_row_touches_through_the_index() {
         let mut pool = VarPool::new();
         let vars: Vec<Var> = (0..40).map(|i| pool.fresh(&format!("c{i}"))).collect();
         let mut simplex = IncrementalSimplex::new();
@@ -1446,53 +1320,8 @@ mod tests {
         }
         assert!(simplex.check().is_ok());
         assert!(simplex.pivots() > 0);
-        assert!(
-            simplex.row_touches() < simplex.dense_row_touches(),
-            "occurrence index must beat the dense scan on a chain: {} vs {}",
-            simplex.row_touches(),
-            simplex.dense_row_touches()
-        );
-    }
-
-    #[test]
-    fn implied_bounds_match_the_assignment() {
-        let mut pool = VarPool::new();
-        let x = pool.fresh("x");
-        let y = pool.fresh("y");
-        let mut simplex = IncrementalSimplex::new();
-        // 2 ≤ x ≤ 3, 1 ≤ y ≤ 4: the form x + y is implied into [3, 7]
-        simplex
-            .assert_constraint(&ge(LinExpr::var(x) - LinExpr::constant(2)), 0)
-            .unwrap();
-        simplex
-            .assert_constraint(&le(LinExpr::var(x) - LinExpr::constant(3)), 1)
-            .unwrap();
-        simplex
-            .assert_constraint(&ge(LinExpr::var(y) - LinExpr::constant(1)), 2)
-            .unwrap();
-        simplex
-            .assert_constraint(&le(LinExpr::var(y) - LinExpr::constant(4)), 3)
-            .unwrap();
-        let p = simplex.prepare(&le(
-            LinExpr::var(x) + LinExpr::var(y) - LinExpr::constant(100)
-        ));
-        let s = p.tableau_owner().expect("slack owner");
-        assert!(simplex.is_slack(s));
-        assert!(simplex.check().is_ok());
-        let mut tags = Vec::new();
-        let hi = simplex.implied_bound(s, true, 64, &mut tags);
-        assert_eq!(hi, Some(Rat::from_int(7)));
-        tags.sort_unstable();
-        assert_eq!(tags, vec![1, 3]);
-        tags.clear();
-        let lo = simplex.implied_bound(s, false, 64, &mut tags);
-        assert_eq!(lo, Some(Rat::from_int(3)));
-        tags.sort_unstable();
-        assert_eq!(tags, vec![0, 2]);
-        // β must sit inside the implied interval (the guided filter relies
-        // on this necessary condition)
-        assert!(simplex.beta_of(s) >= Rat::from_int(3));
-        assert!(simplex.beta_of(s) <= Rat::from_int(7));
+        assert!(simplex.row_touches() > 0);
+        check_invariants(&simplex);
     }
 
     /// Structural invariants of the sparse layout: rows sorted with

@@ -92,10 +92,10 @@ pub struct SolverConfig {
     /// then grows geometrically.
     pub learnt_cap: usize,
     /// Theory propagation in the CDCL engine: after each bound fixpoint,
-    /// literals entailed by the current intervals (and, before each
-    /// decision, the multi-variable atoms the persistent tableau's rows
-    /// entail) are enqueued with lazy explanations instead of being
-    /// rediscovered as conflicts.  On by default.  No tracked workload
+    /// the literals the current intervals entail are enqueued with lazy
+    /// explanations instead of being rediscovered as conflicts (the
+    /// tableau is checked only at the leaves and entails nothing).  On by
+    /// default.  No tracked workload
     /// restarts or garbage-collects learned clauses, so those paths are
     /// exercised only by unit tests that turn this off to keep small
     /// formulas conflict-driven: `reduce_db_keeps_verdicts_and_drops_clauses`

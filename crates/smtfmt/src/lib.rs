@@ -1198,18 +1198,28 @@ mod tests {
 
     #[test]
     fn get_info_all_statistics_reports_the_session_counters() {
+        // the flagship Unsat is refuted by bounds and divisibility before
+        // any leaf, so a second, Sat check has to reach the simplex
         let script = r#"
           (declare-const x String)
           (declare-const y String)
+          (push 1)
           (assert (str.in_re x (re.* (str.to_re "ab"))))
           (assert (str.in_re y (re.* (str.to_re "ab"))))
+          (assert (= (str.len x) (str.len y)))
+          (assert (not (= x y)))
+          (check-sat)
+          (pop 1)
+          (assert (str.in_re x (re.* (str.to_re "ab"))))
+          (assert (str.in_re y (re.* (str.to_re "ac"))))
+          (assert (>= (str.len x) 20))
           (assert (= (str.len x) (str.len y)))
           (assert (not (= x y)))
           (check-sat)
           (get-info :all-statistics)
         "#;
         let outcome = run_script(script).unwrap();
-        assert_eq!(outcome.statuses(), vec!["unsat"]);
+        assert_eq!(outcome.statuses(), vec!["unsat", "sat"]);
         let Some(CommandResponse::Info(stats)) = outcome.responses.last() else {
             panic!("expected an Info response, got {:?}", outcome.responses);
         };
@@ -1217,7 +1227,7 @@ mod tests {
         // tests run concurrently in the same process
         assert!(stats.starts_with('(') && stats.ends_with(')'), "{stats}");
         for key in [
-            ":checks 1",
+            ":checks 2",
             ":check-time-ms",
             ":conflicts",
             ":decisions",
@@ -1231,8 +1241,8 @@ mod tests {
             ":explain-us",
             ":simplex-us",
             // the flight recorder's latency histograms surface as
-            // percentile rows; this unsat solve runs the CDCL engine, so
-            // the session scope saw simplex check() pivot samples
+            // percentile rows; the Sat solve reaches the CDCL engine's
+            // leaves, so the session scope saw simplex check() pivot samples
             ":simplex-check-pivots-count",
             ":simplex-check-pivots-p50",
             ":simplex-check-pivots-p99",
@@ -1240,7 +1250,7 @@ mod tests {
         ] {
             assert!(stats.contains(key), "missing {key} in {stats}");
         }
-        assert!(outcome.render().contains(":checks 1"));
+        assert!(outcome.render().contains(":checks 2"));
     }
 
     #[test]
