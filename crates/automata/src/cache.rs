@@ -32,7 +32,7 @@ static PREPARED_BY_CONTENT: OnceLock<Mutex<HashMap<String, Arc<Nfa>>>> = OnceLoc
 static HITS: AtomicU64 = AtomicU64::new(0);
 static MISSES: AtomicU64 = AtomicU64::new(0);
 
-/// Scope-attributable mirrors of [`HITS`]/[`MISSES`] (see
+/// Scope-attributable mirrors of `HITS`/`MISSES` (see
 /// `posr_obs::counters`): always incremented in lock-step with the atomics
 /// so per-batch [`posr_obs::CounterScope`]s see exactly the lookups their
 /// own worker threads performed.

@@ -1,6 +1,7 @@
 //! Ablation experiments: encoding sizes of the polynomial copy-tag
 //! construction vs. the naive mismatch-order enumeration, the PTime
-//! one-counter procedure vs. the LIA encoding for a single disequality,
+//! one-counter procedure vs. the system encoding at `K = 1` (solved by the
+//! shared connectivity-cut loop) for a single disequality,
 //! the CDCL(T) verdicts on the flagship instance set, the CEGAR loops of
 //! the tag-encoding instances on one incremental session, and the
 //! BENCH_lia table of per-family LIA counters.
@@ -26,9 +27,8 @@ use posr_lia::formula::Formula;
 use posr_lia::incremental::IncrementalSolver;
 use posr_lia::solver::SolverResult;
 use posr_lia::term::{LinExpr, VarPool};
-use posr_tagauto::diseq_simple::encode_simple_diseq;
 use posr_tagauto::onecounter_diseq::single_diseq_satisfiable;
-use posr_tagauto::system::{PositionConstraint, SystemEncoder, SystemEncoding};
+use posr_tagauto::system::{Connected, CutLoop, PositionConstraint, SystemEncoder, SystemEncoding};
 use posr_tagauto::system_naive::encode_naive;
 use posr_tagauto::tags::VarTable;
 
@@ -846,29 +846,42 @@ fn main() {
     }
 
     println!();
-    println!("== single disequality: PTime one-counter procedure vs NP LIA encoding ==");
+    println!(
+        "== single disequality: PTime one-counter procedure vs the system encoding at K = 1 =="
+    );
     for (rx, ry) in [("(ab)*", "(ac)*"), ("(abc)*", "(acb)*"), ("a*", "a*")] {
         let mut vars = VarTable::new();
         let x = vars.intern("x");
         let y = vars.intern("y");
-        let ax = Regex::parse(rx).unwrap().compile();
-        let ay = Regex::parse(ry).unwrap().compile();
         let mut automata = BTreeMap::new();
-        automata.insert(x, ax.clone());
-        automata.insert(y, ay.clone());
+        automata.insert(x, Regex::parse(rx).unwrap().compile());
+        automata.insert(y, Regex::parse(ry).unwrap().compile());
 
         let start = Instant::now();
-        let oca_answer = single_diseq_satisfiable(&[x], &[y], &automata);
+        let oca_answer = if single_diseq_satisfiable(&[x], &[y], &automata) {
+            "sat"
+        } else {
+            "unsat"
+        };
         let oca_time = start.elapsed();
 
+        // the path production runs: the encoding solved by the shared
+        // connectivity-cut loop
         let start = Instant::now();
         let mut pool = VarPool::new();
-        let encoding = encode_simple_diseq(x, &ax, y, &ay, &mut pool);
-        let lia_answer = posr_lia::Solver::new().solve(&encoding.formula).is_sat();
+        let encoding = SystemEncoder::new(&automata, &vars)
+            .encode(&[PositionConstraint::diseq(vec![x], vec![y])], &mut pool);
+        let mut session = IncrementalSolver::new();
+        session.assert_formula(&encoding.formula);
+        let lia_answer = match CutLoop::new(&encoding, CancelToken::none()).solve(&mut session) {
+            Connected::Sat(..) => "sat",
+            Connected::Unsat => "unsat",
+            Connected::Unknown(_) => "unknown",
+        };
         let lia_time = start.elapsed();
 
         println!(
-            "x ∈ {rx:8} y ∈ {ry:8}: one-counter {oca_answer} in {oca_time:?}, LIA encoding {lia_answer} in {lia_time:?} (formula size {})",
+            "x ∈ {rx:8} y ∈ {ry:8}: one-counter {oca_answer} in {oca_time:?}, system encoding {lia_answer} in {lia_time:?} (formula size {})",
             encoding.formula.size()
         );
     }

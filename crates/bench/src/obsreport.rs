@@ -246,11 +246,17 @@ pub fn diff_bench(old_text: &str, new_text: &str) -> Result<String, String> {
     };
     let old_rows = families(&old);
     let new_rows = families(&new);
+    // the family column fits the longest name of either document
+    let width = old_rows
+        .iter()
+        .chain(&new_rows)
+        .map(|(name, ..)| name.chars().count())
+        .fold("family".len(), usize::max);
     let mut out = String::new();
     let _ = writeln!(
         out,
-        "{} {:>22} {:>18} {:>22}",
-        pad("family", 28),
+        "{} {:>24} {:>18} {:>22}",
+        pad("family", width),
         "wall ms (old→new)",
         "conflicts",
         "theory checks"
@@ -265,8 +271,8 @@ pub fn diff_bench(old_text: &str, new_text: &str) -> Result<String, String> {
                 };
                 let _ = writeln!(
                     out,
-                    "{} {:>9.2}→{:<6.2}{:>6} {:>8}→{:<9} {:>10}→{:<11}",
-                    pad(name, 28),
+                    "{} {:>9.2}→{:<8.2}{:>6} {:>8}→{:<9} {:>10}→{:<11}",
+                    pad(name, width),
                     old_wall,
                     new_wall,
                     pct,
@@ -277,13 +283,13 @@ pub fn diff_bench(old_text: &str, new_text: &str) -> Result<String, String> {
                 );
             }
             None => {
-                let _ = writeln!(out, "{} (added: {new_wall:.2} ms)", pad(name, 28));
+                let _ = writeln!(out, "{} (added: {new_wall:.2} ms)", pad(name, width));
             }
         }
     }
     for (name, ..) in &old_rows {
         if !new_rows.iter().any(|(n, ..)| n == name) {
-            let _ = writeln!(out, "{} (removed)", pad(name, 28));
+            let _ = writeln!(out, "{} (removed)", pad(name, width));
         }
     }
     for (side, doc) in [("old", &old), ("new", &new)] {
@@ -349,5 +355,52 @@ mod tests {
         assert!(diff.contains("(added: 2.00 ms)"));
         assert!(diff.contains("(removed)"));
         assert!(diff_bench("{}", new).is_err());
+    }
+
+    #[test]
+    fn diff_columns_fit_the_longest_family() {
+        let doc = |schema: &str| {
+            format!(
+                r#"{{"schema":"posr-bench-lia/{schema}","families":[
+                {{"name":"k2","full":{{"wall_ms":10.0,"conflicts":5,"theory_checks":20}}}},
+                {{"name":"tagauto-diseq-eqlen-mismatch-sat","full":{{"wall_ms":12.5,"conflicts":6,"theory_checks":21}}}},
+                {{"name":"product-cycle-320-unsat","full":{{"wall_ms":99.0,"conflicts":7,"theory_checks":22}}}},
+                {{"name":"product-cycle-480-sat","full":{{"wall_ms":1098.44,"conflicts":8,"theory_checks":23}}}}]}}"#
+            )
+        };
+        let diff = diff_bench(&doc("v5"), &doc("v6")).unwrap();
+        let rows: Vec<&str> = diff
+            .lines()
+            .skip(1)
+            .filter(|line| line.contains('→'))
+            .collect();
+        assert_eq!(rows.len(), 4, "{diff}");
+        // each family row: the name, its padding, then the old wall time
+        // (two digits before the point in the first three rows)
+        let starts: Vec<usize> = rows[..3]
+            .iter()
+            .map(|line| {
+                let name_end = line.find(' ').unwrap();
+                name_end + line[name_end..].find(|c: char| c != ' ').unwrap()
+            })
+            .collect();
+        assert!(starts.iter().all(|&s| s == starts[0]), "{diff}");
+        assert!(
+            starts[0] > "tagauto-diseq-eqlen-mismatch-sat".len(),
+            "{diff}"
+        );
+        // the old→new arrow of every column lines up in every row, the
+        // four-digit wall time included
+        let arrows = |line: &str| -> Vec<usize> {
+            line.chars()
+                .enumerate()
+                .filter(|&(_, c)| c == '→')
+                .map(|(i, _)| i)
+                .collect()
+        };
+        assert!(
+            rows.iter().all(|row| arrows(row) == arrows(rows[0])),
+            "{diff}"
+        );
     }
 }

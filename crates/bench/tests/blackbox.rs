@@ -15,6 +15,7 @@ use posr_core::ast::{LenCmp, LenTerm, StringFormula, StringTerm};
 use posr_core::normal::PositionAtom;
 use posr_core::position::{solve_position, PositionOptions, PositionProblem};
 use posr_core::solver::StringSolver;
+use posr_lia::CancelToken;
 
 #[test]
 fn killed_solve_leaves_a_dump_that_obs_report_renders() {
@@ -56,7 +57,7 @@ fn killed_solve_leaves_a_dump_that_obs_report_renders() {
         lengths: &lengths,
     };
     let options = PositionOptions {
-        deadline: Some(std::time::Instant::now()),
+        cancel: CancelToken::with_deadline(std::time::Instant::now()),
         ..PositionOptions::default()
     };
     let outcome = solve_position(&problem, &options);

@@ -228,7 +228,7 @@ impl Strategy for NaiveOrderSolver {
             else {
                 return Answer::Unknown(cancel.unknown_reason());
             };
-            match solve_naive(&naive, &Formula::True, &lia_with_cancel(cancel)) {
+            match solve_naive(&naive, cancel) {
                 posr_lia::solver::SolverResult::Sat(_) => {
                     // the naive baseline does not reconstruct models; report
                     // satisfiability only (it is a comparison point, not the

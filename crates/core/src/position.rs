@@ -9,10 +9,12 @@
 //!    construction of `posr-tagauto` ([`posr_tagauto::system`]),
 //! 2. translates the length constraints `I` into LIA over the `⟨L,x⟩` tag
 //!    counters,
-//! 3. discharges the conjunction with the DPLL(T) LIA solver, restoring the
-//!    exactness of the Parikh encoding with lazily added connectivity cuts,
+//! 3. discharges the conjunction with the CDCL(T) LIA solver, restoring the
+//!    exactness of the Parikh encoding with the shared connectivity-cut
+//!    loop ([`posr_tagauto::system::CutLoop`]),
 //! 4. handles `¬contains` by the model-based instantiation loop of
-//!    [`crate::notcontains`], and
+//!    [`crate::notcontains`], blocking refuted candidates in the session
+//!    the cut loop solves, and
 //! 5. reconstructs and re-validates a concrete string model on success.
 
 use std::collections::BTreeMap;
@@ -23,10 +25,12 @@ use posr_automata::Nfa;
 use posr_lia::cancel::CancelToken;
 use posr_lia::formula::Formula;
 use posr_lia::incremental::IncrementalSolver;
-use posr_lia::solver::{Model, SolverConfig, SolverResult};
+use posr_lia::solver::{Model, SolverConfig};
 use posr_lia::term::{LinExpr, Var, VarPool};
 use posr_tagauto::onecounter_diseq::single_diseq_satisfiable;
-use posr_tagauto::system::{PositionConstraint, PredicateKind, SystemEncoder, SystemEncoding};
+use posr_tagauto::system::{
+    Connected, CutLoop, PositionConstraint, PredicateKind, SystemEncoder, SystemEncoding,
+};
 use posr_tagauto::tags::{StrVar, VarTable};
 
 use crate::ast::{LenCmp, LenTerm};
@@ -58,26 +62,21 @@ impl PositionOutcome {
 /// the caller wants all documents of one query in one place.
 pub type ProofSink = std::sync::Arc<std::sync::Mutex<Vec<String>>>;
 
-/// Distribution of CEGAR round durations (one session solve each), µs.
-static HIST_CEGAR_ROUND: std::sync::LazyLock<posr_obs::Histogram> =
-    std::sync::LazyLock::new(|| posr_obs::histogram("cegar.round_us"));
-
-/// The stall watchdog's "where is the CEGAR loop" probe: refinements so
-/// far (connectivity cuts plus blocked candidates) in the current solve.
-static PROGRESS_CEGAR_ROUND: std::sync::LazyLock<posr_obs::Gauge> =
-    std::sync::LazyLock::new(|| posr_obs::gauge("cegar.round"));
+/// The most `¬contains` candidates one solve blocks before it answers
+/// `Unknown`.
+const MAX_BLOCKED_CANDIDATES: usize = 64;
 
 /// Default soft deadline of the per-solve stall watchdog when the solve
 /// has no explicit deadline; override with `POSR_WATCHDOG_MS`.
 const WATCHDOG_DEFAULT_MS: u64 = 30_000;
 
 /// Arms the per-solve stall watchdog (a no-op unless `POSR_BLACKBOX_DIR`
-/// is set): soft deadline = the solve's own deadline when present, else
+/// is set): soft deadline = the token's deadline when present, else
 /// `POSR_WATCHDOG_MS` (default 30 s).  A solve past its soft deadline —
 /// or one killed by cancellation, via [`posr_obs::Watchdog::fire_now`] —
 /// leaves a black-box dump behind.
 fn arm_watchdog(options: &PositionOptions) -> posr_obs::Watchdog {
-    let soft = match options.deadline {
+    let soft = match options.cancel.deadline() {
         Some(deadline) => deadline.saturating_duration_since(Instant::now()),
         None => std::time::Duration::from_millis(
             std::env::var("POSR_WATCHDOG_MS")
@@ -96,45 +95,18 @@ pub static OBS_PROOF_DOCS: std::sync::LazyLock<posr_obs::Counter> =
 pub static OBS_PROOF_BYTES: std::sync::LazyLock<posr_obs::Counter> =
     std::sync::LazyLock::new(|| posr_obs::counter("proof.sink.bytes"));
 
-/// Resource limits of the position procedure.
-#[derive(Clone, Debug)]
+/// What the caller controls of the position procedure.  Its limits are
+/// constants: [`posr_tagauto::system::MAX_CONNECTIVITY_CUTS`] and
+/// `MAX_BLOCKED_CANDIDATES` `¬contains` rounds.
+#[derive(Clone, Debug, Default)]
 pub struct PositionOptions {
-    /// Maximum number of connectivity cuts per query.
-    pub max_connectivity_cuts: usize,
-    /// Maximum number of model-based instantiation rounds for `¬contains`.
-    pub max_cegar_rounds: usize,
-    /// Configuration of the underlying LIA solver.
-    pub lia: SolverConfig,
     /// When set, the CEGAR loop turns on LIA proof logging and pushes the
     /// serialized proof of every certified Unsat into the sink — the
     /// engine behind SMT-LIB `(get-proof)`.
     pub proof_sink: Option<ProofSink>,
-    /// Optional wall-clock deadline; checked between solver calls.
-    pub deadline: Option<Instant>,
-    /// Cooperative cancellation token; checked between solver calls and
-    /// propagated into the LIA search itself.
+    /// Cooperative cancellation token (flag, deadline and budget); polled
+    /// before every solver call and propagated into the LIA search itself.
     pub cancel: CancelToken,
-}
-
-impl Default for PositionOptions {
-    fn default() -> PositionOptions {
-        PositionOptions {
-            max_connectivity_cuts: 64,
-            max_cegar_rounds: 64,
-            lia: SolverConfig::default(),
-            proof_sink: None,
-            deadline: None,
-            cancel: CancelToken::none(),
-        }
-    }
-}
-
-impl PositionOptions {
-    /// The token actually polled: the cancellation flag plus the legacy
-    /// deadline field folded in.
-    fn effective_token(&self) -> CancelToken {
-        self.cancel.merged_with_deadline(self.deadline)
-    }
 }
 
 /// The input of the procedure: `R′` (languages), `I` (length constraints)
@@ -471,10 +443,9 @@ fn satisfies_concretely(problem: &PositionProblem<'_>, strings: &BTreeMap<String
     true
 }
 
-/// The main solve loop: lazy connectivity cuts plus the `¬contains`
-/// instantiation loop (blocking refuted candidate assignments).  Every
-/// round runs on the same persistent CDCL(T) session — cuts and blocking
-/// clauses are asserted as increments — so the conflicts refuting one
+/// The `¬contains` instantiation loop around the connectivity-cut loop:
+/// every connected candidate that refutes a `¬contains` goal is blocked in
+/// the same persistent CDCL(T) session, so the conflicts refuting one
 /// candidate keep pruning the next round's search.
 fn solve_with_cegar(
     encoding: &SystemEncoding,
@@ -485,51 +456,23 @@ fn solve_with_cegar(
     int_vars: &BTreeMap<String, Var>,
     options: &PositionOptions,
 ) -> PositionOutcome {
-    let token = options.effective_token();
-    // the LIA search must observe the same flag/deadline the position loop polls
-    let mut lia_config = options.lia.clone();
-    lia_config.cancel = token.clone();
-    // proofs come from the persistent session's log
-    if options.proof_sink.is_some() {
-        lia_config.proof_logging = true;
-    }
-    let mut session = IncrementalSolver::with_config(lia_config);
+    let token = &options.cancel;
+    // the LIA search observes the same token the loop polls, and proofs
+    // come from the persistent session's log
+    let mut session = IncrementalSolver::with_config(SolverConfig {
+        cancel: token.clone(),
+        proof_logging: options.proof_sink.is_some(),
+        ..SolverConfig::default()
+    });
     session.assert_formula(&base_formula);
-    let mut cuts = 0usize;
+    let mut cut_loop = CutLoop::new(encoding, token.clone());
     let mut rounds = 0usize;
     let flat = contains_goals.is_empty() || notcontains::all_flat(contains_goals, vars, automata);
     let watchdog = arm_watchdog(options);
-    // flow ids opened at a refinement site (connectivity cut / blocked
-    // candidate), closed inside the round they trigger — the Perfetto
-    // arrow from "this cut" to "that re-solve"
-    let mut pending_refine: Vec<u64> = Vec::new();
     loop {
-        if let Some(posr_obs::FaultKind::Cancel) = posr_obs::fault::fire(
-            "core.cegar",
-            &[
-                posr_obs::FaultKind::Panic,
-                posr_obs::FaultKind::Delay,
-                posr_obs::FaultKind::Cancel,
-            ],
-        ) {
-            token.cancel();
-        }
-        if token.is_cancelled() {
-            let reason = token.unknown_reason();
-            watchdog.fire_now(&reason);
-            return PositionOutcome::Unknown(reason);
-        }
-        PROGRESS_CEGAR_ROUND.set((cuts + rounds) as u64);
-        let round_span = posr_obs::span!("core", "cegar.round");
-        for id in pending_refine.drain(..) {
-            posr_obs::flow_end("core", "cegar.refine", id);
-        }
-        let round_start = Instant::now();
-        let solved = session.solve();
-        HIST_CEGAR_ROUND.record_duration(round_start.elapsed());
-        drop(round_span);
-        match solved {
-            SolverResult::Unsat => {
+        let (model, assignment) = match cut_loop.solve(&mut session) {
+            Connected::Sat(model, assignment) => (model, assignment),
+            Connected::Unsat => {
                 // blocking clauses for non-flat ¬contains are over-approximate,
                 // so exhausting them does not prove unsatisfiability
                 if rounds > 0 && !flat {
@@ -557,13 +500,13 @@ fn solve_with_cegar(
                         &[
                             ("verdict", "unsat".into()),
                             ("rounds", rounds.into()),
-                            ("cuts", cuts.into()),
+                            ("cuts", cut_loop.cuts().into()),
                         ],
                     );
                 }
                 return PositionOutcome::Unsat;
             }
-            SolverResult::Unknown(reason) => {
+            Connected::Unknown(reason) => {
                 if token.is_cancelled() {
                     watchdog.fire_now(&reason);
                 }
@@ -574,91 +517,53 @@ fn solve_with_cegar(
                             ("verdict", "unknown".into()),
                             ("reason", reason.as_str().into()),
                             ("rounds", rounds.into()),
-                            ("cuts", cuts.into()),
+                            ("cuts", cut_loop.cuts().into()),
                         ],
                     );
                 }
                 return PositionOutcome::Unknown(reason);
             }
-            SolverResult::Sat(model) => {
-                let Some(assignment) = encoding.extract_assignment(&model) else {
-                    // phantom flow: add a connectivity cut and retry
-                    cuts += 1;
-                    if cuts > options.max_connectivity_cuts {
-                        return PositionOutcome::Unknown(
-                            "connectivity-cut limit exceeded".to_string(),
-                        );
-                    }
-                    match encoding.connectivity_cut(&model) {
-                        Some(cut) => {
-                            posr_obs::instant("core", "cegar.connectivity-cut");
-                            let flow = posr_obs::flow_id();
-                            posr_obs::flow_start("core", "cegar.refine", flow);
-                            pending_refine.push(flow);
-                            if posr_obs::solve_log_enabled() {
-                                posr_obs::solve_log(
-                                    "cegar.refine",
-                                    &[("kind", "connectivity-cut".into()), ("cuts", cuts.into())],
-                                );
-                            }
-                            session.assert_formula(&cut);
-                            continue;
-                        }
-                        None => {
-                            return PositionOutcome::Unknown(
-                                "model extraction failed on a connected model".to_string(),
-                            )
-                        }
-                    }
-                };
-                let strings = assignment_to_strings(&assignment, vars);
-                // check the ¬contains goals concretely (the universal offset
-                // quantifier of φ^NC ranges over finitely many offsets of the
-                // concrete words)
-                let mut refuted = false;
-                for (haystack, needle) in contains_goals {
-                    if !notcontains::holds_concretely(haystack, needle, &strings) {
-                        refuted = true;
-                        break;
-                    }
-                }
-                if refuted {
-                    rounds += 1;
-                    if rounds > options.max_cegar_rounds {
-                        return PositionOutcome::Unknown(
-                            "¬contains instantiation limit exceeded".to_string(),
-                        );
-                    }
-                    posr_obs::instant("core", "cegar.block-candidate");
-                    let flow = posr_obs::flow_id();
-                    posr_obs::flow_start("core", "cegar.refine", flow);
-                    pending_refine.push(flow);
-                    if posr_obs::solve_log_enabled() {
-                        posr_obs::solve_log(
-                            "cegar.refine",
-                            &[("kind", "block-candidate".into()), ("round", rounds.into())],
-                        );
-                    }
-                    session.assert_formula(&blocking_clause(encoding, &model));
-                    continue;
-                }
-                let ints = int_vars
-                    .iter()
-                    .map(|(name, &v)| (name.clone(), model.value(v) as i64))
-                    .collect();
-                if posr_obs::solve_log_enabled() {
-                    posr_obs::solve_log(
-                        "cegar.verdict",
-                        &[
-                            ("verdict", "sat".into()),
-                            ("rounds", rounds.into()),
-                            ("cuts", cuts.into()),
-                        ],
-                    );
-                }
-                return PositionOutcome::Sat(strings, ints);
+        };
+        let strings = assignment_to_strings(&assignment, vars);
+        // check the ¬contains goals concretely (the universal offset
+        // quantifier of φ^NC ranges over finitely many offsets of the
+        // concrete words)
+        let refuted = contains_goals
+            .iter()
+            .any(|(haystack, needle)| !notcontains::holds_concretely(haystack, needle, &strings));
+        if refuted {
+            rounds += 1;
+            if rounds > MAX_BLOCKED_CANDIDATES {
+                return PositionOutcome::Unknown(
+                    "¬contains instantiation limit exceeded".to_string(),
+                );
             }
+            posr_obs::instant("core", "cegar.block-candidate");
+            cut_loop.refined();
+            if posr_obs::solve_log_enabled() {
+                posr_obs::solve_log(
+                    "cegar.refine",
+                    &[("kind", "block-candidate".into()), ("round", rounds.into())],
+                );
+            }
+            session.assert_formula(&blocking_clause(encoding, &model));
+            continue;
         }
+        let ints = int_vars
+            .iter()
+            .map(|(name, &v)| (name.clone(), model.value(v) as i64))
+            .collect();
+        if posr_obs::solve_log_enabled() {
+            posr_obs::solve_log(
+                "cegar.verdict",
+                &[
+                    ("verdict", "sat".into()),
+                    ("rounds", rounds.into()),
+                    ("cuts", cut_loop.cuts().into()),
+                ],
+            );
+        }
+        return PositionOutcome::Sat(strings, ints);
     }
 }
 

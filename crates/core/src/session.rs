@@ -171,7 +171,7 @@ impl SolverSession {
         self.last_proofs = None;
         let mut options = self.options.clone();
         let sink: Option<ProofSink> = self.produce_proofs.then(ProofSink::default);
-        options.position.proof_sink = sink.clone();
+        options.proof_sink = sink.clone();
         let answer = StringSolver::with_options(options).solve(&self.assertions());
         match &answer {
             Answer::Sat(model) => self.last_model = Some(model.clone()),

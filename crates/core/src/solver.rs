@@ -6,10 +6,12 @@ use std::time::Instant;
 
 use posr_lia::cancel::CancelToken;
 
-use crate::ast::{StringFormula, TermPart};
+use crate::ast::StringFormula;
 use crate::monadic::{self, MonadicCase};
 use crate::normal::{self, PositionAtom};
-use crate::position::{solve_position, PositionOptions, PositionOutcome, PositionProblem};
+use crate::position::{
+    solve_position, PositionOptions, PositionOutcome, PositionProblem, ProofSink,
+};
 
 /// A model of a string formula: concrete strings and integers.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
@@ -86,14 +88,9 @@ impl Answer {
     }
 }
 
-/// Tuning options of the solver.
-#[derive(Clone, Debug)]
+/// What the caller controls of a solve.
+#[derive(Clone, Debug, Default)]
 pub struct SolverOptions {
-    /// Maximum number of monadic cases explored (stabilisation case splits).
-    pub max_monadic_cases: usize,
-    /// Limits of the position procedure (connectivity cuts, ¬contains rounds,
-    /// LIA resource limits).
-    pub position: PositionOptions,
     /// Optional wall-clock deadline for the whole query.
     pub deadline: Option<Instant>,
     /// Cooperative cancellation token for the whole query: polled between
@@ -101,17 +98,9 @@ pub struct SolverOptions {
     /// into the DPLL(T) branch points.  The portfolio engine fires it to
     /// abandon losing strategies.
     pub cancel: CancelToken,
-}
-
-impl Default for SolverOptions {
-    fn default() -> SolverOptions {
-        SolverOptions {
-            max_monadic_cases: monadic::DEFAULT_CASE_LIMIT,
-            position: PositionOptions::default(),
-            deadline: None,
-            cancel: CancelToken::none(),
-        }
-    }
+    /// When set, every certified LIA-level Unsat pushes its serialized
+    /// proof here (see [`PositionOptions::proof_sink`]).
+    pub proof_sink: Option<ProofSink>,
 }
 
 /// The string solver implementing the paper's pipeline.
@@ -147,8 +136,7 @@ impl StringSolver {
         let mut token = self
             .options
             .cancel
-            .merged_with_deadline(self.options.deadline)
-            .merged_with_deadline(self.options.position.deadline);
+            .merged_with_deadline(self.options.deadline);
         // a POSR_MEM_BUDGET in the environment applies to every solve that
         // was not already handed a budget by its caller
         if token.budget().is_none() {
@@ -161,9 +149,10 @@ impl StringSolver {
         // attach the budget so allocation charges from this thread (clause
         // DB, tableau, proof sink, automaton cache) land on this solve
         let _budget_scope = token.budget().map(posr_obs::budget::attach);
-        let mut position_options = self.options.position.clone();
-        position_options.deadline = token.deadline();
-        position_options.cancel = token.clone();
+        let position_options = PositionOptions {
+            proof_sink: self.options.proof_sink.clone(),
+            cancel: token.clone(),
+        };
 
         let _solve_span = posr_obs::span!("core", "solve");
         if posr_obs::solve_log_enabled() {
@@ -214,7 +203,7 @@ impl StringSolver {
             if posr_obs::solve_log_enabled() {
                 posr_obs::solve_log("phase.decompose", &[]);
             }
-            match monadic::decompose(&nf, self.options.max_monadic_cases) {
+            match monadic::decompose(&nf, monadic::DEFAULT_CASE_LIMIT) {
                 Ok(cases) => cases,
                 Err(e) => return Answer::Unknown(e.to_string()),
             }
@@ -381,17 +370,6 @@ pub fn has_position_constraints(formula: &StringFormula) -> bool {
         crate::ast::StringAtom::StrAt { .. } => true,
         _ => false,
     })
-}
-
-/// Returns the literal pieces of a term (helper shared with the baselines).
-pub fn term_literals(term: &crate::ast::StringTerm) -> Vec<String> {
-    term.parts
-        .iter()
-        .filter_map(|p| match p {
-            TermPart::Lit(w) => Some(w.clone()),
-            TermPart::Var(_) => None,
-        })
-        .collect()
 }
 
 #[cfg(test)]

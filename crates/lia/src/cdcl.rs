@@ -13,14 +13,14 @@
 //! * **Luby restarts** and **VSIDS-style** activity-ordered decisions with
 //!   phase saving.
 //!
-//! The engine is *persistent*: [`Engine::solve`] can be called repeatedly
-//! on a growing clause database ([`Engine::assert_nnf`] clausifies into it
-//! through the engine's own [`Clausifier`], [`Engine::add_root_clause`]
+//! The engine is *persistent*: `Engine::solve` can be called repeatedly
+//! on a growing clause database (`Engine::assert_nnf` clausifies into it
+//! through the engine's own [`Clausifier`], `Engine::add_root_clause`
 //! adds clauses directly), under **assumptions** (literals enqueued as
 //! pseudo-decisions before the search proper, the mechanism behind the
 //! `push`/`pop` frames of [`crate::incremental`]).  Learned clauses, VSIDS
 //! activities and saved phases survive across calls, and an LBD-ranked
-//! learned-clause GC ([`Engine::reduce_db`], triggered at restarts) keeps
+//! learned-clause GC (`Engine::reduce_db`, triggered at restarts) keeps
 //! long sessions from growing unboundedly.  One-shot solving
 //! ([`solve_cdcl`]) is the special case of a fresh engine and no
 //! assumptions.
@@ -63,7 +63,7 @@
 //! * at the leaves (a full assignment, or every original clause already
 //!   satisfied), and only there, a **persistent, backtrackable simplex**
 //!   ([`crate::simplex::IncrementalSimplex`]) re-checks rational
-//!   feasibility: atoms are registered once at [`Engine::grow_theory`],
+//!   feasibility: atoms are registered once at `Engine::grow_theory`,
 //!   the literals asserted since the last leaf are synced as O(1) bound
 //!   assertions (retracted on backjump), and the pivot loop warm-starts
 //!   from the previous basis — its Farkas certificate is the explanation.
@@ -81,7 +81,7 @@
 //! Soundness: `Sat` carries a model the caller can re-validate, and every
 //! clause the engine learns is implied by the database, so `Unsat` is a
 //! refutation in every session.  Cancellation, the conflict cap and the
-//! two branching limits ([`MAX_BRANCHES`], [`MAX_BRANCH_MAGNITUDE`]) all
+//! two branching limits (`MAX_BRANCHES`, `MAX_BRANCH_MAGNITUDE`) all
 //! surface as `Unknown`.
 
 use std::collections::{BTreeMap, HashMap};
@@ -203,7 +203,7 @@ const LEAF_CANCEL_SLICE: u64 = 4096;
 
 /// Cumulative counters of a CDCL(T) engine (one search or a whole
 /// incremental session — the counters never reset between
-/// [`Engine::solve`] calls).
+/// `Engine::solve` calls).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct SolverStats {
     /// Conflicts resolved (clause learning events).

@@ -185,11 +185,11 @@ impl Clausifier {
         Clausifier::default()
     }
 
-    /// Clausifies a quantifier-free NNF formula into a clause database.
+    /// Clausifies an NNF formula into a clause database.
     ///
     /// # Panics
-    /// Panics on quantifiers or on `Not` applied to a non-atom (both are
-    /// removed by [`Formula::nnf`], which callers must run first).
+    /// Panics on `Not` applied to a non-atom (removed by [`Formula::nnf`],
+    /// which callers must run first).
     pub fn clausify(formula: &Formula) -> CnfFormula {
         let mut c = Clausifier::new();
         c.assert_formula(formula);
@@ -214,17 +214,17 @@ impl Clausifier {
         &self.theory
     }
 
-    /// Asserts a quantifier-free **NNF** formula; the produced clauses are
-    /// collected until [`Clausifier::take_new_assertions`] /
+    /// Asserts an **NNF** formula; the produced clauses are collected until
+    /// [`Clausifier::take_new_assertions`] /
     /// [`Clausifier::take_new_definitions`] drain them.
     ///
     /// # Panics
-    /// Panics on quantifiers or on `Not` applied to a non-atom.
+    /// Panics on `Not` applied to a non-atom.
     pub fn assert_nnf(&mut self, formula: &Formula) {
         self.assert_formula(formula);
     }
 
-    /// Translates a quantifier-free **NNF** formula into a literal (creating
+    /// Translates an **NNF** formula into a literal (creating
     /// gate definitions as needed) without asserting it — the handle used
     /// for assumption solving.  The gates created here are **biconditional**
     /// (full Tseitin, not Plaisted–Greenbaum): the returned literal is exact
@@ -456,9 +456,6 @@ impl Clausifier {
                 self.combine_full(false, translated)
             }
             Formula::Not(_) => unreachable!("clausifier input must be in NNF"),
-            Formula::Forall(_, _) | Formula::Exists(_, _) => {
-                unreachable!("clausifier input must be quantifier-free")
-            }
         }
     }
 
@@ -519,9 +516,6 @@ impl Clausifier {
                 self.combine_or(translated)
             }
             Formula::Not(_) => unreachable!("clausifier input must be in NNF"),
-            Formula::Forall(_, _) | Formula::Exists(_, _) => {
-                unreachable!("clausifier input must be quantifier-free")
-            }
         }
     }
 

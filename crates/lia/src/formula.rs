@@ -1,12 +1,12 @@
-//! LIA formulas: Boolean combinations (and quantification) of linear
-//! constraints.
+//! LIA formulas: Boolean combinations of linear constraints.
 //!
-//! The reductions of the paper produce formulas of a restricted shape —
-//! conjunctions and disjunctions of linear (in)equalities over Parikh
-//! variables, plus one ∀∃ block for the `¬contains` encoding (Eq. 32) — but
-//! the representation here is a full first-order LIA AST so that the same
-//! machinery can express the Parikh formula (Appendix A), the consistency
-//! side conditions (Sec. 5.3), and the user's own length constraints `I`.
+//! The reductions of the paper produce conjunctions and disjunctions of
+//! linear (in)equalities over Parikh variables: the Parikh formula
+//! (Appendix A), the consistency side conditions (Sec. 5.3) and the user's
+//! own length constraints `I`.  The one quantified formula of the paper,
+//! the ∀∃ `φ^NC` of `¬contains` (Eq. 32), is never built: `posr-core`
+//! instantiates its universal quantifier by checking candidate words
+//! concretely, so the type holds quantifier-free formulas only.
 
 use std::collections::BTreeSet;
 use std::fmt;
@@ -126,10 +126,6 @@ pub enum Formula {
     Or(Vec<Formula>),
     /// Negation.
     Not(Box<Formula>),
-    /// Universal quantification over integer variables.
-    Forall(Vec<Var>, Box<Formula>),
-    /// Existential quantification over integer variables.
-    Exists(Vec<Var>, Box<Formula>),
 }
 
 impl Formula {
@@ -224,36 +220,6 @@ impl Formula {
         Formula::Atom(Atom::new(lhs, Cmp::Gt, rhs))
     }
 
-    /// Universal quantification (no-op for an empty variable list).
-    pub fn forall(vars: Vec<Var>, body: Formula) -> Formula {
-        if vars.is_empty() {
-            body
-        } else {
-            Formula::Forall(vars, Box::new(body))
-        }
-    }
-
-    /// Existential quantification (no-op for an empty variable list).
-    pub fn exists(vars: Vec<Var>, body: Formula) -> Formula {
-        if vars.is_empty() {
-            body
-        } else {
-            Formula::Exists(vars, Box::new(body))
-        }
-    }
-
-    /// Returns `true` if the formula contains no quantifier.
-    pub fn is_quantifier_free(&self) -> bool {
-        match self {
-            Formula::True | Formula::False | Formula::Atom(_) => true,
-            Formula::And(parts) | Formula::Or(parts) => {
-                parts.iter().all(Formula::is_quantifier_free)
-            }
-            Formula::Not(inner) => inner.is_quantifier_free(),
-            Formula::Forall(_, _) | Formula::Exists(_, _) => false,
-        }
-    }
-
     /// Number of AST nodes; used to report encoding sizes in the benchmarks.
     pub fn size(&self) -> usize {
         match self {
@@ -262,7 +228,6 @@ impl Formula {
                 1 + parts.iter().map(Formula::size).sum::<usize>()
             }
             Formula::Not(inner) => 1 + inner.size(),
-            Formula::Forall(_, body) | Formula::Exists(_, body) => 1 + body.size(),
         }
     }
 
@@ -273,43 +238,29 @@ impl Formula {
             Formula::Atom(_) => 1,
             Formula::And(parts) | Formula::Or(parts) => parts.iter().map(Formula::num_atoms).sum(),
             Formula::Not(inner) => inner.num_atoms(),
-            Formula::Forall(_, body) | Formula::Exists(_, body) => body.num_atoms(),
         }
     }
 
     /// Free variables of the formula.
     pub fn free_vars(&self) -> BTreeSet<Var> {
-        fn go(f: &Formula, bound: &mut Vec<Var>, out: &mut BTreeSet<Var>) {
+        fn go(f: &Formula, out: &mut BTreeSet<Var>) {
             match f {
                 Formula::True | Formula::False => {}
-                Formula::Atom(a) => {
-                    for v in a.expr.variables() {
-                        if !bound.contains(&v) {
-                            out.insert(v);
-                        }
-                    }
-                }
+                Formula::Atom(a) => out.extend(a.expr.variables()),
                 Formula::And(parts) | Formula::Or(parts) => {
                     for p in parts {
-                        go(p, bound, out);
+                        go(p, out);
                     }
                 }
-                Formula::Not(inner) => go(inner, bound, out),
-                Formula::Forall(vars, body) | Formula::Exists(vars, body) => {
-                    let n = bound.len();
-                    bound.extend(vars.iter().copied());
-                    go(body, bound, out);
-                    bound.truncate(n);
-                }
+                Formula::Not(inner) => go(inner, out),
             }
         }
         let mut out = BTreeSet::new();
-        go(self, &mut Vec::new(), &mut out);
+        go(self, &mut out);
         out
     }
 
     /// Converts the formula to negation normal form (negations only on atoms).
-    /// Quantifiers are handled by dualisation.
     pub fn nnf(&self) -> Formula {
         fn go(f: &Formula, negated: bool) -> Formula {
             match f {
@@ -351,29 +302,12 @@ impl Formula {
                     }
                 }
                 Formula::Not(inner) => go(inner, !negated),
-                Formula::Forall(vars, body) => {
-                    let body = go(body, negated);
-                    if negated {
-                        Formula::exists(vars.clone(), body)
-                    } else {
-                        Formula::forall(vars.clone(), body)
-                    }
-                }
-                Formula::Exists(vars, body) => {
-                    let body = go(body, negated);
-                    if negated {
-                        Formula::forall(vars.clone(), body)
-                    } else {
-                        Formula::exists(vars.clone(), body)
-                    }
-                }
             }
         }
         go(self, false)
     }
 
-    /// Substitutes a variable by a linear expression everywhere it occurs
-    /// free.
+    /// Substitutes a variable by a linear expression everywhere it occurs.
     pub fn substitute(&self, var: Var, replacement: &LinExpr) -> Formula {
         match self {
             Formula::True => Formula::True,
@@ -395,27 +329,10 @@ impl Formula {
                     .collect(),
             ),
             Formula::Not(inner) => Formula::not(inner.substitute(var, replacement)),
-            Formula::Forall(vars, body) => {
-                if vars.contains(&var) {
-                    Formula::Forall(vars.clone(), body.clone())
-                } else {
-                    Formula::forall(vars.clone(), body.substitute(var, replacement))
-                }
-            }
-            Formula::Exists(vars, body) => {
-                if vars.contains(&var) {
-                    Formula::Exists(vars.clone(), body.clone())
-                } else {
-                    Formula::exists(vars.clone(), body.substitute(var, replacement))
-                }
-            }
         }
     }
 
-    /// Evaluates a quantifier-free formula under a total assignment.
-    ///
-    /// # Panics
-    /// Panics if the formula contains a quantifier.
+    /// Evaluates the formula under a total assignment.
     pub fn eval(&self, assignment: &dyn Fn(Var) -> i128) -> bool {
         match self {
             Formula::True => true,
@@ -424,14 +341,11 @@ impl Formula {
             Formula::And(parts) => parts.iter().all(|p| p.eval(assignment)),
             Formula::Or(parts) => parts.iter().any(|p| p.eval(assignment)),
             Formula::Not(inner) => !inner.eval(assignment),
-            Formula::Forall(_, _) | Formula::Exists(_, _) => {
-                panic!("eval called on a quantified formula")
-            }
         }
     }
 
     /// Exhaustive search of the integer box `[lo, hi]^vars` for a point
-    /// satisfying this quantifier-free formula; variables outside `vars`
+    /// satisfying this formula; variables outside `vars`
     /// evaluate to 0.  Returns the first satisfying point (values in
     /// `vars` order), or `None` when the box holds none.
     ///
@@ -470,8 +384,6 @@ impl Formula {
             Formula::And(parts) => Formula::and(parts.iter().map(Formula::simplify).collect()),
             Formula::Or(parts) => Formula::or(parts.iter().map(Formula::simplify).collect()),
             Formula::Not(inner) => Formula::not(inner.simplify()),
-            Formula::Forall(vars, body) => Formula::forall(vars.clone(), body.simplify()),
-            Formula::Exists(vars, body) => Formula::exists(vars.clone(), body.simplify()),
         }
     }
 
@@ -503,30 +415,6 @@ impl Formula {
                     Formula::Not(inner) => {
                         write!(f, "(not ")?;
                         self.write(f, inner)?;
-                        write!(f, ")")
-                    }
-                    Formula::Forall(vars, body) => {
-                        write!(f, "(forall (")?;
-                        for (i, v) in vars.iter().enumerate() {
-                            if i > 0 {
-                                write!(f, " ")?;
-                            }
-                            write!(f, "{}", self.1.name(*v))?;
-                        }
-                        write!(f, ") ")?;
-                        self.write(f, body)?;
-                        write!(f, ")")
-                    }
-                    Formula::Exists(vars, body) => {
-                        write!(f, "(exists (")?;
-                        for (i, v) in vars.iter().enumerate() {
-                            if i > 0 {
-                                write!(f, " ")?;
-                            }
-                            write!(f, "{}", self.1.name(*v))?;
-                        }
-                        write!(f, ") ")?;
-                        self.write(f, body)?;
                         write!(f, ")")
                     }
                 }
@@ -610,7 +498,6 @@ mod tests {
             match f {
                 Formula::Not(_) => false,
                 Formula::And(ps) | Formula::Or(ps) => ps.iter().all(no_negation),
-                Formula::Forall(_, b) | Formula::Exists(_, b) => no_negation(b),
                 _ => true,
             }
         }
@@ -623,62 +510,32 @@ mod tests {
     }
 
     #[test]
-    fn nnf_dualises_quantifiers() {
-        let (_, x, _) = setup();
-        let phi = Formula::Not(Box::new(Formula::forall(
-            vec![x],
-            Formula::ge(LinExpr::var(x), LinExpr::constant(0)),
-        )));
-        match phi.nnf() {
-            Formula::Exists(vars, body) => {
-                assert_eq!(vars, vec![x]);
-                match *body {
-                    Formula::Atom(a) => assert_eq!(a.cmp, Cmp::Lt),
-                    other => panic!("unexpected body {other:?}"),
-                }
-            }
-            other => panic!("expected exists, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn substitution_respects_binding() {
+    fn substitution_replaces_every_occurrence() {
         let (_, x, y) = setup();
         let phi = Formula::and(vec![
             Formula::eq(LinExpr::var(x), LinExpr::constant(1)),
-            Formula::forall(vec![x], Formula::ge(LinExpr::var(x), LinExpr::var(y))),
+            Formula::not(Formula::or(vec![
+                Formula::ge(LinExpr::var(x), LinExpr::var(y)),
+                Formula::eq(LinExpr::var(y), LinExpr::constant(3)),
+            ])),
         ]);
         let sub = phi.substitute(x, &LinExpr::constant(7));
-        // the free occurrence is replaced, the bound one is not
-        match sub {
-            Formula::And(parts) => {
-                match &parts[0] {
-                    Formula::Atom(a) => assert!(a.expr.is_constant()),
-                    other => panic!("unexpected {other:?}"),
-                }
-                match &parts[1] {
-                    Formula::Forall(_, body) => {
-                        assert!(body.free_vars().contains(&y));
-                        let inner_vars: Vec<Var> = match body.as_ref() {
-                            Formula::Atom(a) => a.expr.variables().collect(),
-                            other => panic!("unexpected {other:?}"),
-                        };
-                        assert!(inner_vars.contains(&x));
-                    }
-                    other => panic!("unexpected {other:?}"),
-                }
-            }
-            other => panic!("unexpected {other:?}"),
+        assert!(!sub.free_vars().contains(&x));
+        assert!(sub.free_vars().contains(&y));
+        for vy in [0, 3, 7, 8] {
+            let assign = |v: Var| if v == x { 7 } else { vy };
+            assert_eq!(phi.eval(&assign), sub.eval(&assign));
         }
     }
 
     #[test]
-    fn free_vars_excludes_bound() {
+    fn free_vars_collects_every_atom() {
         let (_, x, y) = setup();
-        let phi = Formula::exists(vec![x], Formula::eq(LinExpr::var(x), LinExpr::var(y)));
-        let fv = phi.free_vars();
-        assert!(fv.contains(&y));
-        assert!(!fv.contains(&x));
+        let phi = Formula::or(vec![
+            Formula::eq(LinExpr::var(x), LinExpr::constant(0)),
+            Formula::not(Formula::ge(LinExpr::var(y), LinExpr::constant(2))),
+        ]);
+        assert_eq!(phi.free_vars(), BTreeSet::from([x, y]));
     }
 
     #[test]

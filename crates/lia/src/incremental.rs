@@ -67,9 +67,6 @@ pub struct IncrementalSolver {
     engine: Engine,
     /// Selector variable of every open assertion frame, oldest first.
     frames: Vec<BoolVar>,
-    /// A quantified formula was asserted: everything after that is outside
-    /// the decidable fragment, every solve answers `Unknown`.
-    saw_quantifier: bool,
     /// A theory panic (arithmetic overflow) unwound mid-search; the engine
     /// state is unusable and every further solve answers `Unknown`.
     poisoned: bool,
@@ -93,14 +90,8 @@ impl IncrementalSolver {
         IncrementalSolver {
             engine: Engine::empty(config),
             frames: Vec::new(),
-            saw_quantifier: false,
             poisoned: false,
         }
-    }
-
-    /// The number of open assertion frames.
-    pub fn num_frames(&self) -> usize {
-        self.frames.len()
     }
 
     /// Conjoins `formula` at the current assertion level: clausified
@@ -108,10 +99,6 @@ impl IncrementalSolver {
     /// the current frame's selector so a later [`IncrementalSolver::pop`]
     /// retracts exactly this increment.
     pub fn assert_formula(&mut self, formula: &Formula) {
-        if !formula.is_quantifier_free() {
-            self.saw_quantifier = true;
-            return;
-        }
         let guard = self.frames.last().map(|&s| Lit::negative(s));
         self.engine.assert_nnf(&formula.nnf().simplify(), guard);
     }
@@ -141,10 +128,6 @@ impl IncrementalSolver {
     /// created on the way are added to the database (they constrain
     /// nothing until the literal is assumed or asserted).
     pub fn literal(&mut self, formula: &Formula) -> LitOrConst {
-        if !formula.is_quantifier_free() {
-            self.saw_quantifier = true;
-            return LitOrConst::False;
-        }
         self.engine.literal_of_nnf(&formula.nnf().simplify())
     }
 
@@ -157,9 +140,6 @@ impl IncrementalSolver {
     /// (see [`IncrementalSolver::literal`]); `Unsat` means *unsat under
     /// the assumptions* and retracts nothing.
     pub fn solve_under_assumptions(&mut self, assumptions: &[Lit]) -> SolverResult {
-        if self.saw_quantifier {
-            return SolverResult::Unknown("formula contains quantifiers".to_string());
-        }
         if self.poisoned {
             return SolverResult::Unknown(OVERFLOW_UNKNOWN.to_string());
         }
@@ -401,17 +381,6 @@ mod tests {
             SolverResult::Sat(m) => assert!(m.satisfies(&disjunction)),
             other => panic!("expected sat, got {other:?}"),
         }
-    }
-
-    #[test]
-    fn quantified_assertions_yield_unknown() {
-        let (_, x, _) = setup();
-        let mut solver = IncrementalSolver::new();
-        solver.assert_formula(&Formula::forall(
-            vec![x],
-            Formula::ge(LinExpr::var(x), LinExpr::constant(0)),
-        ));
-        assert!(matches!(solver.solve(), SolverResult::Unknown(_)));
     }
 
     #[test]

@@ -2,14 +2,14 @@
 //!
 //! The decision procedure of *"A Uniform Framework for Handling Position
 //! Constraints in String Solving"* reduces position constraints over regular
-//! languages to (possibly quantified) LIA formulas built from Parikh images
-//! of tag automata.  This crate is the arithmetic substrate of that
-//! reduction:
+//! languages to LIA formulas built from Parikh images of tag automata.
+//! This crate is the arithmetic substrate of that reduction:
 //!
 //! * [`rational`] — exact rational arithmetic over checked `i128`,
 //! * [`term`] — integer variables and linear expressions,
-//! * [`formula`] — quantifier-free and ∀/∃-quantified LIA formulas with
-//!   evaluation, substitution and normal forms,
+//! * [`formula`] — quantifier-free LIA formulas with evaluation,
+//!   substitution and normal forms (the ∀∃ `φ^NC` of `¬contains` is
+//!   instantiated concretely by `posr-core` and never built),
 //! * [`simplex`] — the **incremental Dutertre–de Moura simplex**: a
 //!   persistent, backtrackable tableau ([`simplex::IncrementalSimplex`])
 //!   with one-time atom registration, O(1) bound assertions, warm-started

@@ -17,7 +17,7 @@
 //!   checker can replay the derivation by reverse unit propagation (RUP)
 //!   without search;
 //! * **queries/assumptions/finals** — the session structure: each
-//!   [`crate::cdcl::Engine::solve`] call opens a `query` section listing its
+//!   `Engine::solve` call opens a `query` section listing its
 //!   assumptions, and an Unsat answer ends with a `final` step naming the
 //!   clause that refutes the assumption set (the empty clause when the
 //!   database itself is unsatisfiable).

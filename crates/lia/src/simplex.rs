@@ -28,7 +28,7 @@
 //!   once or not at all — this is what makes the theory side of CDCL(T)
 //!   as incremental as the Boolean side.
 //! * **Rows are flat, sparse and fraction-free.**  A basic variable's row
-//!   is a [`SparseRow`]: column-sorted `i128` numerators over one
+//!   is a `SparseRow`: column-sorted `i128` numerators over one
 //!   positive row denominator `D`, `x_b = Σ (c_k / D)·x_k`, divided by
 //!   their content so that `gcd(D, c_1, …, c_m) = 1` — the unique integer
 //!   form of the row's rationals.  Rows are drawn from a per-tableau

@@ -154,16 +154,11 @@ impl Solver {
         &self.config
     }
 
-    /// Decides satisfiability of a quantifier-free LIA formula.
+    /// Decides satisfiability of a LIA formula.
     ///
-    /// Quantified formulas yield `Unknown` (the `¬contains` front end in
-    /// `posr-core` performs its own instantiation before calling this).
     /// Arithmetic overflow inside the theory solver is caught and reported
     /// as `Unknown` rather than producing a wrong answer.
     pub fn solve(&self, formula: &Formula) -> SolverResult {
-        if !formula.is_quantifier_free() {
-            return SolverResult::Unknown("formula contains quantifiers".to_string());
-        }
         let nnf = formula.nnf().simplify();
         catch_overflow(|| crate::cdcl::solve_cdcl(&nnf, &self.config))
             .unwrap_or_else(SolverResult::Unknown)
@@ -366,17 +361,6 @@ mod tests {
     fn trivial_formulas() {
         assert!(solve(&Formula::True).is_sat());
         assert_eq!(solve(&Formula::False), SolverResult::Unsat);
-    }
-
-    #[test]
-    fn quantified_input_is_rejected() {
-        let mut pool = VarPool::new();
-        let x = pool.fresh("x");
-        let phi = Formula::forall(vec![x], Formula::ge(LinExpr::var(x), LinExpr::constant(0)));
-        match solve(&phi) {
-            SolverResult::Unknown(_) => {}
-            other => panic!("expected unknown, got {other:?}"),
-        }
     }
 
     #[test]

@@ -170,7 +170,7 @@ pub fn flow_end(cat: &'static str, name: impl Into<Cow<'static, str>>, id: u64) 
 
 /// One statically-interned span call site — the target of the [`span!`]
 /// macro, which instantiates exactly one of these per expansion.  Opening
-/// through a site skips the `Cow` plumbing of [`span`]: the open guard is a
+/// through a site skips the `Cow` plumbing of [`span`](fn@span): the open guard is a
 /// pointer and a timestamp, and the recorded event borrows the site's
 /// `&'static` name, so the warm solver paths pay a relaxed load, two clock
 /// reads, and one ring push — nothing is allocated or converted.
@@ -186,7 +186,7 @@ impl SpanSite {
         SpanSite { cat, name }
     }
 
-    /// Opens the span; identical semantics to [`span`]`(cat, name)`.
+    /// Opens the span; identical semantics to [`span`](fn@span)`(cat, name)`.
     #[inline]
     pub fn open(&'static self) -> StaticSpanGuard {
         if !enabled() {
@@ -222,7 +222,7 @@ impl Drop for StaticSpanGuard {
 /// let _span = posr_obs::span!("simplex", "simplex.check");
 /// ```
 ///
-/// Use [`span`] instead when the name is computed at runtime (per-lane,
+/// Use [`span`](fn@span) instead when the name is computed at runtime (per-lane,
 /// per-instance labels).
 #[macro_export]
 macro_rules! span {
@@ -255,12 +255,6 @@ impl Drop for SpanGuard {
             });
         }
     }
-}
-
-/// Clears every recorded event (buffers stay registered, counters are
-/// untouched).  Bench binaries call this between measured sections.
-pub fn reset_events() {
-    ring::clear_all();
 }
 
 /// Where `POSR_TRACE` asked the exports to go.

@@ -1,6 +1,6 @@
 //! Per-thread bounded ring buffers and the global track registry.
 //!
-//! Each recording thread owns one [`TrackBuf`] behind an `Arc`; a global
+//! Each recording thread owns one `TrackBuf` behind an `Arc`; a global
 //! registry keeps a second `Arc` so exporters can snapshot every track
 //! without the recording threads' cooperation (worker threads are usually
 //! gone by the time a trace is written).  The per-event cost is one
@@ -152,13 +152,4 @@ pub fn snapshot_tracks() -> Vec<TrackSnapshot> {
 /// receiving); used by bench binaries to isolate measured sections.
 pub fn drain_tracks() -> Vec<TrackSnapshot> {
     collect(true)
-}
-
-pub(crate) fn clear_all() {
-    let registry = registry().lock().expect("obs registry poisoned");
-    for handle in registry.iter() {
-        let mut buf = handle.0.lock().expect("obs track poisoned");
-        buf.events.clear();
-        buf.dropped = 0;
-    }
 }

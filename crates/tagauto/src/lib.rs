@@ -9,16 +9,15 @@
 //!   ε-concatenation `A∘` of the per-variable automata (Sec. 4),
 //! * [`parikh_tag`] — the Parikh formula `PF(T)` (Appendix A) and the Parikh
 //!   tag formula `PF_tag(T)` (Eq. 2),
-//! * [`diseq_simple`] — the construction `A^I` and formula `φ^I` for a single
-//!   disequality of two distinct variables (Sec. 5.1),
 //! * [`system`] — the general construction with `2K+1` copies, copy tags and
 //!   the consistency formulas `φ_Fair`, `φ_Consistent`, `φ_Copies`
 //!   (Sec. 5.3, Sec. 6 and Appendix C); used with `K = 1` it coincides with
-//!   the single-predicate construction `A^II` of Sec. 5.2,
+//!   the single-predicate construction `A^II` of Sec. 5.2 (which subsumes
+//!   the two-variable `A^I` of Sec. 5.1).  [`system::CutLoop`] is the one
+//!   loop that turns its Parikh models into runs: it adds the connectivity
+//!   constraints of Appendix A lazily, as cuts,
 //! * [`system_naive`] — the naive mismatch-order enumeration the paper argues
 //!   against in Sec. 5.3 (the `2^Θ(n log n)` ablation baseline),
-//! * [`notcontains`] — the ∀∃ LIA encoding `φ^NC` of `¬contains` over flat
-//!   languages (Sec. 6.4),
 //! * [`onecounter_diseq`] — the PTime reduction of a single disequality to
 //!   0-reachability in a one-counter automaton (Sec. 7.1 and Appendix B).
 //!
@@ -27,8 +26,6 @@
 //! NFA per variable, exactly the `R′ ∧ I′ ∧ P′` interface of Sec. 3.
 
 pub mod cache;
-pub mod diseq_simple;
-pub mod notcontains;
 pub mod onecounter_diseq;
 pub mod parikh_tag;
 pub mod system;
@@ -36,6 +33,8 @@ pub mod system_naive;
 pub mod ta;
 pub mod tags;
 
-pub use system::{PositionConstraint, PredicateKind, SystemEncoder, SystemEncoding};
+pub use system::{
+    Connected, CutLoop, PositionConstraint, PredicateKind, SystemEncoder, SystemEncoding,
+};
 pub use ta::TagAutomaton;
 pub use tags::{Side, StrVar, Tag, VarTable};

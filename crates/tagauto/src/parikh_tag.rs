@@ -89,7 +89,7 @@ pub struct ParikhOptions<'a> {
     /// (Eqs. 37–39).  They are exact but introduce one disjunction per state;
     /// the solving pipeline instead drops them and restores exactness with
     /// lazily added connectivity cuts ([`connectivity_cut`]), following the
-    /// approximate-Parikh-image approach of the paper's reference [44].
+    /// approximate-Parikh-image approach of the paper's reference \[44\].
     pub connectivity: bool,
 }
 

@@ -26,12 +26,14 @@
 //!   position of `t` (Eq. 27 omits this disjunct).
 
 use std::collections::{BTreeMap, BTreeSet};
+use std::sync::LazyLock;
+use std::time::Instant;
 
 use posr_automata::{Nfa, Symbol};
-use posr_lia::cdcl::SolverStats;
+use posr_lia::cancel::CancelToken;
 use posr_lia::formula::Formula;
 use posr_lia::incremental::IncrementalSolver;
-use posr_lia::solver::{Model, SolverConfig, SolverResult};
+use posr_lia::solver::{Model, SolverResult};
 use posr_lia::term::{LinExpr, Var, VarPool};
 
 use crate::parikh_tag::{
@@ -128,197 +130,155 @@ pub struct SystemEncoding {
     variables: Vec<StrVar>,
 }
 
-/// The result of [`SystemEncoding::solve_with_cuts`]: the verdict, the
-/// extracted assignment on `Sat`, and the telemetry of the incremental
-/// session that produced it.
+/// The most connectivity cuts one [`CutLoop`] asserts into its session;
+/// the next disconnected model turns the verdict into `Unknown`.
+pub const MAX_CONNECTIVITY_CUTS: usize = 64;
+
+/// Distribution of CEGAR round durations (one session solve each), µs.
+static HIST_CEGAR_ROUND: LazyLock<posr_obs::Histogram> =
+    LazyLock::new(|| posr_obs::histogram("cegar.round_us"));
+
+/// The stall watchdog's "where is the CEGAR loop" probe: refinements so
+/// far (connectivity cuts plus the caller's own) in the current loop.
+static PROGRESS_CEGAR_ROUND: LazyLock<posr_obs::Gauge> =
+    LazyLock::new(|| posr_obs::gauge("cegar.round"));
+
+/// The verdict of [`CutLoop::solve`].
 #[derive(Clone, Debug)]
-pub struct CutSolveReport {
-    /// The verdict.  `Unknown` covers LIA resource-outs *and* a
-    /// connectivity-cut loop that failed to converge within the round
-    /// limit (a pathological instance degrades gracefully instead of
-    /// aborting the worker).
-    pub result: SolverResult,
-    /// The string assignment extracted from a connected model.
-    pub assignment: Option<BTreeMap<StrVar, Vec<Symbol>>>,
-    /// Solver calls made (1 = the first model was already connected).
-    pub rounds: usize,
-    /// Learned clauses alive in the session when the *last* solver call
-    /// started — the lemmas carried into post-cut re-solves.
-    pub learned_carried: u64,
-    /// On `Unsat`: the (0-based, round-ordered) indices of the
-    /// connectivity cuts that actually participated in the refutation,
-    /// from the engine's assumption core over the selector-guarded cuts.
-    /// Empty means the encoding was unsatisfiable before any cut — the
-    /// cuts only ever narrowed the search.
-    pub cut_core: Option<Vec<usize>>,
-    /// Cumulative session counters.
-    pub stats: SolverStats,
+pub enum Connected {
+    /// A model whose flow is a genuine run, with the string assignment read
+    /// off that run.
+    Sat(Model, BTreeMap<StrVar, Vec<Symbol>>),
+    /// The session's assertions are unsatisfiable.  Cuts only exclude
+    /// spurious disconnected flows, so this is `Unsat` of the encoding
+    /// (and of whatever else the caller asserted).
+    Unsat,
+    /// Undecided: the token fired, the LIA search gave up, an overflow was
+    /// caught, or the cut limit was reached.
+    Unknown(String),
+}
+
+/// The lazy connectivity-cut loop: solve the caller's session, extract a
+/// run from the model, and on a disconnected flow (a phantom cycle) assert
+/// [`SystemEncoding::connectivity_cut`] into the same session and solve
+/// again, at most [`MAX_CONNECTIVITY_CUTS`] times.  The session keeps its
+/// learned clauses, activities and phases across the re-solves.
+///
+/// The loop is the one place every caller of the encoding gets a connected
+/// model from.  It records one `cegar.round` span, one `cegar.round_us`
+/// sample and one `cegar.round` gauge update per session solve, and polls
+/// its token and the `core.cegar` fault site before each.  A caller that
+/// asserts refinements of its own between solves (the `¬contains` loop
+/// blocking a candidate) reports each through [`CutLoop::refined`], so the
+/// gauge counts it and the next round closes its `cegar.refine` flow.
+pub struct CutLoop<'a> {
+    encoding: &'a SystemEncoding,
+    token: CancelToken,
+    /// See [`CutLoop::cuts`].
+    cuts: usize,
+    /// Refinements so far: cuts plus those reported through
+    /// [`CutLoop::refined`].
+    refinements: usize,
+    /// Flows opened at a refinement site, closed inside the round they
+    /// trigger: the Perfetto arrow from "this cut" to "that re-solve".
+    pending_refine: Vec<u64>,
+}
+
+impl<'a> CutLoop<'a> {
+    /// A loop over `encoding` polling `token`; the session it solves must
+    /// have `encoding.formula` asserted and should poll the same token.
+    pub fn new(encoding: &'a SystemEncoding, token: CancelToken) -> CutLoop<'a> {
+        CutLoop {
+            encoding,
+            token,
+            cuts: 0,
+            refinements: 0,
+            pending_refine: Vec::new(),
+        }
+    }
+
+    /// Solves `session` until its model is connected, it is refuted, or it
+    /// is undecided.  Cut extraction and assignment decoding run outside the
+    /// engine's own overflow guard, so an overflow there is caught here and
+    /// answered `Unknown` too.
+    pub fn solve(&mut self, session: &mut IncrementalSolver) -> Connected {
+        posr_lia::catch_overflow(|| self.solve_unguarded(session))
+            .unwrap_or_else(Connected::Unknown)
+    }
+
+    /// Disconnected models met so far; each got a connectivity cut unless
+    /// it ended the loop.
+    pub fn cuts(&self) -> usize {
+        self.cuts
+    }
+
+    /// Records a refinement the caller asserted into the session between
+    /// solves: the gauge counts it and the next round closes its flow.
+    pub fn refined(&mut self) {
+        self.refinements += 1;
+        let flow = posr_obs::flow_id();
+        posr_obs::flow_start("core", "cegar.refine", flow);
+        self.pending_refine.push(flow);
+    }
+
+    fn solve_unguarded(&mut self, session: &mut IncrementalSolver) -> Connected {
+        loop {
+            if let Some(posr_obs::FaultKind::Cancel) = posr_obs::fault::fire(
+                "core.cegar",
+                &[
+                    posr_obs::FaultKind::Panic,
+                    posr_obs::FaultKind::Delay,
+                    posr_obs::FaultKind::Cancel,
+                ],
+            ) {
+                self.token.cancel();
+            }
+            if self.token.is_cancelled() {
+                return Connected::Unknown(self.token.unknown_reason());
+            }
+            PROGRESS_CEGAR_ROUND.set(self.refinements as u64);
+            let round_span = posr_obs::span!("core", "cegar.round");
+            for id in self.pending_refine.drain(..) {
+                posr_obs::flow_end("core", "cegar.refine", id);
+            }
+            let round_start = Instant::now();
+            let solved = session.solve();
+            HIST_CEGAR_ROUND.record_duration(round_start.elapsed());
+            drop(round_span);
+            let model = match solved {
+                SolverResult::Sat(model) => model,
+                SolverResult::Unsat => return Connected::Unsat,
+                SolverResult::Unknown(reason) => return Connected::Unknown(reason),
+            };
+            if let Some(assignment) = self.encoding.extract_assignment(&model) {
+                return Connected::Sat(model, assignment);
+            }
+            self.cuts += 1;
+            if self.cuts > MAX_CONNECTIVITY_CUTS {
+                return Connected::Unknown("connectivity-cut limit exceeded".to_string());
+            }
+            let Some(cut) = self.encoding.connectivity_cut(&model) else {
+                return Connected::Unknown(
+                    "model extraction failed on a connected model".to_string(),
+                );
+            };
+            posr_obs::instant("core", "cegar.connectivity-cut");
+            self.refined();
+            if posr_obs::solve_log_enabled() {
+                posr_obs::solve_log(
+                    "cegar.refine",
+                    &[
+                        ("kind", "connectivity-cut".into()),
+                        ("cuts", self.cuts.into()),
+                    ],
+                );
+            }
+            session.assert_formula(&cut);
+        }
+    }
 }
 
 impl SystemEncoding {
-    /// Solves `φ_comb ∧ extra` with the lazy connectivity-cut loop over
-    /// **one persistent incremental LIA session**: the encoding is
-    /// asserted once, every cut is asserted as a new increment, and the
-    /// engine keeps its learned clauses, variable activities and saved
-    /// phases across rounds instead of re-clausifying and re-searching
-    /// from scratch.
-    ///
-    /// A disconnected model that yields no cut, or `max_rounds` rounds
-    /// without convergence, produce an `Unknown` verdict rather than a
-    /// panic.
-    /// Cuts are installed behind selector literals and activated as
-    /// assumptions rather than asserted outright, so an `Unsat` verdict
-    /// comes with the engine's assumption core: exactly which cuts the
-    /// refutation used ([`CutSolveReport::cut_core`]).  Since cuts only
-    /// exclude spurious disconnected flows, `Unsat` under them is `Unsat`
-    /// of the encoding itself.  When the round limit falls after a cut
-    /// was just installed, one final solve runs so a refutation the last
-    /// cut completed is reported as the certified `Unsat` it is instead
-    /// of `Unknown`.
-    pub fn solve_with_cuts(
-        &self,
-        extra: &Formula,
-        config: &SolverConfig,
-        max_rounds: usize,
-    ) -> CutSolveReport {
-        // cut extraction and assignment decoding run outside the engine's
-        // own overflow guard, so contain the overflow panic here too
-        match posr_lia::catch_overflow(|| self.solve_with_cuts_inner(extra, config, max_rounds)) {
-            Ok(report) => report,
-            Err(reason) => CutSolveReport {
-                result: SolverResult::Unknown(reason),
-                assignment: None,
-                rounds: 0,
-                learned_carried: 0,
-                cut_core: None,
-                stats: SolverStats::default(),
-            },
-        }
-    }
-
-    fn solve_with_cuts_inner(
-        &self,
-        extra: &Formula,
-        config: &SolverConfig,
-        max_rounds: usize,
-    ) -> CutSolveReport {
-        let mut session = IncrementalSolver::with_config(config.clone());
-        session.assert_formula(&self.formula);
-        session.assert_formula(extra);
-        let mut cut_lits: Vec<posr_lia::Lit> = Vec::new();
-        let mut rounds = 0usize;
-        let mut learned_carried;
-        let report = |result: SolverResult,
-                      assignment: Option<BTreeMap<StrVar, Vec<Symbol>>>,
-                      cut_core: Option<Vec<usize>>,
-                      rounds: usize,
-                      learned_carried: u64,
-                      session: &IncrementalSolver| {
-            CutSolveReport {
-                result,
-                assignment,
-                rounds,
-                learned_carried,
-                cut_core,
-                stats: session.stats(),
-            }
-        };
-        loop {
-            learned_carried = session.stats().learned_live;
-            rounds += 1;
-            let final_round = rounds >= max_rounds;
-            match session.solve_under_assumptions(&cut_lits) {
-                SolverResult::Sat(model) => match self.extract_assignment(&model) {
-                    Some(assignment) => {
-                        return report(
-                            SolverResult::Sat(model),
-                            Some(assignment),
-                            None,
-                            rounds,
-                            learned_carried,
-                            &session,
-                        )
-                    }
-                    None if final_round => {
-                        return report(
-                            SolverResult::Unknown(
-                                "connectivity-cut loop did not converge".to_string(),
-                            ),
-                            None,
-                            None,
-                            rounds,
-                            learned_carried,
-                            &session,
-                        )
-                    }
-                    None => match self.connectivity_cut(&model) {
-                        Some(cut) => match session.literal(&cut) {
-                            posr_lia::LitOrConst::Lit(l) => cut_lits.push(l),
-                            // a trivially-true cut cannot block anything
-                            posr_lia::LitOrConst::True => {
-                                return report(
-                                    SolverResult::Unknown(
-                                        "connectivity cut simplified to true".to_string(),
-                                    ),
-                                    None,
-                                    None,
-                                    rounds,
-                                    learned_carried,
-                                    &session,
-                                )
-                            }
-                            // a cut that simplifies to false refutes the
-                            // flow outright (cuts are sound)
-                            posr_lia::LitOrConst::False => {
-                                return report(
-                                    SolverResult::Unsat,
-                                    None,
-                                    Some(vec![cut_lits.len()]),
-                                    rounds,
-                                    learned_carried,
-                                    &session,
-                                )
-                            }
-                        },
-                        None => {
-                            return report(
-                                SolverResult::Unknown(
-                                    "model extraction failed on a connected model".to_string(),
-                                ),
-                                None,
-                                None,
-                                rounds,
-                                learned_carried,
-                                &session,
-                            )
-                        }
-                    },
-                },
-                SolverResult::Unsat => {
-                    let cut_core = session.last_unsat_core().map(|core| {
-                        cut_lits
-                            .iter()
-                            .enumerate()
-                            .filter(|(_, l)| core.contains(l))
-                            .map(|(i, _)| i)
-                            .collect()
-                    });
-                    return report(
-                        SolverResult::Unsat,
-                        None,
-                        cut_core,
-                        rounds,
-                        learned_carried,
-                        &session,
-                    );
-                }
-                other => {
-                    return report(other, None, None, rounds, learned_carried, &session);
-                }
-            }
-        }
-    }
-
     /// The length of a variable `|x|` as a linear expression over the
     /// encoding's LIA variables (the counter of the `⟨L,x⟩` tag).
     pub fn length_of(&self, var: StrVar) -> LinExpr {
@@ -1045,7 +1005,6 @@ impl FormulaContext<'_> {
 mod tests {
     use super::*;
     use posr_automata::Regex;
-    use posr_lia::solver::SolverResult;
 
     fn setup(specs: &[(&str, &str)]) -> (VarTable, BTreeMap<StrVar, Nfa>, Vec<StrVar>) {
         let mut vars = VarTable::new();
@@ -1059,14 +1018,20 @@ mod tests {
         (vars, automata, ids)
     }
 
-    /// Solves an encoding with the incremental connectivity-cut loop and
-    /// returns the result together with the extracted assignment on SAT.
+    /// Solves an encoding with the connectivity-cut loop and returns the
+    /// result together with the extracted assignment on SAT.
     fn solve_encoding(
         encoding: &SystemEncoding,
         extra: &Formula,
     ) -> (SolverResult, Option<BTreeMap<StrVar, Vec<Symbol>>>) {
-        let report = encoding.solve_with_cuts(extra, &SolverConfig::default(), 32);
-        (report.result, report.assignment)
+        let mut session = IncrementalSolver::new();
+        session.assert_formula(&encoding.formula);
+        session.assert_formula(extra);
+        match CutLoop::new(encoding, CancelToken::none()).solve(&mut session) {
+            Connected::Sat(model, assignment) => (SolverResult::Sat(model), Some(assignment)),
+            Connected::Unsat => (SolverResult::Unsat, None),
+            Connected::Unknown(reason) => (SolverResult::Unknown(reason), None),
+        }
     }
 
     fn word(assignment: &BTreeMap<StrVar, Vec<Symbol>>, v: StrVar) -> String {
@@ -1084,32 +1049,6 @@ mod tests {
         );
         let (result, _) = solve_encoding(&encoding, &Formula::True);
         assert!(result.is_unsat(), "abc ≠ abc with fixed words is unsat");
-    }
-
-    #[test]
-    fn unsat_reports_a_cut_core_and_sat_does_not() {
-        let (vars, automata, ids) = setup(&[("x", "abc"), ("y", "abc")]);
-        let encoder = SystemEncoder::new(&automata, &vars);
-        let mut pool = VarPool::new();
-        let encoding = encoder.encode(
-            &[PositionConstraint::diseq(vec![ids[0]], vec![ids[1]])],
-            &mut pool,
-        );
-        let report = encoding.solve_with_cuts(&Formula::True, &SolverConfig::default(), 32);
-        assert!(report.result.is_unsat());
-        // this refutation needs no connectivity cuts, and the core says so
-        assert_eq!(report.cut_core.as_deref(), Some(&[][..]));
-
-        let (vars, automata, ids) = setup(&[("x", "(ab)*"), ("y", "(ac)*")]);
-        let encoder = SystemEncoder::new(&automata, &vars);
-        let mut pool = VarPool::new();
-        let encoding = encoder.encode(
-            &[PositionConstraint::diseq(vec![ids[0]], vec![ids[1]])],
-            &mut pool,
-        );
-        let report = encoding.solve_with_cuts(&Formula::True, &SolverConfig::default(), 32);
-        assert!(matches!(report.result, SolverResult::Sat(_)));
-        assert_eq!(report.cut_core, None);
     }
 
     #[test]

@@ -7,8 +7,7 @@
 //! naive approach enumerates *every* order in which the `2K` mismatch events
 //! can occur and builds one complete encoding per order.  The number of
 //! orders is `(2K)!`, i.e. `2^Θ(K log K)`, which is exactly the blow-up the
-//! polynomial construction avoids; the `encoding_size` benchmark measures
-//! both curves.
+//! polynomial construction avoids; the ablation bin prints both curves.
 //!
 //! Besides its size, the naive encoding is also *incomplete* for models in
 //! which one mismatched letter must serve several constraints at once (the
@@ -21,10 +20,11 @@ use std::collections::BTreeMap;
 use posr_automata::Nfa;
 use posr_lia::cancel::CancelToken;
 use posr_lia::formula::Formula;
-use posr_lia::solver::{Solver, SolverResult};
+use posr_lia::incremental::IncrementalSolver;
+use posr_lia::solver::{SolverConfig, SolverResult};
 use posr_lia::term::{LinExpr, VarPool};
 
-use crate::system::{PositionConstraint, SystemEncoder, SystemEncoding};
+use crate::system::{Connected, CutLoop, PositionConstraint, SystemEncoder, SystemEncoding};
 use crate::tags::{Side, Tag, VarTable};
 
 /// One ordering of the `2K` mismatch events: the `i`-th entry says which
@@ -142,38 +142,26 @@ fn order_restriction(encoding: &SystemEncoding, order: &MismatchOrder) -> Formul
 }
 
 /// Solves the naive encoding: tries every order until one is satisfiable,
-/// validating each candidate with the connectivity-cut loop.  The solver's
-/// cancel token is polled once per order, before the order is clausified.
-pub fn solve_naive(encoding: &NaiveEncoding, extra: &Formula, solver: &Solver) -> SolverResult {
-    let cancel = &solver.config().cancel;
+/// each on a fresh session driven by the connectivity-cut loop.  `cancel`
+/// is polled once per order, before the order is clausified, and by the
+/// loop and the LIA search inside it.
+pub fn solve_naive(encoding: &NaiveEncoding, cancel: &CancelToken) -> SolverResult {
+    let config = SolverConfig {
+        cancel: cancel.clone(),
+        ..SolverConfig::default()
+    };
     let mut saw_unknown = false;
     for (_, system, restriction) in &encoding.per_order {
         if cancel.is_cancelled() {
             return SolverResult::Unknown(cancel.unknown_reason());
         }
-        let mut formula = Formula::and(vec![
-            system.formula.clone(),
-            restriction.clone(),
-            extra.clone(),
-        ]);
-        let mut iterations = 0;
-        loop {
-            iterations += 1;
-            if iterations > 32 {
-                saw_unknown = true;
-                break;
-            }
-            match solver.solve(&formula) {
-                SolverResult::Sat(model) => match system.connectivity_cut(&model) {
-                    None => return SolverResult::Sat(model),
-                    Some(cut) => formula = Formula::and(vec![formula, cut]),
-                },
-                SolverResult::Unsat => break,
-                SolverResult::Unknown(_) => {
-                    saw_unknown = true;
-                    break;
-                }
-            }
+        let mut session = IncrementalSolver::with_config(config.clone());
+        session.assert_formula(&system.formula);
+        session.assert_formula(restriction);
+        match CutLoop::new(system, cancel.clone()).solve(&mut session) {
+            Connected::Sat(model, _) => return SolverResult::Sat(model),
+            Connected::Unsat => {}
+            Connected::Unknown(_) => saw_unknown = true,
         }
     }
     if saw_unknown {
@@ -236,12 +224,8 @@ mod tests {
         let mut pool = VarPool::new();
         assert!(encode_naive(&constraints, &automata, &vars, &mut pool, &fired).is_none());
         let naive = encode_naive(&constraints, &automata, &vars, &mut pool, &none).unwrap();
-        let solver = Solver::with_config(posr_lia::solver::SolverConfig {
-            cancel: fired,
-            ..Default::default()
-        });
         assert_eq!(
-            solve_naive(&naive, &Formula::True, &solver),
+            solve_naive(&naive, &fired),
             SolverResult::Unknown(posr_lia::cancel::CANCELLED_MSG.to_string())
         );
     }
@@ -253,13 +237,12 @@ mod tests {
         let mut pool = VarPool::new();
         let none = CancelToken::none();
         let naive = encode_naive(&constraints, &automata, &vars, &mut pool, &none).unwrap();
-        let solver = Solver::new();
-        assert!(solve_naive(&naive, &Formula::True, &solver).is_sat());
+        assert!(solve_naive(&naive, &none).is_sat());
 
         let (vars2, automata2, ids2) = setup(&[("x", "a"), ("y", "a")]);
         let constraints2 = vec![PositionConstraint::diseq(vec![ids2[0]], vec![ids2[1]])];
         let mut pool2 = VarPool::new();
         let naive2 = encode_naive(&constraints2, &automata2, &vars2, &mut pool2, &none).unwrap();
-        assert!(solve_naive(&naive2, &Formula::True, &solver).is_unsat());
+        assert!(solve_naive(&naive2, &none).is_unsat());
     }
 }

@@ -4,7 +4,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
-use posr_automata::{Nfa, StateId};
+use posr_automata::Nfa;
 
 use crate::tags::{StrVar, Tag, VarTable};
 
@@ -329,12 +329,6 @@ pub fn owning_variable(concat: &Concatenation, state: usize) -> Option<StrVar> {
         .iter()
         .find(|b| state >= b.state_offset && state < b.state_offset + b.num_states)
         .map(|b| b.var)
-}
-
-/// Convenience: maps an NFA [`StateId`] to a TA state index (they coincide for
-/// `len_tag`, which preserves state numbering).
-pub fn state_index(q: StateId) -> usize {
-    q.index()
 }
 
 #[cfg(test)]

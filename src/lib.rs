@@ -30,7 +30,7 @@
 //! * [`smtfmt`] — the SMT-LIB-flavoured front end with strategy hints,
 //!   including the `run_script` command stream (`push`/`pop`, multiple
 //!   `check-sat`, `get-model`),
-//! * [`bench`] — workload generators and the evaluation harness,
+//! * [`bench`](mod@bench) — workload generators and the evaluation harness,
 //! * [`portfolio`] — the concurrent portfolio engine and batch driver.
 //!
 //! # Quick start

@@ -15,7 +15,7 @@ use std::sync::{Arc, Mutex};
 use posr_core::ast::{StringFormula, StringTerm};
 use posr_core::solver::{Answer, SolverOptions, StringSolver};
 use posr_lia::formula::Formula;
-use posr_lia::solver::{Solver, SolverConfig, SolverResult};
+use posr_lia::solver::{Solver, SolverResult};
 use posr_lia::term::{LinExpr, VarPool};
 use posr_lia::{CancelToken, IncrementalSolver};
 
@@ -85,9 +85,9 @@ fn forced_overflow_degrades_every_entry_point_cleanly() {
             }),
         ),
         (
-            "posr_tagauto::SystemEncoding::solve_with_cuts",
+            "posr_tagauto::CutLoop::solve",
             Box::new(|| {
-                use posr_tagauto::{PositionConstraint, SystemEncoder, VarTable};
+                use posr_tagauto::{CutLoop, PositionConstraint, SystemEncoder, VarTable};
                 let mut vars = VarTable::new();
                 let x = vars.intern("x");
                 let y = vars.intern("y");
@@ -98,8 +98,12 @@ fn forced_overflow_degrades_every_entry_point_cleanly() {
                 let mut pool = VarPool::new();
                 let encoding =
                     encoder.encode(&[PositionConstraint::diseq(vec![x], vec![y])], &mut pool);
-                let report = encoding.solve_with_cuts(&Formula::True, &SolverConfig::default(), 8);
-                format!("{:?}", report.result)
+                let mut session = IncrementalSolver::new();
+                session.assert_formula(&encoding.formula);
+                format!(
+                    "{:?}",
+                    CutLoop::new(&encoding, CancelToken::none()).solve(&mut session)
+                )
             }),
         ),
         (
