@@ -17,7 +17,6 @@
 //! statistics of `posr-portfolio`.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, LazyLock, Mutex, OnceLock};
 
 use crate::nfa::Nfa;
@@ -26,16 +25,10 @@ use crate::regex::{ParseRegexError, Regex};
 static COMPILED: OnceLock<Mutex<HashMap<String, Arc<Nfa>>>> = OnceLock::new();
 static PREPARED: OnceLock<Mutex<HashMap<String, Arc<Nfa>>>> = OnceLock::new();
 static PREPARED_BY_CONTENT: OnceLock<Mutex<HashMap<String, Arc<Nfa>>>> = OnceLock::new();
-// Process-wide cumulative counters: a *documented process-wide view* only.
-// Attributing lookups to one batch/solve among concurrent ones goes through
-// the obs counters below and a `posr_obs::CounterScope` on the caller side.
-static HITS: AtomicU64 = AtomicU64::new(0);
-static MISSES: AtomicU64 = AtomicU64::new(0);
 
-/// Scope-attributable mirrors of `HITS`/`MISSES` (see
-/// `posr_obs::counters`): always incremented in lock-step with the atomics
-/// so per-batch [`posr_obs::CounterScope`]s see exactly the lookups their
-/// own worker threads performed.
+/// Cache hits and misses (see `posr_obs::counters`): [`stats`] reads their
+/// process-wide totals, and a per-batch [`posr_obs::CounterScope`] sees
+/// exactly the lookups its own worker threads performed.
 pub static OBS_HITS: LazyLock<posr_obs::Counter> =
     LazyLock::new(|| posr_obs::counter("automata.cache.hits"));
 pub static OBS_MISSES: LazyLock<posr_obs::Counter> =
@@ -69,20 +62,10 @@ fn lock_recover(
     }
 }
 
-/// Approximate heap footprint of a cached automaton, charged against the
-/// memory budget of whichever solve inserts it.
+/// Approximate heap footprint of a cached automaton, charged to the
+/// memory account of whichever solve inserts it.
 fn nfa_bytes(nfa: &Nfa) -> u64 {
     64 + 48 * nfa.size() as u64
-}
-
-fn count_hit() {
-    HITS.fetch_add(1, Ordering::Relaxed);
-    OBS_HITS.incr();
-}
-
-fn count_miss() {
-    MISSES.fetch_add(1, Ordering::Relaxed);
-    OBS_MISSES.incr();
 }
 
 /// A snapshot of the cache counters.
@@ -113,12 +96,10 @@ impl CacheStats {
         }
     }
 
-    /// The lookups this snapshot saw after `earlier` was taken.
-    /// Saturating, so a concurrent [`reset_stats`] yields zeros instead of
-    /// wrapped garbage.  Note the result is still a *process-wide* delta:
-    /// concurrent solvers' lookups are included.  For exact per-batch
-    /// attribution use a `posr_obs::CounterScope` over
-    /// [`OBS_HITS`]/[`OBS_MISSES`].
+    /// The lookups this snapshot saw after `earlier` was taken.  Note the
+    /// result is a *process-wide* delta: concurrent solvers' lookups are
+    /// included.  For exact per-batch attribution use a
+    /// `posr_obs::CounterScope` over [`OBS_HITS`]/[`OBS_MISSES`].
     pub fn since(&self, earlier: CacheStats) -> CacheStats {
         CacheStats {
             hits: self.hits.saturating_sub(earlier.hits),
@@ -138,13 +119,13 @@ fn lookup(
         &[posr_obs::FaultKind::Panic, posr_obs::FaultKind::Delay],
     );
     if let Some(hit) = lock_recover(map).get(pattern) {
-        count_hit();
+        OBS_HITS.incr();
         return Ok(Arc::clone(hit));
     }
     // build outside the lock: concurrent workers may race and compile the
     // same pattern twice, but nobody blocks behind a slow compilation and
     // both racers insert identical (deterministic) automata
-    count_miss();
+    OBS_MISSES.incr();
     let built = Arc::new(build()?);
     let mut guard = lock_recover(map);
     if !guard.contains_key(pattern) {
@@ -201,11 +182,11 @@ pub fn prepared_for(nfa: &Nfa) -> Arc<Nfa> {
         &[posr_obs::FaultKind::Panic, posr_obs::FaultKind::Delay],
     );
     if let Some(hit) = lock_recover(map).get(&key) {
-        count_hit();
+        OBS_HITS.incr();
         return Arc::clone(hit);
     }
     // build outside the lock (see `lookup` for the rationale)
-    count_miss();
+    OBS_MISSES.incr();
     let built = Arc::new(nfa.remove_epsilon().trim());
     let mut guard = lock_recover(map);
     if guard.len() >= MAX_ENTRIES && !guard.contains_key(&key) {
@@ -217,33 +198,22 @@ pub fn prepared_for(nfa: &Nfa) -> Arc<Nfa> {
     Arc::clone(guard.entry(key).or_insert(built))
 }
 
-/// Current hit/miss counters (cumulative since process start or the last
-/// [`reset_stats`]).
+/// Current hit/miss counters, cumulative since process start.
 pub fn stats() -> CacheStats {
     CacheStats {
-        hits: HITS.load(Ordering::Relaxed),
-        misses: MISSES.load(Ordering::Relaxed),
+        hits: OBS_HITS.value(),
+        misses: OBS_MISSES.value(),
     }
 }
 
-/// Resets the process-wide counters (the entries stay).  Prefer
-/// [`CacheStats::since`] deltas or a `posr_obs::CounterScope` over a reset:
-/// resetting yanks the baseline out from under every other concurrent
-/// reader (the obs counters are deliberately *not* reset).
-pub fn reset_stats() {
-    HITS.store(0, Ordering::Relaxed);
-    MISSES.store(0, Ordering::Relaxed);
-}
-
-/// Drops every cached automaton and resets the counters.  Only tests and
-/// long-running servers with pattern churn should need this.
+/// Drops every cached automaton (the counters keep counting).  Only tests
+/// and long-running servers with pattern churn should need this.
 pub fn clear() {
     for store in [&COMPILED, &PREPARED, &PREPARED_BY_CONTENT] {
         if let Some(map) = store.get() {
             lock_recover(map).clear();
         }
     }
-    reset_stats();
 }
 
 #[cfg(test)]

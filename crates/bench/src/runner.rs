@@ -59,8 +59,9 @@ impl SolverKind {
                 ..SolverOptions::default()
             })
             .solve(&instance.formula),
-            SolverKind::Enumeration => EnumerationSolver::default()
-                .solve(&instance.formula, &CancelToken::with_deadline(deadline)),
+            SolverKind::Enumeration => {
+                EnumerationSolver.solve(&instance.formula, &CancelToken::with_deadline(deadline))
+            }
             SolverKind::NaiveOrder => {
                 NaiveOrderSolver.solve(&instance.formula, &CancelToken::with_deadline(deadline))
             }

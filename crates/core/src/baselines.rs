@@ -64,26 +64,16 @@ fn lia_with_cancel(cancel: &CancelToken) -> Solver {
     })
 }
 
-/// Guess-and-check enumeration (cvc5-like behaviour on satisfiable inputs).
-#[derive(Clone, Debug)]
-pub struct EnumerationSolver {
-    /// Maximum word length tried per variable.
-    pub max_len: usize,
-    /// Number of random samples per length bound.
-    pub samples_per_round: usize,
-    /// RNG seed (the baseline is deterministic for a fixed seed).
-    pub seed: u64,
-}
+/// Maximum word length [`EnumerationSolver`] tries per variable.
+const ENUMERATION_MAX_LEN: usize = 8;
+/// Random samples [`EnumerationSolver`] draws per length bound.
+const ENUMERATION_SAMPLES_PER_BOUND: usize = 400;
+/// [`EnumerationSolver`]'s RNG seed (the baseline is deterministic).
+const ENUMERATION_SEED: u64 = 0xC0FFEE;
 
-impl Default for EnumerationSolver {
-    fn default() -> EnumerationSolver {
-        EnumerationSolver {
-            max_len: 8,
-            samples_per_round: 400,
-            seed: 0xC0FFEE,
-        }
-    }
-}
+/// Guess-and-check enumeration (cvc5-like behaviour on satisfiable inputs).
+#[derive(Clone, Debug, Default)]
+pub struct EnumerationSolver;
 
 impl Strategy for EnumerationSolver {
     fn name(&self) -> &'static str {
@@ -94,11 +84,11 @@ impl Strategy for EnumerationSolver {
         let Ok(nf) = normal::normalize(formula) else {
             return Answer::Unknown("normalisation failed".to_string());
         };
-        let mut rng = StdRng::seed_from_u64(self.seed);
+        let mut rng = StdRng::seed_from_u64(ENUMERATION_SEED);
         let variables: Vec<String> = nf.languages.keys().cloned().collect();
         // deterministic pass over short words first, then random sampling
-        for bound in 1..=self.max_len {
-            for _ in 0..self.samples_per_round {
+        for bound in 1..=ENUMERATION_MAX_LEN {
+            for _ in 0..ENUMERATION_SAMPLES_PER_BOUND {
                 if cancel.is_cancelled() {
                     return Answer::Unknown(cancel.unknown_reason());
                 }
@@ -360,7 +350,7 @@ mod tests {
 
     #[test]
     fn enumeration_finds_satisfying_assignment() {
-        let answer = EnumerationSolver::default().solve(&diseq_formula(), &CancelToken::none());
+        let answer = EnumerationSolver.solve(&diseq_formula(), &CancelToken::none());
         match answer {
             Answer::Sat(model) => assert!(model.satisfies(&diseq_formula())),
             other => panic!("expected sat, got {other:?}"),
@@ -372,7 +362,7 @@ mod tests {
         let f = StringFormula::new()
             .in_re("x", "ab")
             .diseq(StringTerm::var("x"), StringTerm::lit("ab"));
-        assert!(EnumerationSolver::default()
+        assert!(EnumerationSolver
             .solve(&f, &CancelToken::none())
             .is_unknown());
     }
@@ -433,7 +423,7 @@ mod tests {
     fn cancelled_token_aborts_enumeration() {
         let token = CancelToken::new();
         token.cancel();
-        let answer = EnumerationSolver::default().solve(&diseq_formula(), &token);
+        let answer = EnumerationSolver.solve(&diseq_formula(), &token);
         match answer {
             Answer::Unknown(reason) => assert_eq!(reason, "cancelled"),
             other => panic!("expected unknown, got {other:?}"),

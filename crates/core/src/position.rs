@@ -104,8 +104,8 @@ pub struct PositionOptions {
     /// serialized proof of every certified Unsat into the sink — the
     /// engine behind SMT-LIB `(get-proof)`.
     pub proof_sink: Option<ProofSink>,
-    /// Cooperative cancellation token (flag, deadline and budget); polled
-    /// before every solver call and propagated into the LIA search itself.
+    /// Cooperative cancellation token (flag and deadline); polled before
+    /// every solver call and propagated into the LIA search itself.
     pub cancel: CancelToken,
 }
 

@@ -133,22 +133,13 @@ impl StringSolver {
     pub fn solve(&self, formula: &StringFormula) -> Answer {
         // fold the query-level deadline and cancellation flag into one token
         // and hand the same token to the position procedure
-        let mut token = self
+        let token = self
             .options
             .cancel
             .merged_with_deadline(self.options.deadline);
-        // a POSR_MEM_BUDGET in the environment applies to every solve that
-        // was not already handed a budget by its caller
-        if token.budget().is_none() {
-            if let Some(limit) = posr_obs::budget::mem_budget_from_env() {
-                token = token.with_budget(std::sync::Arc::new(
-                    posr_obs::Budget::unlimited().with_mem_limit(limit),
-                ));
-            }
-        }
         // attach the budget so allocation charges from this thread (clause
         // DB, tableau, proof sink, automaton cache) land on this solve
-        let _budget_scope = token.budget().map(posr_obs::budget::attach);
+        let _budget_scope = token.budget().map(|budget| budget.attach());
         let position_options = PositionOptions {
             proof_sink: self.options.proof_sink.clone(),
             cancel: token.clone(),

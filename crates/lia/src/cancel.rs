@@ -24,15 +24,14 @@ pub const DEADLINE_MSG: &str = "deadline exceeded";
 
 /// The `Unknown` reason reported when a search exhausts one of the
 /// engine's own fixed limits (conflicts, integer branches, or branch
-/// magnitude) rather than a token-carried deadline or budget.
+/// magnitude) rather than the token's flag or deadline.
 pub const RESOURCE_OUT_MSG: &str = "resource limit reached";
 
-/// A cloneable cancellation/deadline/budget token.
+/// A cloneable cancellation/deadline token.
 ///
 /// Clones share the underlying flag: cancelling any clone cancels them all.
-/// A token may also carry a shared [`Budget`] (memory + conflict axes);
-/// an exceeded axis fires the token exactly like a raised flag, so every
-/// existing poll point degrades to the same clean `Unknown`.  The default
+/// A token may also carry the [`Budget`] that accounts the memory of the
+/// solve it is handed to; a budget never fires the token.  The default
 /// token ([`CancelToken::none`]) can never fire.
 #[derive(Clone, Debug, Default)]
 pub struct CancelToken {
@@ -65,9 +64,9 @@ impl CancelToken {
         }
     }
 
-    /// This token with `budget` attached: the token fires once any budget
-    /// axis is exceeded.  Clones (and [`merged_with_deadline`] results)
-    /// share the budget.
+    /// This token carrying `budget`, the account a `StringSolver` solve
+    /// attaches to its thread.  Clones (and [`merged_with_deadline`]
+    /// results) share the budget.
     ///
     /// [`merged_with_deadline`]: CancelToken::merged_with_deadline
     pub fn with_budget(mut self, budget: Arc<Budget>) -> CancelToken {
@@ -115,40 +114,24 @@ impl CancelToken {
             .is_some_and(|f| f.load(Ordering::Relaxed))
     }
 
-    /// The budget axis currently exceeded, if any.
-    pub fn budget_exceeded(&self) -> Option<&'static str> {
-        self.budget.as_ref().and_then(|b| b.exceeded_axis())
-    }
-
-    /// `true` once the flag is set, the deadline has passed, or a budget
-    /// axis is exceeded.
+    /// `true` once the flag is set or the deadline has passed.
     pub fn is_cancelled(&self) -> bool {
-        if self.flag_raised() {
-            return true;
-        }
-        if self.budget_exceeded().is_some() {
-            return true;
-        }
-        self.deadline.is_some_and(|d| Instant::now() >= d)
+        self.flag_raised() || self.deadline.is_some_and(|d| Instant::now() >= d)
     }
 
     /// `true` if polling this token could ever return `true` (used to skip
     /// `Instant::now` syscalls on the fast path).
     pub fn can_fire(&self) -> bool {
-        self.flag.is_some()
-            || self.deadline.is_some()
-            || self.budget.as_ref().is_some_and(|b| b.can_fire())
+        self.flag.is_some() || self.deadline.is_some()
     }
 
     /// The `Unknown` reason matching the way the token fired.
     pub fn unknown_reason(&self) -> String {
         if self.flag_raised() {
-            return CANCELLED_MSG.to_string();
+            CANCELLED_MSG.to_string()
+        } else {
+            DEADLINE_MSG.to_string()
         }
-        if let Some(axis) = self.budget_exceeded() {
-            return axis.to_string();
-        }
-        DEADLINE_MSG.to_string()
     }
 }
 
@@ -194,33 +177,6 @@ mod tests {
         let merged = base.merged_with_deadline(Some(late));
         base.cancel();
         assert!(merged.is_cancelled());
-    }
-
-    #[test]
-    fn budget_axes_fire_the_token() {
-        let budget = Arc::new(Budget::unlimited().with_mem_limit(100));
-        let token = CancelToken::new().with_budget(Arc::clone(&budget));
-        assert!(token.can_fire());
-        assert!(!token.is_cancelled());
-        budget.charge_mem(101);
-        assert!(token.is_cancelled());
-        assert_eq!(token.unknown_reason(), posr_obs::MEM_BUDGET_MSG);
-        // clones and deadline merges share the budget
-        let merged = token.merged_with_deadline(None);
-        assert!(merged.is_cancelled());
-        // the flag takes precedence in the reported reason
-        token.cancel();
-        assert_eq!(token.unknown_reason(), CANCELLED_MSG);
-    }
-
-    #[test]
-    fn conflict_budget_reports_its_axis() {
-        let budget = Arc::new(Budget::unlimited().with_conflict_limit(5));
-        let token = CancelToken::none().with_budget(Arc::clone(&budget));
-        assert!(token.can_fire());
-        budget.charge_conflicts(6);
-        assert!(token.is_cancelled());
-        assert_eq!(token.unknown_reason(), posr_obs::CONFLICT_BUDGET_MSG);
     }
 
     #[test]

@@ -106,7 +106,7 @@ use crate::term::{LinExpr, Var};
 const NO_REASON: u32 = u32::MAX;
 
 /// Approximate heap footprint of a clause of `len` literals, for the
-/// memory-budget accounting (header + literal vector).
+/// solve's memory account (header + literal vector).
 fn clause_bytes(len: usize) -> u64 {
     48 + 8 * len as u64
 }
@@ -1404,9 +1404,6 @@ impl Engine {
     /// conflict is at the root level (search exhausted).
     fn resolve_conflict(&mut self, conflict: Vec<Lit>, conflict_id: u64) -> bool {
         self.stats.conflicts += 1;
-        if let Some(b) = self.config.cancel.budget() {
-            b.charge_conflicts(1);
-        }
         // theory conflicts may live entirely below the current level:
         // backtrack to the newest involved level first
         let max_level = conflict
@@ -1435,7 +1432,7 @@ impl Engine {
             self.stats.learned_total += 1;
             let lbd = self.lbd_of(&learnt);
             HIST_LBD.record(lbd as u64);
-            // approximate clause-DB growth against the memory budget
+            // approximate clause-DB growth for the memory account
             // (credited back when the GC drops the clause)
             posr_obs::budget::charge_mem(clause_bytes(learnt.len()));
             self.attach(Clause {
@@ -1600,8 +1597,8 @@ impl Engine {
         false
     }
 
-    /// The `Unknown` of a fired cancel token, naming the axis that fired:
-    /// flag, budget axis, or deadline.
+    /// The `Unknown` of a fired cancel token, naming how it fired: flag or
+    /// deadline.
     fn cancelled_unknown(&self) -> SolverResult {
         SolverResult::Unknown(self.config.cancel.unknown_reason())
     }
@@ -1646,9 +1643,6 @@ impl Engine {
             // the obs counters; the attached scope is what `stats()`
             // derives them from
             let _pivots = self.pivot_scope.attach();
-            // layers below with no token in sight (proof sinks, caches)
-            // charge the solve's budget through the thread attachment
-            let _budget = self.config.cancel.budget().map(posr_obs::budget::attach);
             self.search()
         };
         self.cancel_until(0);

@@ -480,7 +480,7 @@ impl IncrementalSimplex {
         self.upper.push(None);
         self.beta.push(Rat::ZERO);
         self.suspect_flag.push(false);
-        // approximate per-column tableau growth for the memory budget
+        // approximate per-column tableau growth for the memory account
         posr_obs::budget::charge_mem(160);
         idx
     }

@@ -43,7 +43,7 @@ pub mod ring;
 pub mod solvelog;
 pub mod watchdog;
 
-pub use budget::{Budget, BudgetAttachGuard, CONFLICT_BUDGET_MSG, MEM_BUDGET_MSG};
+pub use budget::Budget;
 pub use counters::{
     attached_scopes, counter, counter_value, counters_snapshot, Counter, CounterScope,
 };

@@ -239,7 +239,7 @@ pub fn solve_batch(
     // the backoff is spent out of that time, so an item with no more left
     // than the backoff is not retried at all
     let mut retried = 0usize;
-    for outcome in outcomes.iter_mut() {
+    for (outcome, item) in outcomes.iter_mut().zip(items) {
         if !wants_retry(&outcome.result) {
             continue;
         }
@@ -254,14 +254,9 @@ pub fn solve_batch(
         retried += 1;
         std::thread::sleep(backoff);
         posr_obs::instant("batch", format!("batch.retry:{}", outcome.name));
-        let formula = items
-            .iter()
-            .find(|i| i.name == outcome.name)
-            .map(|i| &i.formula);
-        let Some(formula) = formula else { continue };
         let retry_start = Instant::now();
         let retry = run_isolated(&outcome.name, || {
-            portfolio.solve_with(formula, left, Some(RETRY_HINT))
+            portfolio.solve_with(&item.formula, left, Some(RETRY_HINT))
         });
         if let Ok(result) = retry {
             if matches!(result.answer, Answer::Sat(_) | Answer::Unsat) {
@@ -350,7 +345,7 @@ fn crashed_somewhere(result: &PortfolioResult) -> bool {
 /// An item is retried when it ended *undecided* after an absorbed crash.
 /// Decided items never retry — a crash that lost the race to a validated
 /// answer needs no second opinion — and neither do items that ran out of
-/// time or budget: a second run would only charge the same axis again.
+/// time: a second run would only meet the same deadline again.
 fn wants_retry(result: &PortfolioResult) -> bool {
     matches!(result.answer, Answer::Unknown(_)) && crashed_somewhere(result)
 }
@@ -460,7 +455,7 @@ mod tests {
             .diseq(StringTerm::var("x"), StringTerm::lit("abc"));
         let portfolio = crate::PortfolioSolver::with_strategies(vec![
             Arc::new(PanickingStrategy),
-            Arc::new(CdclPosStrategy::default()),
+            Arc::new(CdclPosStrategy),
         ]);
         let report = solve_batch(
             &[BatchItem::new("crashy", unsat.clone())],
@@ -590,6 +585,47 @@ mod tests {
         let (retried, _, budget) = run(RETRY_BACKOFF / 2);
         assert_eq!(retried, 0);
         assert_eq!(budget, None);
+    }
+
+    #[test]
+    fn retry_re_solves_the_crashed_item_when_names_repeat() {
+        use crate::{CdclPosStrategy, Strategy};
+        use posr_lia::cancel::CancelToken;
+        use std::sync::atomic::AtomicBool;
+        use std::sync::Arc;
+
+        /// The production lane, except that its first call on `target`
+        /// panics.
+        struct CrashOnceOn {
+            target: StringFormula,
+            crashed: AtomicBool,
+        }
+        impl Strategy for CrashOnceOn {
+            fn name(&self) -> &'static str {
+                "crash-once-on"
+            }
+            fn solve(&self, f: &StringFormula, cancel: &CancelToken) -> Answer {
+                if *f == self.target && !self.crashed.swap(true, Ordering::SeqCst) {
+                    panic!("first call on the target blew up");
+                }
+                CdclPosStrategy.solve(f, cancel)
+            }
+        }
+
+        let items = items();
+        let (sat, unsat) = (items[0].formula.clone(), items[1].formula.clone());
+        let lane = CrashOnceOn {
+            target: unsat.clone(),
+            crashed: AtomicBool::new(false),
+        };
+        let report = solve_batch(
+            &[BatchItem::new("dup", sat), BatchItem::new("dup", unsat)],
+            &PortfolioSolver::with_strategies(vec![Arc::new(lane)]),
+            &BatchOptions::default(),
+        );
+        assert_eq!(report.stats.retried, 1);
+        assert!(report.outcomes[0].result.answer.is_sat());
+        assert_eq!(report.outcomes[1].result.answer, Answer::Unsat);
     }
 
     #[test]

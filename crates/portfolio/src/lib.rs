@@ -166,12 +166,9 @@ pub(crate) fn run_isolated<T>(name: &str, body: impl FnOnce() -> T) -> Result<T,
 /// The paper's tag-automaton position pipeline with the clause-learning
 /// CDCL(T) LIA core (the production solver; the only lane that closes the
 /// loopy unsat families).  The CEGAR loops run on one persistent
-/// incremental LIA session per query.
+/// incremental LIA session per query, under the racing token alone.
 #[derive(Clone, Debug, Default)]
-pub struct CdclPosStrategy {
-    /// Base options; the racing token and deadline are merged in per query.
-    pub options: SolverOptions,
-}
+pub struct CdclPosStrategy;
 
 impl Strategy for CdclPosStrategy {
     fn name(&self) -> &'static str {
@@ -179,10 +176,10 @@ impl Strategy for CdclPosStrategy {
     }
 
     fn solve(&self, formula: &StringFormula, cancel: &CancelToken) -> Answer {
-        let mut options = self.options.clone();
-        // one shared implementation of the earlier-deadline merge
-        options.cancel = cancel.merged_with_deadline(options.deadline);
-        options.deadline = options.cancel.deadline();
+        let options = SolverOptions {
+            cancel: cancel.clone(),
+            ..SolverOptions::default()
+        };
         StringSolver::with_options(options).solve(formula)
     }
 }
@@ -251,10 +248,7 @@ impl PortfolioSolver {
     /// guess-and-check enumeration.
     pub fn new() -> PortfolioSolver {
         PortfolioSolver {
-            strategies: vec![
-                Arc::new(CdclPosStrategy::default()),
-                Arc::new(EnumerationSolver::default()),
-            ],
+            strategies: vec![Arc::new(CdclPosStrategy), Arc::new(EnumerationSolver)],
         }
     }
 
@@ -540,7 +534,7 @@ mod tests {
     #[test]
     fn losing_strategy_is_cancelled_once_the_race_is_decided() {
         let portfolio = PortfolioSolver::with_strategies(vec![
-            Arc::new(CdclPosStrategy::default()),
+            Arc::new(CdclPosStrategy),
             Arc::new(HangingStrategy),
         ]);
         let start = Instant::now();
@@ -636,7 +630,7 @@ mod tests {
         let crashes_before = OBS_LANE_CRASHES.value();
         let portfolio = PortfolioSolver::with_strategies(vec![
             Arc::new(PanickingStrategy),
-            Arc::new(CdclPosStrategy::default()),
+            Arc::new(CdclPosStrategy),
         ]);
         let result = portfolio.solve_with(&unsat_formula(), None, None);
         // the surviving lane's validated answer is returned …
@@ -670,7 +664,7 @@ mod tests {
         let formula = StringFormula::new().in_re("x", "(ab)+");
         let portfolio = PortfolioSolver::with_strategies(vec![
             Arc::new(LiarStrategy),
-            Arc::new(CdclPosStrategy::default()),
+            Arc::new(CdclPosStrategy),
         ]);
         let result = portfolio.solve_with(&formula, None, None);
         match &result.answer {

@@ -25,7 +25,6 @@
 //! inputs are lists of *occurrences* of string variables together with one
 //! NFA per variable, exactly the `R′ ∧ I′ ∧ P′` interface of Sec. 3.
 
-pub mod cache;
 pub mod onecounter_diseq;
 pub mod parikh_tag;
 pub mod system;

@@ -27,7 +27,7 @@ fn main() {
     );
     println!(
         "  (enumeration baseline    : {})",
-        answer_status(&EnumerationSolver::default().solve(&commuting, &CancelToken::none()))
+        answer_status(&EnumerationSolver.solve(&commuting, &CancelToken::none()))
     );
 
     // … but satisfiable once the languages stop commuting.

@@ -1,8 +1,8 @@
 //! Fault-injection and budget integration tests: overflow forced through
 //! every public solve entry point must come back as a clean answer (never a
 //! panic escaping to the caller), the BigInt slow lane must rescue
-//! coefficient systems past the machine-word boundary, and a budget axis
-//! running out must degrade to a self-describing `Unknown`.
+//! coefficient systems past the machine-word boundary, and concurrent
+//! solves must each account their own memory.
 //!
 //! Injection state is process-global, so every test here takes the same
 //! lock and disarms on exit (including panicking exits, via the guard).
@@ -10,7 +10,7 @@
 //! the armed windows never overlap the rest of the suite.
 
 use std::collections::BTreeMap;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Barrier, Mutex};
 
 use posr_core::ast::{StringFormula, StringTerm};
 use posr_core::solver::{Answer, SolverOptions, StringSolver};
@@ -209,56 +209,54 @@ fn huge_coefficient_systems_answer_definitely_via_the_slow_lane() {
     );
 }
 
-/// A conflict budget running out degrades to `Unknown` naming the axis.
+/// Two solves running at once each account their own memory: a charge
+/// lands in the budget attached to the thread that makes it, exactly once,
+/// and a budget never fires its token.
 #[test]
-fn conflict_budget_exhaustion_reports_its_axis() {
+fn concurrent_solves_account_memory_to_their_own_budgets() {
     let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
-    let budget = Arc::new(posr_obs::Budget::unlimited().with_conflict_limit(1));
-    let token = CancelToken::new().with_budget(Arc::clone(&budget));
-    let options = SolverOptions {
-        cancel: token,
-        ..SolverOptions::default()
-    };
-    // the flagship loopy refutation needs far more than one conflict
+    let budgets = [
+        Arc::new(posr_obs::Budget::unlimited()),
+        Arc::new(posr_obs::Budget::unlimited()),
+    ];
+    let tokens = budgets
+        .each_ref()
+        .map(|b| CancelToken::none().with_budget(Arc::clone(b)));
+    assert!(tokens.iter().all(|t| !t.can_fire()));
+    // the flagship loopy refutation reaches the tag encoding and the
+    // CDCL(T) search, so it grows a tableau and a clause database
     let f = StringFormula::new()
         .in_re("x", "(ab)*")
         .in_re("y", "(ab)*")
         .diseq(StringTerm::var("x"), StringTerm::var("y"))
         .len_eq("x", "y");
-    match StringSolver::with_options(options).solve(&f) {
-        Answer::Unknown(reason) => {
-            assert!(
-                reason.contains(posr_obs::CONFLICT_BUDGET_MSG),
-                "reason should name the conflict axis, got: {reason}"
-            );
+    let charged = posr_obs::counter("mem.charged_bytes");
+    let credited = posr_obs::counter("mem.credited_bytes");
+    let before = (charged.value(), credited.value());
+    // made on this thread, to which no budget is attached
+    const STRAY: u64 = 1 << 40;
+    let start = Barrier::new(3);
+    std::thread::scope(|s| {
+        for token in &tokens {
+            let (f, start) = (&f, &start);
+            s.spawn(move || {
+                let options = SolverOptions {
+                    cancel: token.clone(),
+                    ..SolverOptions::default()
+                };
+                start.wait();
+                assert_eq!(StringSolver::with_options(options).solve(f), Answer::Unsat);
+            });
         }
-        other => panic!("expected a budgeted Unknown, got {other:?}"),
+        start.wait();
+        posr_obs::budget::charge_mem(STRAY);
+    });
+    for budget in &budgets {
+        assert!(budget.mem_used() > 0);
+        assert!(budget.mem_used() < STRAY);
     }
-    assert!(budget.conflicts() > 1);
-}
-
-/// A memory budget running out degrades to `Unknown` naming the axis.
-#[test]
-fn memory_budget_exhaustion_reports_its_axis() {
-    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
-    let budget = Arc::new(posr_obs::Budget::unlimited().with_mem_limit(1));
-    let token = CancelToken::new().with_budget(Arc::clone(&budget));
-    let options = SolverOptions {
-        cancel: token,
-        ..SolverOptions::default()
-    };
-    let f = StringFormula::new()
-        .in_re("x", "(ab)*")
-        .in_re("y", "(ab)*")
-        .diseq(StringTerm::var("x"), StringTerm::var("y"))
-        .len_eq("x", "y");
-    match StringSolver::with_options(options).solve(&f) {
-        Answer::Unknown(reason) => {
-            assert!(
-                reason.contains(posr_obs::MEM_BUDGET_MSG),
-                "reason should name the memory axis, got: {reason}"
-            );
-        }
-        other => panic!("expected a budgeted Unknown, got {other:?}"),
-    }
+    // no solve ran in this process meanwhile but the two, so the two
+    // accounts and the stray charge sum to the process-wide movement
+    let moved = (charged.value() - before.0) - (credited.value() - before.1);
+    assert_eq!(budgets[0].mem_used() + budgets[1].mem_used() + STRAY, moved);
 }

@@ -111,8 +111,8 @@ fn batch_driver_agrees_and_aggregates() {
 #[test]
 fn every_lane_returns_at_its_deadline() {
     let lanes: [Arc<dyn Strategy>; 4] = [
-        Arc::new(CdclPosStrategy::default()),
-        Arc::new(EnumerationSolver::default()),
+        Arc::new(CdclPosStrategy),
+        Arc::new(EnumerationSolver),
         Arc::new(NaiveOrderSolver),
         Arc::new(LengthAbstractionSolver),
     ];
@@ -152,7 +152,7 @@ impl Strategy for HangingStrategy {
 #[test]
 fn hung_strategy_is_abandoned_after_the_winner_finishes() {
     let portfolio = PortfolioSolver::with_strategies(vec![
-        Arc::new(CdclPosStrategy::default()),
+        Arc::new(CdclPosStrategy),
         Arc::new(HangingStrategy),
     ]);
     let unsat = StringFormula::new()
