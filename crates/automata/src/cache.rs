@@ -4,13 +4,12 @@
 //! Every solving strategy normalises its input independently, and the
 //! portfolio engine runs several strategies over the *same* formula on
 //! concurrent threads — without sharing, each worker would re-parse and
-//! re-compile identical patterns.  This cache interns two artefacts per
-//! pattern:
+//! re-compile identical patterns.  This cache interns two artefacts:
 //!
-//! * the raw compiled NFA ([`compile_cached`]), exactly what
+//! * the compiled NFA of a pattern ([`compile_cached`]), exactly what
 //!   `Regex::parse(p)?.compile()` returns, and
-//! * the ε-free trimmed variant ([`prepared_cached`]), the form every
-//!   encoder downstream actually wants.
+//! * the ε-free trimmed form of an automaton ([`prepared_for`]), keyed by
+//!   its content, the form every encoder downstream actually wants.
 //!
 //! Entries are `Arc`-shared and immutable, so concurrent readers clone a
 //! pointer, never an automaton.  Hit/miss counters feed the batch-driver
@@ -23,7 +22,6 @@ use crate::nfa::Nfa;
 use crate::regex::{ParseRegexError, Regex};
 
 static COMPILED: OnceLock<Mutex<HashMap<String, Arc<Nfa>>>> = OnceLock::new();
-static PREPARED: OnceLock<Mutex<HashMap<String, Arc<Nfa>>>> = OnceLock::new();
 static PREPARED_BY_CONTENT: OnceLock<Mutex<HashMap<String, Arc<Nfa>>>> = OnceLock::new();
 
 /// Cache hits and misses (see `posr_obs::counters`): [`stats`] reads their
@@ -108,12 +106,13 @@ impl CacheStats {
     }
 }
 
-fn lookup(
-    store: &OnceLock<Mutex<HashMap<String, Arc<Nfa>>>>,
-    pattern: &str,
-    build: impl FnOnce() -> Result<Nfa, ParseRegexError>,
-) -> Result<Arc<Nfa>, ParseRegexError> {
-    let map = store.get_or_init(|| Mutex::new(HashMap::new()));
+/// The compiled NFA of `pattern`, shared across the process.
+///
+/// # Errors
+/// Returns the parse error of `Regex::parse` on malformed patterns (errors
+/// are not cached; a typo fixed upstream retries the parse).
+pub fn compile_cached(pattern: &str) -> Result<Arc<Nfa>, ParseRegexError> {
+    let map = COMPILED.get_or_init(|| Mutex::new(HashMap::new()));
     posr_obs::fault::fire(
         "automata.cache.lookup",
         &[posr_obs::FaultKind::Panic, posr_obs::FaultKind::Delay],
@@ -126,7 +125,7 @@ fn lookup(
     // same pattern twice, but nobody blocks behind a slow compilation and
     // both racers insert identical (deterministic) automata
     OBS_MISSES.incr();
-    let built = Arc::new(build()?);
+    let built = Arc::new(Regex::parse(pattern)?.compile());
     let mut guard = lock_recover(map);
     if !guard.contains_key(pattern) {
         posr_obs::budget::charge_mem(nfa_bytes(&built));
@@ -136,28 +135,6 @@ fn lookup(
     ))
 }
 
-/// The compiled NFA of `pattern`, shared across the process.
-///
-/// # Errors
-/// Returns the parse error of `Regex::parse` on malformed patterns (errors
-/// are not cached; a typo fixed upstream retries the parse).
-pub fn compile_cached(pattern: &str) -> Result<Arc<Nfa>, ParseRegexError> {
-    lookup(&COMPILED, pattern, || Ok(Regex::parse(pattern)?.compile()))
-}
-
-/// The ε-free, trimmed NFA of `pattern`, shared across the process.  This is
-/// the form the tag-automaton encoders consume, so callers that go straight
-/// from a pattern to an encoder skip the per-solve `remove_epsilon().trim()`
-/// entirely.
-///
-/// # Errors
-/// Returns the parse error of `Regex::parse` on malformed patterns.
-pub fn prepared_cached(pattern: &str) -> Result<Arc<Nfa>, ParseRegexError> {
-    lookup(&PREPARED, pattern, || {
-        Ok(Regex::parse(pattern)?.compile().remove_epsilon().trim())
-    })
-}
-
 /// The ε-free, trimmed form of an arbitrary automaton, keyed by the
 /// automaton's *content* ([`Nfa::cache_key`]) rather than a pattern string.
 ///
@@ -165,11 +142,10 @@ pub fn prepared_cached(pattern: &str) -> Result<Arc<Nfa>, ParseRegexError> {
 /// decomposition: every case of `solve_position` re-prepares its refined
 /// languages, and across cases (and across portfolio strategies racing the
 /// same formula, and across CEGAR rounds re-entering the procedure) most of
-/// those intersections are structurally identical.  The pattern-keyed
-/// [`prepared_cached`] cannot see them — they have no pattern — so they are
-/// interned by canonical structure instead.
+/// those intersections are structurally identical.  They have no pattern,
+/// so they are interned by canonical structure instead.
 pub fn prepared_for(nfa: &Nfa) -> Arc<Nfa> {
-    /// Unlike the pattern-keyed stores (bounded by the distinct patterns a
+    /// Unlike the pattern-keyed store (bounded by the distinct patterns a
     /// workload uses), content keys of unrelated queries rarely recur, so a
     /// long-running server would grow this map without bound.  Past the cap
     /// the result is still computed, just not interned.
@@ -185,7 +161,7 @@ pub fn prepared_for(nfa: &Nfa) -> Arc<Nfa> {
         OBS_HITS.incr();
         return Arc::clone(hit);
     }
-    // build outside the lock (see `lookup` for the rationale)
+    // build outside the lock (see `compile_cached` for the rationale)
     OBS_MISSES.incr();
     let built = Arc::new(nfa.remove_epsilon().trim());
     let mut guard = lock_recover(map);
@@ -209,7 +185,7 @@ pub fn stats() -> CacheStats {
 /// Drops every cached automaton (the counters keep counting).  Only tests
 /// and long-running servers with pattern churn should need this.
 pub fn clear() {
-    for store in [&COMPILED, &PREPARED, &PREPARED_BY_CONTENT] {
+    for store in [&COMPILED, &PREPARED_BY_CONTENT] {
         if let Some(map) = store.get() {
             lock_recover(map).clear();
         }
@@ -231,17 +207,8 @@ mod tests {
     }
 
     #[test]
-    fn prepared_is_trimmed_and_epsilon_free() {
-        let nfa = prepared_cached("(a|b)+prepared-test").unwrap();
-        assert!(nfa.accepts_str("abprepared-test"));
-        let again = prepared_cached("(a|b)+prepared-test").unwrap();
-        assert!(Arc::ptr_eq(&nfa, &again));
-    }
-
-    #[test]
     fn parse_errors_are_reported_not_cached() {
         assert!(compile_cached("(unclosed").is_err());
-        assert!(prepared_cached("(unclosed").is_err());
     }
 
     #[test]

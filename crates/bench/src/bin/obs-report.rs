@@ -2,16 +2,15 @@
 //!
 //! ```text
 //! obs-report DUMP.json            # black-box dump → phase/percentile tables
-//! obs-report SOLVE.log            # POSR_SOLVE_LOG stream → event timeline
+//! obs-report BENCH_lia.json       # bench report → its family rows
 //! obs-report --diff OLD.json NEW.json   # two BENCH_lia.json documents
 //! ```
 //!
-//! The file kind is sniffed from its content (dump, JSONL log, bench
-//! report), so plain `obs-report FILE` does the right thing for any
-//! artefact the solver writes.
+//! The file kind is read from the document's `schema` field, so plain
+//! `obs-report FILE` does the right thing for any artefact the solver
+//! writes.
 
-use posr_bench::json::{parse, Json};
-use posr_bench::obsreport::{diff_bench, render_blackbox, render_solve_log};
+use posr_bench::obsreport::{diff_bench, render_artefact};
 
 const USAGE: &str = "usage: obs-report FILE | obs-report --diff OLD.json NEW.json";
 
@@ -25,29 +24,11 @@ fn read(path: &str) -> String {
     }
 }
 
-fn render_file(path: &str) -> Result<String, String> {
-    let text = read(path);
-    // a whole-file JSON document is a dump or a bench report; anything
-    // else is treated as a JSONL solve log
-    match parse(&text) {
-        Ok(doc) => match doc.get("schema").and_then(Json::as_str) {
-            Some("posr-blackbox/v1") => render_blackbox(&text),
-            Some(schema) if schema.starts_with("posr-bench-lia/") => {
-                // a bench report diffed against itself renders its own rows
-                diff_bench(&text, &text)
-            }
-            Some(schema) => Err(format!("unrecognised schema {schema:?}")),
-            None => Err("JSON document has no \"schema\" field".to_string()),
-        },
-        Err(_) => render_solve_log(&text),
-    }
-}
-
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let result = match args.as_slice() {
         [flag, old, new] if flag == "--diff" => diff_bench(&read(old), &read(new)),
-        [path] if path != "--diff" && !path.starts_with("--") => render_file(path),
+        [path] if !path.starts_with("--") => render_artefact(&read(path)),
         _ => {
             eprintln!("{USAGE}");
             std::process::exit(2);

@@ -1,5 +1,5 @@
 //! A minimal JSON reader for the workspace's own artefacts (black-box
-//! dumps, solve logs, `BENCH_lia.json`), keeping the zero-dependency
+//! dumps, `BENCH_lia.json`), keeping the zero-dependency
 //! policy: the solver *writes* hand-rolled JSON, so the report tooling
 //! needs a hand-rolled reader of the same dialect.  Full JSON syntax is
 //! supported (the checker is stricter than the writer needs).

@@ -1,8 +1,8 @@
 //! Renders flight-recorder artefacts into terminal tables: black-box dumps
-//! (`posr-blackbox/v1`, written by the stall watchdog), per-solve JSONL logs
-//! (`POSR_SOLVE_LOG`), and diffs of two `BENCH_lia.json` documents.  The
-//! `obs-report` binary is a thin CLI over these functions; they live in the
-//! library so the integration tests can drive the exact rendering code.
+//! (`posr-blackbox/v1`, written by the stall watchdog), `BENCH_lia.json`
+//! reports, and diffs of two of them.  The `obs-report` binary is a thin
+//! CLI over these functions; they live in the library so the integration
+//! tests can drive the exact rendering code.
 
 use std::fmt::Write as _;
 
@@ -151,52 +151,20 @@ pub fn render_blackbox(text: &str) -> Result<String, String> {
     Ok(out)
 }
 
-/// Renders a `POSR_SOLVE_LOG` JSONL stream: one line per event with its
-/// timestamp (relative to the first event) and flattened fields.
+/// Renders one artefact by its `schema` field: a black-box dump as its
+/// tables, a `BENCH_lia.json` report as its own rows (the report diffed
+/// against itself).
 ///
 /// # Errors
-/// Returns a message naming the first malformed line, if any.
-pub fn render_solve_log(text: &str) -> Result<String, String> {
-    let mut out = String::new();
-    let mut first_ts: Option<f64> = None;
-    for (lineno, line) in text.lines().enumerate() {
-        if line.trim().is_empty() {
-            continue;
-        }
-        let doc = parse(line).map_err(|e| format!("line {}: {e}", lineno + 1))?;
-        let ts = doc.get("ts_us").and_then(Json::as_f64).unwrap_or(0.0);
-        let base = *first_ts.get_or_insert(ts);
-        let event = doc.get("event").and_then(Json::as_str).unwrap_or("?");
-        let mut fields = String::new();
-        for (key, value) in doc.entries() {
-            if key == "ts_us" || key == "event" {
-                continue;
-            }
-            let rendered = match value {
-                Json::Str(s) => s.clone(),
-                Json::Num(n) => {
-                    if n.fract() == 0.0 {
-                        format!("{}", *n as i64)
-                    } else {
-                        format!("{n:.3}")
-                    }
-                }
-                other => format!("{other:?}"),
-            };
-            let _ = write!(fields, " {key}={rendered}");
-        }
-        let _ = writeln!(
-            out,
-            "{:>10} {}{}",
-            fmt_us(ts - base),
-            pad(event, 18),
-            fields
-        );
+/// Returns a message when `text` is not JSON or has no known schema.
+pub fn render_artefact(text: &str) -> Result<String, String> {
+    let doc = parse(text)?;
+    match doc.get("schema").and_then(Json::as_str) {
+        Some("posr-blackbox/v1") => render_blackbox(text),
+        Some(schema) if schema.starts_with("posr-bench-lia/") => diff_bench(text, text),
+        Some(schema) => Err(format!("unrecognised schema {schema:?}")),
+        None => Err("JSON document has no \"schema\" field".to_string()),
     }
-    if out.is_empty() {
-        return Err("empty solve log".to_string());
-    }
-    Ok(out)
 }
 
 /// Diffs two `BENCH_lia.json` documents family-by-family: the wall time,
@@ -328,17 +296,23 @@ mod tests {
     }
 
     #[test]
-    fn renders_a_solve_log() {
-        let log = concat!(
+    fn artefacts_render_by_their_schema() {
+        let dump = posr_obs::blackbox_json("unit-test-solve", "stall", 1234);
+        let rendered = render_artefact(&dump).unwrap();
+        assert!(rendered.contains("black-box dump: unit-test-solve"));
+        let bench = r#"{"schema":"posr-bench-lia/v6","families":[
+            {"name":"f1","full":{"wall_ms":10.0,"conflicts":5,"theory_checks":20}}]}"#;
+        let rendered = render_artefact(bench).unwrap();
+        assert!(rendered.contains("f1"), "{rendered}");
+        let unknown = render_artefact(r#"{"schema":"posr-other/v1"}"#).unwrap_err();
+        assert!(unknown.contains("posr-other/v1"), "{unknown}");
+        // a JSONL stream (one object per line) is not one document
+        let lines = concat!(
             "{\"ts_us\":100,\"event\":\"solve.start\"}\n",
-            "{\"ts_us\":2100,\"event\":\"phase.case\",\"case\":3}\n",
             "{\"ts_us\":5100,\"event\":\"solve.verdict\",\"verdict\":\"sat\"}\n",
         );
-        let rendered = render_solve_log(log).unwrap();
-        assert!(rendered.contains("solve.start"));
-        assert!(rendered.contains("case=3"));
-        assert!(rendered.contains("verdict=sat"));
-        assert!(render_solve_log("").is_err());
+        assert!(render_artefact(lines).is_err());
+        assert!(render_artefact("not json").is_err());
     }
 
     #[test]

@@ -18,7 +18,7 @@
 //! 5. reconstructs and re-validates a concrete string model on success.
 
 use std::collections::BTreeMap;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use posr_automata::nfa::symbols_to_string;
 use posr_automata::Nfa;
@@ -66,26 +66,24 @@ pub type ProofSink = std::sync::Arc<std::sync::Mutex<Vec<String>>>;
 /// `Unknown`.
 const MAX_BLOCKED_CANDIDATES: usize = 64;
 
-/// Default soft deadline of the per-solve stall watchdog when the solve
-/// has no explicit deadline; override with `POSR_WATCHDOG_MS`.
-const WATCHDOG_DEFAULT_MS: u64 = 30_000;
+/// Soft deadline of the per-solve stall watchdog when the solve has no
+/// deadline of its own.
+const WATCHDOG_DEFAULT: Duration = Duration::from_secs(30);
 
-/// Arms the per-solve stall watchdog (a no-op unless `POSR_BLACKBOX_DIR`
-/// is set): soft deadline = the token's deadline when present, else
-/// `POSR_WATCHDOG_MS` (default 30 s).  A solve past its soft deadline —
-/// or one killed by cancellation, via [`posr_obs::Watchdog::fire_now`] —
-/// leaves a black-box dump behind.
-fn arm_watchdog(options: &PositionOptions) -> posr_obs::Watchdog {
-    let soft = match options.cancel.deadline() {
-        Some(deadline) => deadline.saturating_duration_since(Instant::now()),
-        None => std::time::Duration::from_millis(
-            std::env::var("POSR_WATCHDOG_MS")
-                .ok()
-                .and_then(|v| v.trim().parse().ok())
-                .unwrap_or(WATCHDOG_DEFAULT_MS),
-        ),
-    };
-    posr_obs::Watchdog::arm("position-solve", soft)
+/// How long a solve may run past its own deadline before its watchdog
+/// calls it stalled.  Without it, a deadline that has already passed arms
+/// a 0 ms timer that races the cancel path's `fire_now`, and a solve that
+/// stopped on time could dump "stall" instead of its deadline.
+const WATCHDOG_GRACE: Duration = Duration::from_secs(1);
+
+/// The soft deadline of the per-solve stall watchdog for a solve starting
+/// at `now`: the time left until `deadline` plus `WATCHDOG_GRACE`, or
+/// `WATCHDOG_DEFAULT` when the solve has no deadline.
+fn watchdog_soft_deadline(deadline: Option<Instant>, now: Instant) -> Duration {
+    match deadline {
+        Some(deadline) => deadline.saturating_duration_since(now) + WATCHDOG_GRACE,
+        None => WATCHDOG_DEFAULT,
+    }
 }
 
 /// Proof documents pushed into [`ProofSink`]s (obs counter, always live).
@@ -468,7 +466,13 @@ fn solve_with_cegar(
     let mut cut_loop = CutLoop::new(encoding, token.clone());
     let mut rounds = 0usize;
     let flat = contains_goals.is_empty() || notcontains::all_flat(contains_goals, vars, automata);
-    let watchdog = arm_watchdog(options);
+    // the stall watchdog (a no-op unless `POSR_BLACKBOX_DIR` is set): a
+    // solve past its soft deadline, or one killed by cancellation via
+    // `fire_now`, leaves a black-box dump behind
+    let watchdog = posr_obs::Watchdog::arm(
+        "position-solve",
+        watchdog_soft_deadline(token.deadline(), Instant::now()),
+    );
     loop {
         let (model, assignment) = match cut_loop.solve(&mut session) {
             Connected::Sat(model, assignment) => (model, assignment),
@@ -494,32 +498,11 @@ fn solve_with_cegar(
                     posr_obs::budget::charge_mem(proof.len() as u64);
                     sink.lock().expect("proof sink poisoned").push(proof);
                 }
-                if posr_obs::solve_log_enabled() {
-                    posr_obs::solve_log(
-                        "cegar.verdict",
-                        &[
-                            ("verdict", "unsat".into()),
-                            ("rounds", rounds.into()),
-                            ("cuts", cut_loop.cuts().into()),
-                        ],
-                    );
-                }
                 return PositionOutcome::Unsat;
             }
             Connected::Unknown(reason) => {
                 if token.is_cancelled() {
                     watchdog.fire_now(&reason);
-                }
-                if posr_obs::solve_log_enabled() {
-                    posr_obs::solve_log(
-                        "cegar.verdict",
-                        &[
-                            ("verdict", "unknown".into()),
-                            ("reason", reason.as_str().into()),
-                            ("rounds", rounds.into()),
-                            ("cuts", cut_loop.cuts().into()),
-                        ],
-                    );
                 }
                 return PositionOutcome::Unknown(reason);
             }
@@ -540,12 +523,6 @@ fn solve_with_cegar(
             }
             posr_obs::instant("core", "cegar.block-candidate");
             cut_loop.refined();
-            if posr_obs::solve_log_enabled() {
-                posr_obs::solve_log(
-                    "cegar.refine",
-                    &[("kind", "block-candidate".into()), ("round", rounds.into())],
-                );
-            }
             session.assert_formula(&blocking_clause(encoding, &model));
             continue;
         }
@@ -553,16 +530,6 @@ fn solve_with_cegar(
             .iter()
             .map(|(name, &v)| (name.clone(), model.value(v) as i64))
             .collect();
-        if posr_obs::solve_log_enabled() {
-            posr_obs::solve_log(
-                "cegar.verdict",
-                &[
-                    ("verdict", "sat".into()),
-                    ("rounds", rounds.into()),
-                    ("cuts", cut_loop.cuts().into()),
-                ],
-            );
-        }
         return PositionOutcome::Sat(strings, ints);
     }
 }
@@ -605,6 +572,21 @@ mod tests {
             .iter()
             .map(|(name, re)| (name.to_string(), Regex::parse(re).unwrap().compile()))
             .collect()
+    }
+
+    #[test]
+    fn watchdog_grace_outlasts_the_deadline() {
+        let start = Instant::now();
+        // a deadline that has already passed still leaves the grace, so the
+        // cancel path names the deadline before the timer can call a stall
+        let later = start + Duration::from_secs(5);
+        assert_eq!(watchdog_soft_deadline(Some(start), later), WATCHDOG_GRACE);
+        let ahead = start + Duration::from_secs(2);
+        assert_eq!(
+            watchdog_soft_deadline(Some(ahead), start),
+            Duration::from_secs(2) + WATCHDOG_GRACE
+        );
+        assert_eq!(watchdog_soft_deadline(None, start), Duration::from_secs(30));
     }
 
     #[test]

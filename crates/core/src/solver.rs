@@ -146,31 +146,13 @@ impl StringSolver {
         };
 
         let _solve_span = posr_obs::span!("core", "solve");
-        if posr_obs::solve_log_enabled() {
-            posr_obs::solve_log("solve.start", &[]);
-        }
         // the arithmetic substrate signals unrecoverable overflow by panic;
         // after the BigInt slow lane has given up, degrade to Unknown here
         // rather than aborting the caller
-        let answer = match posr_lia::catch_overflow(|| {
-            self.solve_phases(formula, &token, &position_options)
-        }) {
+        match posr_lia::catch_overflow(|| self.solve_phases(formula, &token, &position_options)) {
             Ok(answer) => answer,
             Err(reason) => Answer::Unknown(reason),
-        };
-        if posr_obs::solve_log_enabled() {
-            let verdict = match &answer {
-                Answer::Sat(_) => "sat",
-                Answer::Unsat => "unsat",
-                Answer::Unknown(_) => "unknown",
-            };
-            let mut fields = vec![("verdict", posr_obs::LogValue::from(verdict))];
-            if let Answer::Unknown(reason) = &answer {
-                fields.push(("reason", reason.as_str().into()));
-            }
-            posr_obs::solve_log("solve.verdict", &fields);
         }
-        answer
     }
 
     fn solve_phases(
@@ -181,9 +163,6 @@ impl StringSolver {
     ) -> Answer {
         let nf = {
             let _span = posr_obs::span!("core", "normalize");
-            if posr_obs::solve_log_enabled() {
-                posr_obs::solve_log("phase.normalize", &[]);
-            }
             match normal::normalize(formula) {
                 Ok(nf) => nf,
                 Err(e) => return Answer::Unknown(e.to_string()),
@@ -191,9 +170,6 @@ impl StringSolver {
         };
         let cases = {
             let _span = posr_obs::span!("core", "decompose");
-            if posr_obs::solve_log_enabled() {
-                posr_obs::solve_log("phase.decompose", &[]);
-            }
             match monadic::decompose(&nf, monadic::DEFAULT_CASE_LIMIT) {
                 Ok(cases) => cases,
                 Err(e) => return Answer::Unknown(e.to_string()),
@@ -209,9 +185,6 @@ impl StringSolver {
                 return Answer::Unknown(token.unknown_reason());
             }
             let _span = posr_obs::span("core", format!("case:{case_index}"));
-            if posr_obs::solve_log_enabled() {
-                posr_obs::solve_log("phase.case", &[("case", case_index.into())]);
-            }
             match self.solve_case(formula, &nf.positions, &nf.lengths, case, position_options) {
                 Answer::Sat(model) => return Answer::Sat(model),
                 Answer::Unsat => {}

@@ -40,7 +40,6 @@ pub mod fault;
 pub mod histogram;
 pub mod report;
 pub mod ring;
-pub mod solvelog;
 pub mod watchdog;
 
 pub use budget::Budget;
@@ -50,9 +49,8 @@ pub use counters::{
 pub use export::{chrome_trace_json, folded_stacks};
 pub use fault::{FaultKind, INJECTED_PANIC_MSG};
 pub use histogram::{histogram, histograms_snapshot, Histogram, HistogramSnapshot};
-pub use report::{phase_totals, self_time_of, PhaseStat, SolveReport};
+pub use report::{phase_totals, self_time_of, PhaseStat};
 pub use ring::{drain_tracks, set_thread_track, snapshot_tracks, Event, EventKind, TrackSnapshot};
-pub use solvelog::{solve_log, solve_log_enabled, LogValue};
 pub use watchdog::{blackbox_json, gauge, progress_snapshot, Gauge, Watchdog};
 
 /// Process-wide recording switch; off by default.

@@ -1,12 +1,9 @@
-//! Structured per-solve reports: phase self-time aggregation over the
-//! recorded spans plus a counter snapshot, serialized in the same
-//! hand-rolled JSON style as `crates/bench/src/report.rs`.
+//! Phase self-time aggregation over the recorded spans: the per-phase
+//! table that the black-box dump, the bench binaries and perfbench read.
 
 use std::collections::HashMap;
 
-use crate::counters::counters_snapshot;
-use crate::export::{json_escape, reconstruct};
-use crate::histogram::{histograms_snapshot, HistogramSnapshot};
+use crate::export::reconstruct;
 use crate::ring::TrackSnapshot;
 
 /// Aggregated timing of one span path across every occurrence.
@@ -60,117 +57,4 @@ pub fn self_time_of(phases: &[PhaseStat], names: &[&str]) -> u64 {
         .filter(|p| names.contains(&p.name.as_str()))
         .map(|p| p.self_us)
         .sum()
-}
-
-/// A per-solve (or per-section) structured report: the phase tree plus
-/// every process counter.
-#[derive(Clone, Debug, Default)]
-pub struct SolveReport {
-    /// Free-form label (instance or section name).
-    pub label: String,
-    pub phases: Vec<PhaseStat>,
-    pub counters: Vec<(&'static str, u64)>,
-    /// Every non-empty process histogram (latency/size distributions).
-    pub histograms: Vec<HistogramSnapshot>,
-    /// Events lost to the ring cap across every track — non-zero means
-    /// the phase table under-counts early activity.
-    pub dropped_events: u64,
-}
-
-impl SolveReport {
-    /// Builds a report from track snapshots and the current counters.
-    pub fn from_tracks(label: impl Into<String>, tracks: &[TrackSnapshot]) -> SolveReport {
-        SolveReport {
-            label: label.into(),
-            phases: phase_totals(tracks),
-            counters: counters_snapshot(),
-            histograms: histograms_snapshot(),
-            dropped_events: tracks.iter().map(|t| t.dropped).sum(),
-        }
-    }
-
-    /// One JSON object, schema `posr-obs-report/v2` (v2 added
-    /// `histograms` and `dropped_events`).
-    pub fn json(&self) -> String {
-        let mut out = String::from("{\n");
-        out.push_str("  \"schema\": \"posr-obs-report/v2\",\n");
-        out.push_str(&format!(
-            "  \"label\": \"{}\",\n  \"dropped_events\": {},\n  \"phases\": [\n",
-            json_escape(&self.label),
-            self.dropped_events
-        ));
-        for (i, p) in self.phases.iter().enumerate() {
-            let sep = if i + 1 == self.phases.len() { "" } else { "," };
-            out.push_str(&format!(
-                "    {{\"path\": \"{}\", \"count\": {}, \"total_us\": {}, \"self_us\": {}}}{}\n",
-                json_escape(&p.path),
-                p.count,
-                p.total_us,
-                p.self_us,
-                sep
-            ));
-        }
-        out.push_str("  ],\n  \"histograms\": [\n");
-        for (i, h) in self.histograms.iter().enumerate() {
-            let sep = if i + 1 == self.histograms.len() {
-                ""
-            } else {
-                ","
-            };
-            out.push_str(&format!("    {}{}\n", h.json(), sep));
-        }
-        out.push_str("  ],\n  \"counters\": {");
-        for (i, (name, value)) in self.counters.iter().enumerate() {
-            let sep = if i + 1 == self.counters.len() {
-                ""
-            } else {
-                ","
-            };
-            out.push_str(&format!("\"{}\": {}{}", json_escape(name), value, sep));
-        }
-        out.push_str("}\n}\n");
-        out
-    }
-
-    /// A fixed-width table for `--stats`-style terminal output: the phase
-    /// self-time tree, then a percentile line per histogram.
-    pub fn table(&self) -> String {
-        let mut out = format!(
-            "{:<40} {:>8} {:>12} {:>12}\n",
-            "phase", "count", "total ms", "self ms"
-        );
-        for p in &self.phases {
-            out.push_str(&format!(
-                "{:<40} {:>8} {:>12.2} {:>12.2}\n",
-                p.path,
-                p.count,
-                p.total_us as f64 / 1000.0,
-                p.self_us as f64 / 1000.0,
-            ));
-        }
-        if !self.histograms.is_empty() {
-            out.push_str(&format!(
-                "\n{:<40} {:>8} {:>10} {:>10} {:>10} {:>10}\n",
-                "histogram", "count", "p50", "p90", "p99", "max"
-            ));
-            for h in &self.histograms {
-                out.push_str(&format!(
-                    "{:<40} {:>8} {:>10} {:>10} {:>10} {:>10}\n",
-                    h.name,
-                    h.count,
-                    h.p50(),
-                    h.p90(),
-                    h.p99(),
-                    h.max,
-                ));
-            }
-        }
-        if self.dropped_events > 0 {
-            out.push_str(&format!(
-                "\nwarning: {} events dropped by the ring cap; early phases under-counted\n",
-                self.dropped_events
-            ));
-        }
-        out
-    }
 }

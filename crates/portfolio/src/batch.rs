@@ -319,17 +319,14 @@ fn solve_item_isolated(
     });
     match solved {
         Ok(result) => result,
-        Err(crash) => PortfolioResult {
-            answer: Answer::Unknown(format!("batch worker crashed: {}", crash.message)),
+        Err(message) => PortfolioResult {
+            answer: Answer::Unknown(format!("batch worker crashed: {message}")),
             winner: None,
             elapsed: begin.elapsed(),
             reports: vec![StrategyReport {
                 name: "batch-worker",
                 elapsed: begin.elapsed(),
-                outcome: StrategyOutcome::Crashed {
-                    message: crash.message,
-                    backtrace_hash: crash.backtrace_hash,
-                },
+                outcome: StrategyOutcome::Crashed { message },
             }],
         },
     }

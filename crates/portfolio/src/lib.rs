@@ -67,41 +67,19 @@ static HIST_LANE_WALL: std::sync::LazyLock<posr_obs::Histogram> =
 /// dump via the watchdog's counter snapshot.
 static OBS_LANE_CRASHES: std::sync::LazyLock<posr_obs::Counter> =
     std::sync::LazyLock::new(|| posr_obs::counter("portfolio.lane_crashes"));
-/// Backtrace hash of the most recent absorbed crash — enough to tell "the
-/// same crash keeps happening" from "different crash sites" in a dump.
-static OBS_LAST_CRASH_HASH: std::sync::LazyLock<posr_obs::Gauge> =
-    std::sync::LazyLock::new(|| posr_obs::gauge("portfolio.last_crash_hash"));
-
-thread_local! {
-    /// Backtrace hash captured by the panic hook at the actual panic site
-    /// (a backtrace taken at the `catch_unwind` would show the catcher).
-    static LAST_BACKTRACE_HASH: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
-}
 
 static CRASH_HOOK: std::sync::Once = std::sync::Once::new();
 
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
-/// Installs (once, process-wide) a panic hook that records a backtrace hash
-/// for the isolation boundary below, and silences the default stderr report
-/// for *expected* panics — injected faults and the arithmetic overflow that
-/// the slow lane already turned into control flow — so a chaos run doesn't
-/// drown the terminal.  Genuine panics still print through the previous
-/// hook.
+/// Installs (once, process-wide) a panic hook that silences the default
+/// stderr report for *expected* panics — injected faults and the
+/// arithmetic overflow that the slow lane already turned into control
+/// flow — so a chaos run doesn't drown the terminal.  Genuine panics still
+/// print through the previous hook.
 fn install_crash_hook() {
     CRASH_HOOK.call_once(|| {
         let prev = std::panic::take_hook();
         std::panic::set_hook(Box::new(move |info| {
-            let bt = std::backtrace::Backtrace::force_capture();
-            LAST_BACKTRACE_HASH.with(|c| c.set(fnv1a(format!("{bt}").as_bytes())));
-            let msg = panic_info_message(info);
+            let msg = panic_message(info.payload());
             let expected =
                 msg.contains(posr_obs::INJECTED_PANIC_MSG) || msg.contains(posr_lia::OVERFLOW_MSG);
             if !expected {
@@ -111,17 +89,7 @@ fn install_crash_hook() {
     });
 }
 
-fn panic_info_message(info: &std::panic::PanicHookInfo<'_>) -> String {
-    if let Some(s) = info.payload().downcast_ref::<String>() {
-        s.clone()
-    } else if let Some(s) = info.payload().downcast_ref::<&str>() {
-        (*s).to_string()
-    } else {
-        String::new()
-    }
-}
-
-fn panic_payload_message(payload: &(dyn std::any::Any + Send)) -> String {
+fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<String>() {
         s.clone()
     } else if let Some(s) = payload.downcast_ref::<&str>() {
@@ -131,36 +99,16 @@ fn panic_payload_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// A panic absorbed at a lane/worker isolation boundary.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct LaneCrash {
-    /// The panic message.
-    pub message: String,
-    /// FNV-1a hash of the backtrace captured at the panic site (0 if the
-    /// hook never saw the panic).
-    pub backtrace_hash: u64,
-}
-
-/// Runs one lane (or batch-worker) body under `catch_unwind`: a panic
-/// becomes a [`LaneCrash`] record — counted, hashed, dumped — and the
+/// Runs one lane (or batch-worker) body under `catch_unwind`: a panic is
+/// counted, marked in the trace, and returned as its message, and the
 /// caller's race or batch goes on without the crashed participant.
-pub(crate) fn run_isolated<T>(name: &str, body: impl FnOnce() -> T) -> Result<T, LaneCrash> {
+pub(crate) fn run_isolated<T>(name: &str, body: impl FnOnce() -> T) -> Result<T, String> {
     install_crash_hook();
-    LAST_BACKTRACE_HASH.with(|c| c.set(0));
-    match std::panic::catch_unwind(std::panic::AssertUnwindSafe(body)) {
-        Ok(answer) => Ok(answer),
-        Err(payload) => {
-            let message = panic_payload_message(payload.as_ref());
-            let backtrace_hash = LAST_BACKTRACE_HASH.with(|c| c.get());
-            OBS_LANE_CRASHES.incr();
-            OBS_LAST_CRASH_HASH.set(backtrace_hash);
-            posr_obs::instant("portfolio", format!("lane.crash:{name}"));
-            Err(LaneCrash {
-                message,
-                backtrace_hash,
-            })
-        }
-    }
+    std::panic::catch_unwind(std::panic::AssertUnwindSafe(body)).map_err(|payload| {
+        OBS_LANE_CRASHES.incr();
+        posr_obs::instant("portfolio", format!("lane.crash:{name}"));
+        panic_message(payload.as_ref())
+    })
 }
 
 /// The paper's tag-automaton position pipeline with the clause-learning
@@ -200,8 +148,6 @@ pub enum StrategyOutcome {
     Crashed {
         /// The panic message.
         message: String,
-        /// FNV-1a hash of the backtrace captured at the panic site.
-        backtrace_hash: u64,
     },
 }
 
@@ -330,7 +276,7 @@ impl PortfolioSolver {
         // batch driver's per-batch scope) and re-attach inside every lane
         let inherited = posr_obs::attached_scopes();
         std::thread::scope(|scope| {
-            let (tx, rx) = mpsc::channel::<(usize, Result<Answer, LaneCrash>, Duration)>();
+            let (tx, rx) = mpsc::channel::<(usize, Result<Answer, String>, Duration)>();
             for (index, strategy) in racers.iter().enumerate() {
                 let tx = tx.clone();
                 let token = tokens[index].clone();
@@ -363,14 +309,11 @@ impl PortfolioSolver {
                 let name = racers[index].name();
                 let answer = match lane {
                     Ok(answer) => answer,
-                    Err(crash) => {
+                    Err(message) => {
                         reports[index] = Some(StrategyReport {
                             name,
                             elapsed,
-                            outcome: StrategyOutcome::Crashed {
-                                message: crash.message,
-                                backtrace_hash: crash.backtrace_hash,
-                            },
+                            outcome: StrategyOutcome::Crashed { message },
                         });
                         continue;
                     }
@@ -639,7 +582,7 @@ mod tests {
         // … and the crash is visible, not swallowed
         let crashed = result.reports.iter().find(|r| r.name == "panicky").unwrap();
         match &crashed.outcome {
-            StrategyOutcome::Crashed { message, .. } => {
+            StrategyOutcome::Crashed { message } => {
                 assert!(message.contains("lane blew up"), "message: {message}");
             }
             other => panic!("expected a crash record, got {other:?}"),

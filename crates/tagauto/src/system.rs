@@ -174,7 +174,8 @@ pub enum Connected {
 pub struct CutLoop<'a> {
     encoding: &'a SystemEncoding,
     token: CancelToken,
-    /// See [`CutLoop::cuts`].
+    /// Disconnected models met so far; each got a connectivity cut unless
+    /// it ended the loop.
     cuts: usize,
     /// Refinements so far: cuts plus those reported through
     /// [`CutLoop::refined`].
@@ -204,12 +205,6 @@ impl<'a> CutLoop<'a> {
     pub fn solve(&mut self, session: &mut IncrementalSolver) -> Connected {
         posr_lia::catch_overflow(|| self.solve_unguarded(session))
             .unwrap_or_else(Connected::Unknown)
-    }
-
-    /// Disconnected models met so far; each got a connectivity cut unless
-    /// it ended the loop.
-    pub fn cuts(&self) -> usize {
-        self.cuts
     }
 
     /// Records a refinement the caller asserted into the session between
@@ -264,15 +259,6 @@ impl<'a> CutLoop<'a> {
             };
             posr_obs::instant("core", "cegar.connectivity-cut");
             self.refined();
-            if posr_obs::solve_log_enabled() {
-                posr_obs::solve_log(
-                    "cegar.refine",
-                    &[
-                        ("kind", "connectivity-cut".into()),
-                        ("cuts", self.cuts.into()),
-                    ],
-                );
-            }
             session.assert_formula(&cut);
         }
     }

@@ -8,7 +8,7 @@
 //! `--stats` prints the process-wide cumulative CDCL(T) engine counters
 //! (conflicts, decisions, propagations, restarts, learned clauses, GC) at
 //! the end — every engine across both drivers flushes into them — plus
-//! the unified `posr-obs` report: per-lane solve time, the phase
+//! what `posr-obs` recorded: per-lane solve time, the phase
 //! self-time table, the automaton-cache hit ratio, and the robustness
 //! counters (absorbed lane crashes, cache poison recoveries, injected
 //! faults, big-rational slow-lane trips).  `POSR_TRACE` /
@@ -37,7 +37,7 @@ fn main() {
 
     posr_obs::init_from_env();
     if show_stats {
-        // the unified report is built from recorded spans
+        // the lane and phase tables are built from recorded spans
         posr_obs::set_enabled(true);
     }
     posr_obs::set_thread_track("portfolio-example");
@@ -226,9 +226,24 @@ fn main() {
         }
 
         println!("\n== phase self-time (posr-obs) ==");
-        let report = posr_obs::SolveReport::from_tracks("portfolio-batch", &tracks);
-        for line in report.table().lines().take(16) {
-            println!("  {line}");
+        println!(
+            "  {:<40} {:>8} {:>12} {:>12}",
+            "phase", "count", "total ms", "self ms"
+        );
+        for phase in posr_obs::phase_totals(&tracks).iter().take(15) {
+            println!(
+                "  {:<40} {:>8} {:>12.2} {:>12.2}",
+                phase.path,
+                phase.count,
+                phase.total_us as f64 / 1e3,
+                phase.self_us as f64 / 1e3,
+            );
+        }
+        let dropped: u64 = tracks.iter().map(|t| t.dropped).sum();
+        if dropped > 0 {
+            println!(
+                "  warning: {dropped} events dropped by the ring cap; early phases under-counted"
+            );
         }
     }
 
