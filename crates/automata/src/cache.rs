@@ -14,6 +14,12 @@
 //! Entries are `Arc`-shared and immutable, so concurrent readers clone a
 //! pointer, never an automaton.  Hit/miss counters feed the batch-driver
 //! statistics of `posr-portfolio`.
+//!
+//! Each store holds at most [`MAX_ENTRIES`] automata, so a long run does not
+//! keep every pattern and intersection it ever saw: a full store is cleared
+//! before its next insert, and refills from the lookups that follow.  A
+//! clear drops only the store's own pointers; an automaton a solve still
+//! holds lives on in that solve.
 
 use std::collections::HashMap;
 use std::sync::{Arc, LazyLock, Mutex, OnceLock};
@@ -21,8 +27,15 @@ use std::sync::{Arc, LazyLock, Mutex, OnceLock};
 use crate::nfa::Nfa;
 use crate::regex::{ParseRegexError, Regex};
 
-static COMPILED: OnceLock<Mutex<HashMap<String, Arc<Nfa>>>> = OnceLock::new();
-static PREPARED_BY_CONTENT: OnceLock<Mutex<HashMap<String, Arc<Nfa>>>> = OnceLock::new();
+/// Entries per store.  A workload whose working set fits (the patterns and
+/// intersections of the queries in flight) keeps hitting; one that churns
+/// through renamed patterns or unrelated queries refills after each clear.
+pub const MAX_ENTRIES: usize = 1_024;
+
+type Store = Mutex<HashMap<String, Arc<Nfa>>>;
+
+static COMPILED: OnceLock<Store> = OnceLock::new();
+static PREPARED_BY_CONTENT: OnceLock<Store> = OnceLock::new();
 
 /// Cache hits and misses (see `posr_obs::counters`): [`stats`] reads their
 /// process-wide totals, and a per-batch [`posr_obs::CounterScope`] sees
@@ -45,9 +58,7 @@ pub static OBS_POISON_RECOVERED: LazyLock<posr_obs::Counter> =
 /// into a panic.  Recovery clears the poison bit and conservatively drops
 /// the entries (the dying writer may have left a partial insert); the
 /// cache refills on the following misses.
-fn lock_recover(
-    m: &Mutex<HashMap<String, Arc<Nfa>>>,
-) -> std::sync::MutexGuard<'_, HashMap<String, Arc<Nfa>>> {
+fn lock_recover(m: &Store) -> std::sync::MutexGuard<'_, HashMap<String, Arc<Nfa>>> {
     match m.lock() {
         Ok(guard) => guard,
         Err(poisoned) => {
@@ -64,6 +75,21 @@ fn lock_recover(
 /// memory account of whichever solve inserts it.
 fn nfa_bytes(nfa: &Nfa) -> u64 {
     64 + 48 * nfa.size() as u64
+}
+
+/// Interns `built` under `key` unless a racing lookup got there first, and
+/// returns the interned automaton.  A full store is cleared first.
+fn intern(store: &Store, key: String, built: Arc<Nfa>) -> Arc<Nfa> {
+    let mut guard = lock_recover(store);
+    if let Some(raced) = guard.get(&key) {
+        return Arc::clone(raced);
+    }
+    if guard.len() >= MAX_ENTRIES {
+        guard.clear();
+    }
+    posr_obs::budget::charge_mem(nfa_bytes(&built));
+    guard.insert(key, Arc::clone(&built));
+    built
 }
 
 /// A snapshot of the cache counters.
@@ -123,16 +149,10 @@ pub fn compile_cached(pattern: &str) -> Result<Arc<Nfa>, ParseRegexError> {
     }
     // build outside the lock: concurrent workers may race and compile the
     // same pattern twice, but nobody blocks behind a slow compilation and
-    // both racers insert identical (deterministic) automata
+    // the first racer's (identical, deterministic) automaton is kept
     OBS_MISSES.incr();
     let built = Arc::new(Regex::parse(pattern)?.compile());
-    let mut guard = lock_recover(map);
-    if !guard.contains_key(pattern) {
-        posr_obs::budget::charge_mem(nfa_bytes(&built));
-    }
-    Ok(Arc::clone(
-        guard.entry(pattern.to_string()).or_insert(built),
-    ))
+    Ok(intern(map, pattern.to_string(), built))
 }
 
 /// The ε-free, trimmed form of an arbitrary automaton, keyed by the
@@ -145,12 +165,6 @@ pub fn compile_cached(pattern: &str) -> Result<Arc<Nfa>, ParseRegexError> {
 /// those intersections are structurally identical.  They have no pattern,
 /// so they are interned by canonical structure instead.
 pub fn prepared_for(nfa: &Nfa) -> Arc<Nfa> {
-    /// Unlike the pattern-keyed store (bounded by the distinct patterns a
-    /// workload uses), content keys of unrelated queries rarely recur, so a
-    /// long-running server would grow this map without bound.  Past the cap
-    /// the result is still computed, just not interned.
-    const MAX_ENTRIES: usize = 8_192;
-
     let key = nfa.cache_key();
     let map = PREPARED_BY_CONTENT.get_or_init(|| Mutex::new(HashMap::new()));
     posr_obs::fault::fire(
@@ -164,14 +178,7 @@ pub fn prepared_for(nfa: &Nfa) -> Arc<Nfa> {
     // build outside the lock (see `compile_cached` for the rationale)
     OBS_MISSES.incr();
     let built = Arc::new(nfa.remove_epsilon().trim());
-    let mut guard = lock_recover(map);
-    if guard.len() >= MAX_ENTRIES && !guard.contains_key(&key) {
-        return built;
-    }
-    if !guard.contains_key(&key) {
-        posr_obs::budget::charge_mem(nfa_bytes(&built));
-    }
-    Arc::clone(guard.entry(key).or_insert(built))
+    intern(map, key, built)
 }
 
 /// Current hit/miss counters, cumulative since process start.
@@ -182,8 +189,8 @@ pub fn stats() -> CacheStats {
     }
 }
 
-/// Drops every cached automaton (the counters keep counting).  Only tests
-/// and long-running servers with pattern churn should need this.
+/// Drops every cached automaton (the counters keep counting), so the next
+/// run starts cold.  A long run needs no call: [`MAX_ENTRIES`] bounds it.
 pub fn clear() {
     for store in [&COMPILED, &PREPARED_BY_CONTENT] {
         if let Some(map) = store.get() {
@@ -198,8 +205,20 @@ mod tests {
 
     // the cache is process-global and tests run concurrently, so assertions
     // are phrased in deltas over the entries this test touches
+    static SERIAL: Mutex<()> = Mutex::new(());
+
+    /// Held by every test that expects two lookups to share an entry, and
+    /// by the ones that clear a store (filling it, or poisoning its lock),
+    /// since a clear between the two lookups breaks the sharing.
+    fn serial() -> std::sync::MutexGuard<'static, ()> {
+        SERIAL
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
+    }
+
     #[test]
     fn repeated_lookups_share_one_automaton() {
+        let _serial = serial();
         let a = compile_cached("(ab)*cache-test").unwrap();
         let b = compile_cached("(ab)*cache-test").unwrap();
         assert!(Arc::ptr_eq(&a, &b));
@@ -213,6 +232,7 @@ mod tests {
 
     #[test]
     fn content_keyed_preparation_is_shared() {
+        let _serial = serial();
         let a = Regex::parse("(ab)+content-test").unwrap().compile();
         let b = Regex::parse("(ab)+content-test").unwrap().compile();
         // two separately compiled (structurally identical) automata prepare
@@ -226,6 +246,31 @@ mod tests {
         let c = Regex::parse("(ba)+content-test").unwrap().compile();
         let pc = prepared_for(&c);
         assert!(!Arc::ptr_eq(&pa, &pc));
+    }
+
+    #[test]
+    fn a_full_store_still_interns_the_next_automaton() {
+        let _serial = serial();
+        let len = |store: &OnceLock<Store>| store.get().map_or(0, |m| lock_recover(m).len());
+        let mut i = 0;
+        while len(&COMPILED) < MAX_ENTRIES {
+            compile_cached(&format!("cap-test-{i}")).unwrap();
+            i += 1;
+        }
+        let a = compile_cached("cap-test-next").unwrap();
+        let b = compile_cached("cap-test-next").unwrap();
+        assert!(Arc::ptr_eq(&a, &b));
+
+        let compile = |pattern: &str| Regex::parse(pattern).unwrap().compile();
+        while len(&PREPARED_BY_CONTENT) < MAX_ENTRIES {
+            prepared_for(&compile(&format!("cap-test-{i}")));
+            i += 1;
+        }
+        let next = compile("cap-test-next");
+        let a = prepared_for(&next);
+        let b = prepared_for(&next);
+        assert!(Arc::ptr_eq(&a, &b));
+        assert!(len(&PREPARED_BY_CONTENT) < MAX_ENTRIES);
     }
 
     #[test]
@@ -248,6 +293,7 @@ mod tests {
         // counter is read before poisoning: a cache test running
         // concurrently may be the lookup that heals the lock, and its
         // recovery must count too
+        let _serial = serial();
         let _ = compile_cached("(xy)+poison-test").unwrap();
         let recoveries_before = OBS_POISON_RECOVERED.value();
         let join = std::thread::spawn(|| {

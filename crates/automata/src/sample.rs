@@ -2,12 +2,14 @@
 //!
 //! These utilities back the *enumeration baseline* (guess-and-check solving,
 //! standing in for the behaviour the paper attributes to cvc5 on satisfiable
-//! position constraints) and the randomised property tests of the decision
-//! procedure.
+//! position constraints), the position procedure's short-witness sampling
+//! and the randomised property tests of the decision procedure.  A
+//! [`Sampler`] prepares its automaton once (ε-removal, trimming, distances to
+//! a final state), so a caller that draws many words pays for that once.
 
 use rand::prelude::*;
 
-use crate::nfa::{symbols_to_string, Nfa, StateId, Symbol};
+use crate::nfa::{symbols_to_string, Nfa, StateId, Symbol, Transition};
 
 /// Enumerates all accepted words of length at most `max_len`, in
 /// length-lexicographic order, up to `limit` words.
@@ -54,7 +56,11 @@ pub fn enumerate_words(nfa: &Nfa, max_len: usize, limit: usize) -> Vec<String> {
 /// Returns the (length-lexicographically) shortest accepted word, if the
 /// language is non-empty.
 pub fn shortest_word(nfa: &Nfa) -> Option<Vec<Symbol>> {
-    let nfa = nfa.remove_epsilon();
+    shortest_in(&nfa.remove_epsilon())
+}
+
+/// [`shortest_word`] of an ε-free automaton.
+fn shortest_in(nfa: &Nfa) -> Option<Vec<Symbol>> {
     use std::collections::{HashMap, VecDeque};
     let mut pred: HashMap<StateId, (StateId, Symbol)> = HashMap::new();
     let mut queue: VecDeque<StateId> = VecDeque::new();
@@ -88,73 +94,104 @@ pub fn shortest_word(nfa: &Nfa) -> Option<Vec<Symbol>> {
     Some(word)
 }
 
-/// Draws a random accepted word of length at most `max_len` by a random walk
-/// that is biased towards states from which a final state is still reachable.
-/// Returns `None` if no accepted word of length `<= max_len` exists.
-pub fn sample_word<R: Rng + ?Sized>(nfa: &Nfa, max_len: usize, rng: &mut R) -> Option<Vec<Symbol>> {
-    let nfa = nfa.remove_epsilon().trim();
-    if nfa.is_empty_language() {
-        return None;
-    }
-    // distance-to-final per state, for pruning walks that cannot finish in time
-    let mut dist = vec![usize::MAX; nfa.num_states()];
-    {
-        use std::collections::VecDeque;
-        let mut queue = VecDeque::new();
+/// An automaton prepared once for drawing many random words: ε-free and
+/// trimmed, with each state's outgoing transitions and its distance to a
+/// final state.
+pub struct Sampler {
+    nfa: Nfa,
+    /// Outgoing transitions per state, in the automaton's transition order.
+    succ: Vec<Vec<Transition>>,
+    /// Shortest distance to a final state per state (`usize::MAX` if none).
+    dist: Vec<usize>,
+    empty: bool,
+}
+
+impl Sampler {
+    /// Prepares `nfa` for sampling.
+    pub fn new(nfa: &Nfa) -> Sampler {
+        let nfa = nfa.remove_epsilon().trim();
+        let mut succ = vec![Vec::new(); nfa.num_states()];
+        let mut pred = vec![Vec::new(); nfa.num_states()];
+        for t in nfa.transitions() {
+            succ[t.source.index()].push(*t);
+            pred[t.target.index()].push(t.source);
+        }
+        // distance-to-final per state, for pruning walks that cannot finish in time
+        let mut dist = vec![usize::MAX; nfa.num_states()];
+        let mut queue = std::collections::VecDeque::new();
         for &q in nfa.final_states() {
             dist[q.index()] = 0;
             queue.push_back(q);
         }
         while let Some(q) = queue.pop_front() {
-            for t in nfa.transitions_into(q) {
-                if dist[t.source.index()] == usize::MAX {
-                    dist[t.source.index()] = dist[q.index()] + 1;
-                    queue.push_back(t.source);
+            for &p in &pred[q.index()] {
+                if dist[p.index()] == usize::MAX {
+                    dist[p.index()] = dist[q.index()] + 1;
+                    queue.push_back(p);
                 }
             }
         }
+        let empty = nfa.is_empty_language();
+        Sampler {
+            nfa,
+            succ,
+            dist,
+            empty,
+        }
     }
-    for _attempt in 0..64 {
-        let starts: Vec<StateId> = nfa
-            .initial_states()
-            .iter()
-            .copied()
-            .filter(|q| dist[q.index()] <= max_len)
-            .collect();
-        if starts.is_empty() {
+
+    /// Draws a random accepted word of length at most `max_len` by a random
+    /// walk that is biased towards states from which a final state is still
+    /// reachable.  Returns `None` if no accepted word of length `<= max_len`
+    /// exists.
+    pub fn sample<R: Rng + ?Sized>(&self, max_len: usize, rng: &mut R) -> Option<Vec<Symbol>> {
+        if self.empty {
             return None;
         }
-        let mut state = *starts.choose(rng).expect("non-empty");
-        let mut word = Vec::new();
-        loop {
-            let may_stop = nfa.is_final(state);
-            let continue_prob = if word.len() >= max_len { 0.0 } else { 0.7 };
-            if may_stop && (!rng.gen_bool(continue_prob) || word.len() >= max_len) {
-                return Some(word);
-            }
-            let options: Vec<_> = nfa
-                .transitions_from(state)
-                .filter(|t| {
-                    dist[t.target.index()] != usize::MAX
-                        && dist[t.target.index()] + word.len() < max_len
-                })
+        let dist = &self.dist;
+        for _attempt in 0..64 {
+            let starts: Vec<StateId> = self
+                .nfa
+                .initial_states()
+                .iter()
+                .copied()
+                .filter(|q| dist[q.index()] <= max_len)
                 .collect();
-            match options.choose(rng) {
-                None => {
-                    if may_stop {
-                        return Some(word);
-                    }
-                    break; // dead end, retry
+            if starts.is_empty() {
+                return None;
+            }
+            let mut state = *starts.choose(rng).expect("non-empty");
+            let mut word = Vec::new();
+            loop {
+                let may_stop = self.nfa.is_final(state);
+                let continue_prob = if word.len() >= max_len { 0.0 } else { 0.7 };
+                if may_stop && (!rng.gen_bool(continue_prob) || word.len() >= max_len) {
+                    return Some(word);
                 }
-                Some(t) => {
-                    word.push(t.symbol);
-                    state = t.target;
+                let options: Vec<_> = self.succ[state.index()]
+                    .iter()
+                    .filter(|t| {
+                        dist[t.target.index()] != usize::MAX
+                            && dist[t.target.index()] + word.len() < max_len
+                    })
+                    .collect();
+                match options.choose(rng) {
+                    None => {
+                        if may_stop {
+                            return Some(word);
+                        }
+                        break; // dead end, retry
+                    }
+                    Some(t) => {
+                        word.push(t.symbol);
+                        state = t.target;
+                    }
                 }
             }
         }
+        // fall back to the shortest word if the random walk kept failing
+        shortest_in(&self.nfa).filter(|w| w.len() <= max_len)
     }
-    // fall back to the shortest word if the random walk kept failing
-    shortest_word(&nfa).filter(|w| w.len() <= max_len)
 }
 
 #[cfg(test)]
@@ -193,9 +230,10 @@ mod tests {
     #[test]
     fn sampled_words_are_accepted() {
         let nfa = Regex::parse("(ab|cd)*e").unwrap().compile();
+        let sampler = Sampler::new(&nfa);
         let mut rng = StdRng::seed_from_u64(7);
         for _ in 0..50 {
-            let w = sample_word(&nfa, 12, &mut rng).expect("sample");
+            let w = sampler.sample(12, &mut rng).expect("sample");
             assert!(nfa.accepts(&w), "sampled word must be accepted");
             assert!(w.len() <= 12);
         }
@@ -203,9 +241,9 @@ mod tests {
 
     #[test]
     fn sample_none_when_too_short() {
-        let nfa = Regex::parse("aaaaa").unwrap().compile();
+        let sampler = Sampler::new(&Regex::parse("aaaaa").unwrap().compile());
         let mut rng = StdRng::seed_from_u64(7);
-        assert!(sample_word(&nfa, 3, &mut rng).is_none());
-        assert!(sample_word(&nfa, 5, &mut rng).is_some());
+        assert!(sampler.sample(3, &mut rng).is_none());
+        assert!(sampler.sample(5, &mut rng).is_some());
     }
 }

@@ -930,11 +930,15 @@ fn main() {
     }
 
     if env_tracing {
-        // race the portfolio over the flagship set so the exported trace
-        // has one timeline track per lane (plus the bench sections above)
+        // race two lanes over the flagship set so the exported trace has
+        // one timeline per lane (plus the bench sections above): `cdcl-pos`
+        // runs on this thread's track, enumeration on a `lane:` track
         println!();
         println!("== traced portfolio race over the flagship set ==");
-        let portfolio = posr_portfolio::PortfolioSolver::new();
+        let portfolio = posr_portfolio::PortfolioSolver::with_strategies(vec![
+            std::sync::Arc::new(posr_portfolio::CdclPosStrategy),
+            std::sync::Arc::new(posr_core::baselines::EnumerationSolver),
+        ]);
         for (name, formula, expected) in flagship_instances() {
             let _section = posr_obs::span("ablation", format!("race:{name}"));
             let answer = portfolio.solve(&formula);

@@ -1,6 +1,7 @@
 //! Chaos-mode differential smoke testing: the fault-injected twin of
 //! `smokefuzz`, solving the benchmark generators' string formulas through
-//! the full portfolio twice per round — once clean (the reference), once
+//! a two-lane portfolio race (`cdcl-pos` on the calling thread, enumeration
+//! on a scoped one) twice per round — once clean (the reference), once
 //! with seeded fault injection armed — and asserting the three chaos
 //! invariants:
 //!
@@ -22,11 +23,13 @@
 
 use std::fmt::Write as _;
 use std::panic::AssertUnwindSafe;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use posr_bench::gen;
+use posr_core::baselines::EnumerationSolver;
 use posr_core::solver::Answer;
-use posr_portfolio::PortfolioSolver;
+use posr_portfolio::{CdclPosStrategy, PortfolioSolver};
 
 /// Extra wall-clock allowance past the per-solve deadline before a round
 /// counts as a hang: covers injected delays, crash-retry backoff and the
@@ -63,7 +66,13 @@ fn main() {
         .iter()
         .flat_map(|name| gen::suite(name, 25, seed))
         .collect();
-    let portfolio = PortfolioSolver::new();
+    // an explicit race, not the one-lane default: lane isolation,
+    // cancellation of the loser and crash absorption on both the calling
+    // and a spawned thread are what this gate injects faults into
+    let portfolio = PortfolioSolver::with_strategies(vec![
+        Arc::new(CdclPosStrategy),
+        Arc::new(EnumerationSolver),
+    ]);
 
     let mut round = 0u64;
     let mut sat = 0usize;

@@ -24,8 +24,8 @@ pub enum SolverKind {
     NaiveOrder,
     /// Length-abstraction-only solver.
     LengthAbstraction,
-    /// The default concurrent portfolio (`cdcl-pos` and enumeration) with
-    /// cancellation.
+    /// The default portfolio through `PortfolioSolver::solve_with`: the
+    /// `cdcl-pos` lane on the calling thread, under the race's deadline.
     Portfolio,
 }
 

@@ -19,14 +19,15 @@
 //!   conclusive and `Unknown` otherwise, mirroring solvers that time out or
 //!   give up on genuine position reasoning.
 //!
-//! Only [`EnumerationSolver`] races in the default portfolio of
-//! `posr-portfolio`, beside the production pipeline; the other two are
-//! what `table1`, `fig6` and `fig7` compare against, and a portfolio built
-//! with `with_strategies` can still race them.
+//! None of them is in the default portfolio of `posr-portfolio`, which runs
+//! the production pipeline alone.  They are what `table1`, `fig6` and
+//! `fig7` compare against, and a portfolio built with `with_strategies`
+//! races them: the chaos gate and the ablation's traced race run
+//! [`EnumerationSolver`] against the production pipeline that way.
 
 use std::collections::BTreeMap;
 
-use posr_automata::sample;
+use posr_automata::sample::Sampler;
 use posr_lia::cancel::CancelToken;
 use posr_lia::formula::Formula;
 use posr_lia::solver::{Solver, SolverConfig};
@@ -85,7 +86,11 @@ impl Strategy for EnumerationSolver {
             return Answer::Unknown("normalisation failed".to_string());
         };
         let mut rng = StdRng::seed_from_u64(ENUMERATION_SEED);
-        let variables: Vec<String> = nf.languages.keys().cloned().collect();
+        let samplers: Vec<(&String, Sampler)> = nf
+            .languages
+            .iter()
+            .map(|(v, nfa)| (v, Sampler::new(nfa)))
+            .collect();
         // deterministic pass over short words first, then random sampling
         for bound in 1..=ENUMERATION_MAX_LEN {
             for _ in 0..ENUMERATION_SAMPLES_PER_BOUND {
@@ -94,10 +99,11 @@ impl Strategy for EnumerationSolver {
                 }
                 let mut strings: BTreeMap<String, String> = BTreeMap::new();
                 let mut feasible = true;
-                for v in &variables {
-                    match sample::sample_word(&nf.languages[v], bound, &mut rng) {
+                for (v, sampler) in &samplers {
+                    match sampler.sample(bound, &mut rng) {
                         Some(word) => {
-                            strings.insert(v.clone(), posr_automata::nfa::symbols_to_string(&word));
+                            strings
+                                .insert((*v).clone(), posr_automata::nfa::symbols_to_string(&word));
                         }
                         None => {
                             feasible = false;

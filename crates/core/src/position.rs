@@ -346,7 +346,7 @@ fn sampling_assist(
     problem: &PositionProblem<'_>,
     trimmed_languages: &[(&String, &Nfa)],
 ) -> Option<PositionOutcome> {
-    use posr_automata::sample::sample_word;
+    use posr_automata::sample::Sampler;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -363,14 +363,18 @@ fn sampling_assist(
         return None;
     }
 
+    let samplers: Vec<(&String, Sampler)> = trimmed_languages
+        .iter()
+        .map(|&(name, nfa)| (name, Sampler::new(nfa)))
+        .collect();
     let mut rng = StdRng::seed_from_u64(0x5EED_CAFE);
     for bound in [2usize, 4, 8] {
         'attempt: for _ in 0..48 {
             let mut strings: BTreeMap<String, String> = BTreeMap::new();
-            for &(name, nfa) in trimmed_languages {
-                match sample_word(nfa, bound, &mut rng) {
+            for (name, sampler) in &samplers {
+                match sampler.sample(bound, &mut rng) {
                     Some(word) => {
-                        strings.insert(name.clone(), symbols_to_string(&word));
+                        strings.insert((*name).clone(), symbols_to_string(&word));
                     }
                     None => continue 'attempt,
                 }

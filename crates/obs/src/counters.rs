@@ -232,8 +232,8 @@ impl CounterScope {
 
 /// The scopes currently attached to the calling thread.  `thread::spawn`
 /// does not inherit attachments, so code that fans work out to helper
-/// threads (the portfolio race) captures this before spawning and
-/// re-attaches each scope inside the helper.
+/// threads (the lanes a portfolio race spawns) captures this before
+/// spawning and re-attaches each scope inside the helper.
 pub fn attached_scopes() -> Vec<CounterScope> {
     ATTACHED.with(|scopes| {
         scopes

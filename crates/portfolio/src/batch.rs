@@ -1,12 +1,14 @@
 //! The batch driver: many problems, one worker pool, per-problem timeouts.
 //!
-//! Workers pull problems off a shared queue and run one full portfolio race
-//! per problem, so a batch exploits both inter-problem parallelism (the
-//! pool) and intra-problem parallelism (the race).  Problems parsed from
-//! SMT-LIB scripts carry their `(set-info :posr-strategy …)` hints into the
-//! race.  The report aggregates verdict counts, wall-clock vs. summed solve
-//! time (the speedup the pool bought), and the shared automaton cache
-//! counters (the reuse the pattern cache bought).
+//! Workers pull problems off a shared queue and run the portfolio once per
+//! problem, on the worker's own thread.  The parallelism is between
+//! problems (the pool); a portfolio built with more than one strategy adds
+//! a race inside each problem, whose extra lanes run on scoped threads of
+//! their own.  Problems parsed from SMT-LIB scripts carry their
+//! `(set-info :posr-strategy …)` hints into the portfolio.  The report
+//! aggregates verdict counts, wall-clock vs. summed solve time (the speedup
+//! the pool bought), and the shared automaton cache counters (the reuse the
+//! pattern cache bought).
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -27,7 +29,7 @@ const RETRY_BACKOFF: Duration = Duration::from_millis(25);
 /// only the hinted lane and `cdcl-pos`, see [`PortfolioSolver::solve_with`]).
 const RETRY_HINT: &str = "cdcl-pos";
 
-/// Distribution of per-item wall times (one full race each), µs.  Scoped:
+/// Distribution of per-item wall times (one portfolio run each), µs.  Scoped:
 /// a batch's own percentiles come out of its `CounterScope`.
 static HIST_ITEM_WALL: std::sync::LazyLock<posr_obs::Histogram> =
     std::sync::LazyLock::new(|| posr_obs::histogram("batch.item_wall_us"));
@@ -418,8 +420,11 @@ mod tests {
             "#
             .to_string(),
         )];
-        let report =
-            solve_scripts(&sources, &PortfolioSolver::new(), &BatchOptions::default()).unwrap();
+        let race = PortfolioSolver::with_strategies(vec![
+            std::sync::Arc::new(crate::CdclPosStrategy),
+            std::sync::Arc::new(posr_core::baselines::EnumerationSolver),
+        ]);
+        let report = solve_scripts(&sources, &race, &BatchOptions::default()).unwrap();
         assert_eq!(report.stats.sat, 1);
         // the hint restricted the race to the cdcl-pos lane
         let lanes: Vec<_> = report.outcomes[0]

@@ -1,18 +1,20 @@
 //! `posr-portfolio`: a concurrent portfolio engine for the posr string
 //! solver.
 //!
-//! The default [`PortfolioSolver`] races two lanes, the only two that
-//! decide anything on the measured workloads: the paper's tag-automaton
+//! The default [`PortfolioSolver`] is one lane: the paper's tag-automaton
 //! position pipeline under the clause-learning CDCL(T) LIA core
-//! (`cdcl-pos`, the production lane) and guess-and-check enumeration
-//! (`enumeration`, fast on satisfiable instances).  Each lane runs on its
-//! own thread; the race accepts the first *validated* answer and fires the
-//! [`CancelToken`]s of the losers, which unwind cooperatively from the
-//! branch points of their searches (the LIA engine's decision loop, the
-//! position procedure's CEGAR loop, the enumeration baseline's sampling
-//! loop).  The other baselines of `posr_core::baselines` are comparison
-//! points for the evaluation harness; [`PortfolioSolver::with_strategies`]
-//! races any [`Strategy`] list, them included.
+//! (`cdcl-pos`, the production lane), run on the caller's thread.  It
+//! decides the whole position fragment by itself, and it samples short
+//! witnesses before it encodes, so on the measured workloads a second lane
+//! changed no verdict and only cost throughput.
+//!
+//! [`PortfolioSolver::with_strategies`] builds a race over any [`Strategy`]
+//! list, the baselines of `posr_core::baselines` included.  The caller's
+//! thread runs the first lane and scoped threads run the others; the race
+//! accepts the first *validated* answer and fires the [`CancelToken`]s of
+//! the losers, which unwind cooperatively from the branch points of their
+//! searches (the LIA engine's decision loop, the position procedure's CEGAR
+//! loop, the enumeration baseline's sampling loop).
 //!
 //! Soundness policy: `Unsat` is accepted from any strategy (each one is
 //! individually sound for refutations), while `Sat` is accepted only when
@@ -22,7 +24,7 @@
 //!
 //! The [`batch`] module drives many problems concurrently over a worker
 //! pool with per-problem timeouts and aggregate statistics, including the
-//! hit ratio of the shared automaton cache that makes racing workers reuse
+//! hit ratio of the shared automaton cache that makes workers reuse
 //! compiled patterns.
 //!
 //! ```
@@ -36,17 +38,26 @@
 //!     .len_eq("x", "y");
 //! let result = PortfolioSolver::new().solve_with(&formula, None, None);
 //! assert!(result.answer.is_sat());
-//! assert!(result.winner.is_some());
+//! assert_eq!(result.winner, Some("cdcl-pos"));
+//!
+//! // a race: this thread runs `cdcl-pos`, a scoped thread runs enumeration
+//! use posr_core::baselines::EnumerationSolver;
+//! use posr_portfolio::CdclPosStrategy;
+//! use std::sync::Arc;
+//! let race = PortfolioSolver::with_strategies(vec![
+//!     Arc::new(CdclPosStrategy),
+//!     Arc::new(EnumerationSolver),
+//! ]);
+//! assert!(race.solve(&formula).is_sat());
 //! ```
 
 pub mod batch;
 
-use std::sync::mpsc;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use posr_core::ast::StringFormula;
-use posr_core::baselines::EnumerationSolver;
 pub use posr_core::baselines::Strategy;
 use posr_core::solver::{Answer, SolverOptions, StringSolver};
 use posr_lia::cancel::{CancelToken, DEADLINE_MSG};
@@ -177,7 +188,7 @@ pub struct PortfolioResult {
     pub reports: Vec<StrategyReport>,
 }
 
-/// Races a set of [`Strategy`] implementations over each query.
+/// Runs one [`Strategy`], or races several, over each query.
 #[derive(Clone)]
 pub struct PortfolioSolver {
     strategies: Vec<Arc<dyn Strategy>>,
@@ -190,11 +201,11 @@ impl Default for PortfolioSolver {
 }
 
 impl PortfolioSolver {
-    /// The default portfolio: the production CDCL(T) position solver and
-    /// guess-and-check enumeration.
+    /// The default portfolio: the production CDCL(T) position solver alone,
+    /// run on the caller's thread.
     pub fn new() -> PortfolioSolver {
         PortfolioSolver {
-            strategies: vec![Arc::new(CdclPosStrategy), Arc::new(EnumerationSolver)],
+            strategies: vec![Arc::new(CdclPosStrategy)],
         }
     }
 
@@ -233,12 +244,16 @@ impl PortfolioSolver {
 
     /// The full racing entry point.
     ///
+    /// * The caller's thread runs the first lane and scoped threads run the
+    ///   others, so a one-lane portfolio spawns no thread.  The lane whose
+    ///   validated answer arrives first claims the race and fires the other
+    ///   lanes' tokens; the call returns once every lane has returned.
     /// * `timeout` bounds the race; on expiry every strategy is cancelled
     ///   and, unless an answer was accepted, the answer is `Unknown` with
     ///   the deadline message.
     /// * `hint` (usually from `(set-info :posr-strategy …)`) restricts the
-    ///   race to the named strategy plus the production `cdcl-pos` lane;
-    ///   unknown hints are ignored.
+    ///   race to the named strategy plus the production `cdcl-pos` lane; a
+    ///   hint naming no strategy of this portfolio is ignored.
     pub fn solve_with(
         &self,
         formula: &StringFormula,
@@ -248,16 +263,15 @@ impl PortfolioSolver {
         let start = Instant::now();
         let deadline = timeout.map(|t| start + t);
 
-        let racers: Vec<Arc<dyn Strategy>> = match hint {
+        let racers: Vec<&dyn Strategy> = match hint {
             Some(h) if self.strategies.iter().any(|s| s.name() == h) => self
                 .strategies
                 .iter()
                 .filter(|s| s.name() == h || s.name() == "cdcl-pos")
-                .cloned()
+                .map(|s| s.as_ref())
                 .collect(),
-            _ => self.strategies.clone(),
+            _ => self.strategies.iter().map(|s| s.as_ref()).collect(),
         };
-
         let tokens: Vec<CancelToken> = racers
             .iter()
             .map(|_| match deadline {
@@ -265,119 +279,123 @@ impl PortfolioSolver {
                 None => CancelToken::new(),
             })
             .collect();
+        let claimed = AtomicBool::new(false);
+
+        // one lane, on whichever thread runs it: `catch_unwind` at the lane
+        // boundary makes a panicking strategy lose the race instead of
+        // poisoning the scope (`std::thread::scope` re-raises panics on
+        // join), and a decisive answer claims the race if no lane has yet
+        let run_lane = |index: usize| -> LaneEnd {
+            let strategy = racers[index];
+            let begin = Instant::now();
+            let answer = run_isolated(strategy.name(), || {
+                posr_obs::fault::fire(
+                    "portfolio.lane",
+                    &[posr_obs::FaultKind::Panic, posr_obs::FaultKind::Delay],
+                );
+                let _span = posr_obs::span!("portfolio", "lane.solve");
+                strategy.solve(formula, &tokens[index])
+            });
+            let elapsed = begin.elapsed();
+            HIST_LANE_WALL.record_duration(elapsed);
+            let won = answer
+                .as_ref()
+                .is_ok_and(|a| !claimed.load(Ordering::Acquire) && answer_is_decisive(a, formula))
+                && !claimed.swap(true, Ordering::AcqRel);
+            if won {
+                posr_obs::instant("portfolio", format!("lane.win:{}", strategy.name()));
+                for (j, token) in tokens.iter().enumerate() {
+                    if j != index {
+                        token.cancel();
+                        posr_obs::instant("portfolio", format!("lane.cancel:{}", racers[j].name()));
+                    }
+                }
+            }
+            LaneEnd {
+                answer,
+                elapsed,
+                won,
+            }
+        };
+
+        // counter scopes are thread-local: a spawned lane re-attaches the
+        // caller's (e.g. the batch driver's per-batch scope), while the
+        // caller's own thread already counts into them
+        let inherited = posr_obs::attached_scopes();
+        let ends: Vec<LaneEnd> = std::thread::scope(|scope| {
+            let spawned: Vec<_> = (1..racers.len())
+                .map(|index| {
+                    let (run_lane, inherited) = (&run_lane, &inherited);
+                    let name = racers[index].name();
+                    scope.spawn(move || {
+                        let _attached: Vec<_> = inherited.iter().map(|s| s.attach()).collect();
+                        posr_obs::set_thread_track(format!("lane:{name}"));
+                        posr_obs::instant("portfolio", "lane.spawn");
+                        run_lane(index)
+                    })
+                })
+                .collect();
+            let mut ends = vec![run_lane(0)];
+            ends.extend(spawned.into_iter().map(|lane| {
+                lane.join()
+                    .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+            }));
+            ends
+        });
 
         let mut winner: Option<&'static str> = None;
         let mut accepted: Option<Answer> = None;
         let mut fallback: Option<Answer> = None;
-        let mut first_seen = false;
-        let mut reports: Vec<Option<StrategyReport>> = vec![None; racers.len()];
-
-        // counter scopes are thread-local: capture the caller's (e.g. the
-        // batch driver's per-batch scope) and re-attach inside every lane
-        let inherited = posr_obs::attached_scopes();
-        std::thread::scope(|scope| {
-            let (tx, rx) = mpsc::channel::<(usize, Result<Answer, String>, Duration)>();
-            for (index, strategy) in racers.iter().enumerate() {
-                let tx = tx.clone();
-                let token = tokens[index].clone();
-                let strategy = Arc::clone(strategy);
-                let inherited = &inherited;
-                scope.spawn(move || {
-                    let _attached: Vec<_> = inherited.iter().map(|s| s.attach()).collect();
-                    posr_obs::set_thread_track(format!("lane:{}", strategy.name()));
-                    posr_obs::instant("portfolio", "lane.spawn");
-                    let begin = Instant::now();
-                    // `catch_unwind` at the lane boundary: a panicking
-                    // strategy loses the race instead of poisoning the scope
-                    // (`std::thread::scope` re-raises panics on join)
-                    let lane = run_isolated(strategy.name(), || {
-                        posr_obs::fault::fire(
-                            "portfolio.lane",
-                            &[posr_obs::FaultKind::Panic, posr_obs::FaultKind::Delay],
-                        );
-                        let _span = posr_obs::span!("portfolio", "lane.solve");
-                        strategy.solve(formula, &token)
-                    });
-                    HIST_LANE_WALL.record_duration(begin.elapsed());
-                    // receiver may be gone if the race was already decided
-                    let _ = tx.send((index, lane, begin.elapsed()));
-                });
-            }
-            drop(tx);
-
-            for (index, lane, elapsed) in rx.iter() {
-                let name = racers[index].name();
-                let answer = match lane {
-                    Ok(answer) => answer,
-                    Err(message) => {
-                        reports[index] = Some(StrategyReport {
-                            name,
-                            elapsed,
-                            outcome: StrategyOutcome::Crashed { message },
-                        });
-                        continue;
-                    }
-                };
-                let decisive = accepted.is_none() && answer_is_decisive(&answer, formula);
-                if !first_seen {
-                    first_seen = true;
-                    posr_obs::instant("portfolio", format!("lane.first-answer:{name}"));
-                }
-                // `Unknown` after the token fired (flag or deadline) means the
-                // strategy was abandoned, not that it genuinely gave up
-                let cancelled = answer.is_unknown() && tokens[index].is_cancelled();
-                let outcome = if decisive {
-                    StrategyOutcome::Won
-                } else if cancelled {
-                    StrategyOutcome::Cancelled
-                } else {
-                    StrategyOutcome::Finished(describe(&answer))
-                };
-                reports[index] = Some(StrategyReport {
-                    name,
-                    elapsed,
-                    outcome,
-                });
-                if decisive {
+        let mut reports = Vec::with_capacity(racers.len());
+        for ((strategy, token), end) in racers.iter().zip(&tokens).zip(ends) {
+            let name = strategy.name();
+            let outcome = match end.answer {
+                Err(message) => StrategyOutcome::Crashed { message },
+                Ok(answer) if end.won => {
                     winner = Some(name);
                     accepted = Some(answer);
-                    posr_obs::instant("portfolio", format!("lane.win:{name}"));
-                    for (j, token) in tokens.iter().enumerate() {
-                        if j != index {
-                            token.cancel();
-                            posr_obs::instant(
-                                "portfolio",
-                                format!("lane.cancel:{}", racers[j].name()),
-                            );
-                        }
-                    }
-                    // keep draining: the scope joins every thread anyway, and
-                    // the reports should record how the losers ended
-                } else if accepted.is_none()
-                    && fallback.is_none()
-                    && !cancelled
-                    && !matches!(answer, Answer::Sat(_))
-                {
-                    // remember the most informative non-answer (an Unknown
+                    StrategyOutcome::Won
+                }
+                // `Unknown` after the token fired (flag or deadline) means
+                // the strategy was abandoned, not that it genuinely gave up
+                Ok(answer) if answer.is_unknown() && token.is_cancelled() => {
+                    StrategyOutcome::Cancelled
+                }
+                Ok(answer) => {
+                    let described = describe(&answer);
+                    // remember the first lane's give-up reason (an Unknown
                     // reason beats a generic "portfolio undecided").  A `Sat`
                     // that failed validation is *not* kept: reporting it
                     // would violate the validated-models-only policy
-                    fallback = Some(answer);
+                    if fallback.is_none() && !matches!(answer, Answer::Sat(_)) {
+                        fallback = Some(answer);
+                    }
+                    StrategyOutcome::Finished(described)
                 }
-            }
-        });
+            };
+            reports.push(StrategyReport {
+                name,
+                elapsed: end.elapsed,
+                outcome,
+            });
+        }
 
         let answer = accepted.unwrap_or_else(|| undecided(deadline, fallback));
         PortfolioResult {
             answer,
             winner,
             elapsed: start.elapsed(),
-            reports: reports
-                .into_iter()
-                .map(|r| r.expect("every racer reports exactly once"))
-                .collect(),
+            reports,
         }
     }
+}
+
+/// How one lane ended: its answer (or panic message), how long it ran, and
+/// whether its answer claimed the race.
+struct LaneEnd {
+    answer: Result<Answer, String>,
+    elapsed: Duration,
+    won: bool,
 }
 
 /// The answer of a race that accepted nothing.  Once the deadline has
@@ -417,6 +435,7 @@ fn describe(answer: &Answer) -> String {
 mod tests {
     use super::*;
     use posr_core::ast::StringTerm;
+    use posr_core::baselines::EnumerationSolver;
 
     fn sat_formula() -> StringFormula {
         StringFormula::new()
@@ -432,17 +451,23 @@ mod tests {
             .diseq(StringTerm::var("x"), StringTerm::lit("abc"))
     }
 
+    /// A two-lane race: the production lane against guess-and-check
+    /// enumeration.
+    fn two_lane_race() -> PortfolioSolver {
+        PortfolioSolver::with_strategies(vec![
+            Arc::new(CdclPosStrategy),
+            Arc::new(EnumerationSolver),
+        ])
+    }
+
     #[test]
     fn default_portfolio_races_the_measured_lanes() {
-        assert_eq!(
-            PortfolioSolver::new().strategy_names(),
-            ["cdcl-pos", "enumeration"]
-        );
+        assert_eq!(PortfolioSolver::new().strategy_names(), ["cdcl-pos"]);
     }
 
     #[test]
     fn racing_portfolio_decides_sat() {
-        let result = PortfolioSolver::new().solve_with(&sat_formula(), None, None);
+        let result = two_lane_race().solve_with(&sat_formula(), None, None);
         match &result.answer {
             Answer::Sat(model) => assert!(model.satisfies(&sat_formula())),
             other => panic!("expected sat, got {other:?}"),
@@ -472,6 +497,73 @@ mod tests {
             }
             Answer::Unknown(cancel.unknown_reason())
         }
+    }
+
+    /// Records the thread it ran on.
+    struct ThreadRecorder(std::sync::Mutex<Option<std::thread::ThreadId>>);
+
+    impl Strategy for ThreadRecorder {
+        fn name(&self) -> &'static str {
+            "thread-recorder"
+        }
+
+        fn solve(&self, formula: &StringFormula, cancel: &CancelToken) -> Answer {
+            *self.0.lock().unwrap() = Some(std::thread::current().id());
+            CdclPosStrategy.solve(formula, cancel)
+        }
+    }
+
+    #[test]
+    fn a_one_strategy_portfolio_runs_on_the_callers_thread() {
+        let lane = Arc::new(ThreadRecorder(std::sync::Mutex::new(None)));
+        let portfolio =
+            PortfolioSolver::with_strategies(vec![Arc::clone(&lane) as Arc<dyn Strategy>]);
+        let result = portfolio.solve_with(&sat_formula(), None, None);
+        assert!(result.answer.is_sat());
+        assert_eq!(result.winner, Some("thread-recorder"));
+        assert_eq!(*lane.0.lock().unwrap(), Some(std::thread::current().id()));
+    }
+
+    #[test]
+    fn every_lane_counts_once_into_the_callers_scopes() {
+        /// Counts one solve and gives up.
+        struct Counting;
+        impl Strategy for Counting {
+            fn name(&self) -> &'static str {
+                "counting"
+            }
+            fn solve(&self, _formula: &StringFormula, _cancel: &CancelToken) -> Answer {
+                posr_obs::counter("portfolio.test.lane_solves").incr();
+                Answer::Unknown("counted".to_string())
+            }
+        }
+        let scope = posr_obs::CounterScope::new();
+        let _attached = scope.attach();
+        let portfolio =
+            PortfolioSolver::with_strategies(vec![Arc::new(Counting), Arc::new(Counting)]);
+        portfolio.solve(&sat_formula());
+        // the spawned lane attaches the caller's scope, and the caller's
+        // lane counts through the attachment it already has
+        assert_eq!(
+            scope.get(posr_obs::counter("portfolio.test.lane_solves")),
+            2
+        );
+    }
+
+    #[test]
+    fn the_callers_lane_is_cancelled_when_a_spawned_lane_wins() {
+        let portfolio = PortfolioSolver::with_strategies(vec![
+            Arc::new(HangingStrategy),
+            Arc::new(CdclPosStrategy),
+        ]);
+        let result = portfolio.solve_with(&unsat_formula(), None, None);
+        assert!(result.answer.is_unsat(), "got {:?}", result.answer);
+        assert_eq!(result.winner, Some("cdcl-pos"));
+        // without the winner firing its token the hanging lane, which runs
+        // on this thread, would never return
+        assert_eq!(result.reports[0].name, "hanging");
+        assert_eq!(result.reports[0].outcome, StrategyOutcome::Cancelled);
+        assert_eq!(result.reports[1].outcome, StrategyOutcome::Won);
     }
 
     #[test]
@@ -507,17 +599,23 @@ mod tests {
     #[test]
     fn timeout_abandons_a_portfolio_of_hungs() {
         let deadline_out = Answer::Unknown(posr_lia::cancel::DEADLINE_MSG.to_string());
-        let portfolio = PortfolioSolver::with_strategies(vec![
-            Arc::new(HangingStrategy),
-            Arc::new(HangingStrategy),
-        ]);
-        let result = portfolio.solve_with(&sat_formula(), Some(Duration::from_millis(100)), None);
-        assert_eq!(result.answer, deadline_out);
-        assert!(result.elapsed < Duration::from_secs(30));
-        assert!(result
-            .reports
-            .iter()
-            .all(|r| r.outcome == StrategyOutcome::Cancelled));
+        // one hung lane on the caller's thread, and a race of two
+        for lanes in [1, 2] {
+            let portfolio = PortfolioSolver::with_strategies(
+                (0..lanes)
+                    .map(|_| Arc::new(HangingStrategy) as Arc<dyn Strategy>)
+                    .collect(),
+            );
+            let result =
+                portfolio.solve_with(&sat_formula(), Some(Duration::from_millis(100)), None);
+            assert_eq!(result.answer, deadline_out);
+            assert!(result.elapsed < Duration::from_secs(30));
+            assert_eq!(result.reports.len(), lanes);
+            assert!(result
+                .reports
+                .iter()
+                .all(|r| r.outcome == StrategyOutcome::Cancelled));
+        }
 
         // a lane that gave up early does not hide that the race timed out
         let portfolio = PortfolioSolver::with_strategies(vec![
@@ -542,7 +640,7 @@ mod tests {
 
     #[test]
     fn hint_restricts_the_race() {
-        let portfolio = PortfolioSolver::new();
+        let portfolio = two_lane_race();
         let result = portfolio.solve_with(&sat_formula(), None, Some("cdcl-pos"));
         assert!(result.answer.is_sat());
         let names: Vec<_> = result.reports.iter().map(|r| r.name).collect();

@@ -8,12 +8,12 @@
 //! `--stats` prints the process-wide cumulative CDCL(T) engine counters
 //! (conflicts, decisions, propagations, restarts, learned clauses, GC) at
 //! the end — every engine across both drivers flushes into them — plus
-//! what `posr-obs` recorded: per-lane solve time, the phase
-//! self-time table, the automaton-cache hit ratio, and the robustness
-//! counters (absorbed lane crashes, cache poison recoveries, injected
-//! faults, big-rational slow-lane trips).  `POSR_TRACE` /
-//! `POSR_TRACE_FOLDED` additionally export the run as a Chrome trace /
-//! folded-stack profile.
+//! per-lane solve time from the batch's lane reports, and what `posr-obs`
+//! recorded: the phase self-time table (summed by span name over both
+//! drivers), the automaton-cache hit ratio, and the robustness counters
+//! (absorbed lane crashes, cache poison recoveries, injected faults,
+//! big-rational slow-lane trips).  `POSR_TRACE` / `POSR_TRACE_FOLDED`
+//! additionally export the run as a Chrome trace / folded-stack profile.
 
 use std::collections::BTreeMap;
 use std::time::{Duration, Instant};
@@ -56,9 +56,6 @@ fn main() {
         "batch: {} problems, per-problem timeout {timeout:?}, {cores} core(s)",
         items.len()
     );
-    if cores < 2 {
-        println!("note: racing strategies needs multiple cores to beat the sequential loop");
-    }
 
     // sequential reference: the paper's pipeline, one problem at a time
     let sequential_start = Instant::now();
@@ -155,27 +152,19 @@ fn main() {
             s.theory_props, s.simplex_pivots
         );
 
-        let tracks = posr_obs::snapshot_tracks();
-        // per-lane busy time: every lane records `lane.solve` on its own
-        // `lane:*` track
-        let mut lane_busy: BTreeMap<String, (u64, u64)> = BTreeMap::new();
-        for track in &tracks {
-            let Some(lane) = track.track.strip_prefix("lane:") else {
-                continue;
-            };
-            for phase in posr_obs::phase_totals(std::slice::from_ref(track)) {
-                if phase.name == "lane.solve" {
-                    let entry = lane_busy.entry(lane.to_string()).or_default();
-                    entry.0 += phase.count;
-                    entry.1 += phase.total_us;
-                }
-            }
+        // per-lane busy time, from each item's lane reports (a lane that
+        // runs on its worker's thread records on no track of its own)
+        let mut lane_busy: BTreeMap<&str, (usize, Duration)> = BTreeMap::new();
+        for lane in report.outcomes.iter().flat_map(|o| &o.result.reports) {
+            let entry = lane_busy.entry(lane.name).or_default();
+            entry.0 += 1;
+            entry.1 += lane.elapsed;
         }
-        println!("\n== lanes (posr-obs) ==");
-        for (lane, (solves, busy_us)) in &lane_busy {
+        println!("\n== lanes ==");
+        for (lane, (solves, busy)) in &lane_busy {
             println!(
                 "  {lane:<20} {solves:>5} solves, {:>10.2} ms busy",
-                *busy_us as f64 / 1e3
+                busy.as_secs_f64() * 1e3
             );
         }
         println!("\n== robustness (posr-obs) ==");
@@ -225,18 +214,28 @@ fn main() {
             );
         }
 
+        // one row per span name: the same phase under the sequential loop
+        // and under a batch worker sums into one total
+        let tracks = posr_obs::snapshot_tracks();
+        let mut phases: BTreeMap<String, (u64, u64, u64)> = BTreeMap::new();
+        for phase in posr_obs::phase_totals(&tracks) {
+            let row = phases.entry(phase.name).or_default();
+            row.0 += phase.count;
+            row.1 += phase.total_us;
+            row.2 += phase.self_us;
+        }
+        let mut phases: Vec<_> = phases.into_iter().collect();
+        phases.sort_by(|a, b| b.1 .2.cmp(&a.1 .2).then(a.0.cmp(&b.0)));
         println!("\n== phase self-time (posr-obs) ==");
         println!(
             "  {:<40} {:>8} {:>12} {:>12}",
             "phase", "count", "total ms", "self ms"
         );
-        for phase in posr_obs::phase_totals(&tracks).iter().take(15) {
+        for (name, (count, total_us, self_us)) in phases.iter().take(15) {
             println!(
-                "  {:<40} {:>8} {:>12.2} {:>12.2}",
-                phase.path,
-                phase.count,
-                phase.total_us as f64 / 1e3,
-                phase.self_us as f64 / 1e3,
+                "  {name:<40} {count:>8} {:>12.2} {:>12.2}",
+                *total_us as f64 / 1e3,
+                *self_us as f64 / 1e3,
             );
         }
         let dropped: u64 = tracks.iter().map(|t| t.dropped).sum();

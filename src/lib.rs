@@ -31,7 +31,8 @@
 //!   including the `run_script` command stream (`push`/`pop`, multiple
 //!   `check-sat`, `get-model`),
 //! * [`bench`](mod@bench) — workload generators and the evaluation harness,
-//! * [`portfolio`] — the concurrent portfolio engine and batch driver.
+//! * [`portfolio`] — the portfolio engine (one lane by default, explicit
+//!   races) and the concurrent batch driver.
 //!
 //! # Quick start
 //!
@@ -48,7 +49,8 @@
 //!
 //! // sequential pipeline
 //! assert!(StringSolver::new().solve(&formula).is_sat());
-//! // concurrent portfolio: same verdict, first validated answer wins
+//! // the default portfolio: the same pipeline as one lane on this thread
+//! // (`PortfolioSolver::with_strategies` builds a race of several)
 //! assert!(PortfolioSolver::new().solve(&formula).is_sat());
 //! ```
 

@@ -1,11 +1,13 @@
 //! Portfolio ↔ sequential agreement, cancellation and deadlines, end to end.
 //!
-//! The portfolio races engines that share almost no code paths, so verdict
-//! agreement with the sequential `StringSolver` over randomized instances
-//! from all four benchmark families is a strong soundness check — and the
-//! cancellation tests prove that losing/hung strategies are actually
-//! abandoned rather than joined to completion.  Every race, and every
-//! strategy run alone, must end within its deadline plus [`LATE_SLACK`].
+//! A race of `cdcl-pos` against guess-and-check enumeration pits engines
+//! that share almost no code paths, so its verdict agreement with the
+//! sequential `StringSolver` over randomized instances from all four
+//! benchmark families is a strong soundness check; the batch driver runs
+//! the default one-lane portfolio.  The cancellation tests prove that
+//! losing/hung strategies are actually abandoned rather than joined to
+//! completion.  Every race, and every strategy run alone, must end within
+//! its deadline plus [`LATE_SLACK`].
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -36,7 +38,10 @@ fn sequential_verdict(formula: &StringFormula) -> &'static str {
 
 #[test]
 fn randomized_agreement_with_sequential_solver() {
-    let portfolio = PortfolioSolver::new();
+    let portfolio = PortfolioSolver::with_strategies(vec![
+        Arc::new(CdclPosStrategy),
+        Arc::new(EnumerationSolver),
+    ]);
     for family in suite_names() {
         for instance in suite(family, 4, 20_257) {
             let sequential = sequential_verdict(&instance.formula);
