@@ -19,7 +19,10 @@
 //! A machine-readable summary goes to `target/PROOFS_summary.json`
 //! (override with `POSR_PROOFS_SUMMARY`; the proof directory with
 //! `POSR_PROOF_DIR`) for upload as a build artifact next to
-//! `BENCH_lia.json`.
+//! `BENCH_lia.json`.  Each family records how long its solve took
+//! (`solve_ms`, proof logging on) and how long the replay of its documents
+//! took against it (`replay_ratio` = replay / solve); the ratio is
+//! recorded, not gated.
 
 use std::fmt::Write as _;
 use std::time::Instant;
@@ -213,6 +216,8 @@ struct FamilyReport {
     documents: usize,
     proof_bytes: usize,
     steps: usize,
+    /// Wall time of the solve that produced the documents.
+    solve_ms: f64,
     replay_ms: f64,
     accepted: bool,
     /// Why the family failed its own gate, when it did.
@@ -220,20 +225,40 @@ struct FamilyReport {
 }
 
 impl FamilyReport {
+    /// Replay time over solve time (0 when the solve took no measurable
+    /// time).
+    fn replay_ratio(&self) -> f64 {
+        if self.solve_ms > 0.0 {
+            self.replay_ms / self.solve_ms
+        } else {
+            0.0
+        }
+    }
+
     fn json(&self) -> String {
         format!(
-            "{{\"family\":\"{}\",\"verdict\":\"{}\",\"documents\":{},\"proof_bytes\":{},\"steps\":{},\"replay_ms\":{:.3},\"accepted\":{}}}",
-            self.name, self.verdict, self.documents, self.proof_bytes, self.steps, self.replay_ms, self.accepted,
+            "{{\"family\":\"{}\",\"verdict\":\"{}\",\"documents\":{},\"proof_bytes\":{},\"steps\":{},\"solve_ms\":{:.3},\"replay_ms\":{:.3},\"replay_ratio\":{:.3},\"accepted\":{}}}",
+            self.name,
+            self.verdict,
+            self.documents,
+            self.proof_bytes,
+            self.steps,
+            self.solve_ms,
+            self.replay_ms,
+            self.replay_ratio(),
+            self.accepted,
         )
     }
 }
 
-/// Replays `docs` through the in-process checker and fills in a report;
-/// `require_docs` marks families whose refutation must come certified.
+/// Replays `docs`, which a solve of `solve_ms` produced, through the
+/// in-process checker and fills in a report; `require_docs` marks
+/// families whose refutation must come certified.
 fn replay_family(
     name: &str,
     verdict: &'static str,
     docs: &[String],
+    solve_ms: f64,
     require_docs: bool,
 ) -> FamilyReport {
     let mut report = FamilyReport {
@@ -242,6 +267,7 @@ fn replay_family(
         documents: docs.len(),
         proof_bytes: docs.iter().map(String::len).sum(),
         steps: 0,
+        solve_ms,
         replay_ms: 0.0,
         accepted: true,
         failure: None,
@@ -285,14 +311,16 @@ fn main() {
             proof_logging: true,
             ..SolverConfig::default()
         };
+        let start = Instant::now();
         let (result, proof) = solve_cdcl_with_proof(&formula.nnf().simplify(), &config);
+        let solve_ms = start.elapsed().as_secs_f64() * 1e3;
         let verdict = match result {
             SolverResult::Unsat => "unsat",
             SolverResult::Sat(_) => "sat",
             SolverResult::Unknown(_) => "unknown",
         };
         let docs: Vec<String> = proof.into_iter().collect();
-        let report = replay_family(name, verdict, &docs, true);
+        let report = replay_family(name, verdict, &docs, solve_ms, true);
         print_family(&report);
         if !docs.is_empty() {
             write_proof(&proof_dir, name, &docs, &mut written);
@@ -306,7 +334,9 @@ fn main() {
         let mut session = SolverSession::new();
         session.set_produce_proofs(true);
         session.assert_all(formula.atoms.clone());
+        let start = Instant::now();
         let answer = session.check_sat();
+        let solve_ms = start.elapsed().as_secs_f64() * 1e3;
         let verdict = if answer.is_unsat() {
             "unsat"
         } else if answer.is_sat() {
@@ -318,7 +348,7 @@ fn main() {
             .last_proofs()
             .map(<[String]>::to_vec)
             .unwrap_or_default();
-        let report = replay_family(name, verdict, &docs, must_certify);
+        let report = replay_family(name, verdict, &docs, solve_ms, must_certify);
         print_family(&report);
         if !docs.is_empty() {
             write_proof(&proof_dir, name, &docs, &mut written);
@@ -330,7 +360,7 @@ fn main() {
     let total_documents: usize = reports.iter().map(|r| r.documents).sum();
     let ok = all_accepted && total_documents >= lia_families().len();
 
-    let mut json = String::from("{\n  \"schema\": \"posr-proofs/v1\",\n  \"families\": [\n");
+    let mut json = String::from("{\n  \"schema\": \"posr-proofs/v2\",\n  \"families\": [\n");
     for (i, r) in reports.iter().enumerate() {
         let _ = writeln!(
             json,
@@ -370,13 +400,15 @@ fn main() {
 
 fn print_family(r: &FamilyReport) {
     println!(
-        "{:28} {:7} {} doc(s), {} bytes, {} steps, replayed in {:.2}ms — {}",
+        "{:28} {:7} {} doc(s), {} bytes, {} steps, solved in {:.2}ms, replayed in {:.2}ms ({:.2}× the solve) — {}",
         r.name,
         r.verdict,
         r.documents,
         r.proof_bytes,
         r.steps,
+        r.solve_ms,
         r.replay_ms,
+        r.replay_ratio(),
         if r.accepted { "accepted" } else { "REJECTED" },
     );
 }

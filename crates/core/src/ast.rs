@@ -202,6 +202,14 @@ impl LenCmp {
     }
 }
 
+/// The language of an [`StringAtom::InRe`] regex, compiled; a regex that
+/// does not parse denotes the empty language.
+pub fn regex_language(regex: &str) -> posr_automata::Nfa {
+    posr_automata::Regex::parse(regex)
+        .map(|r| r.compile())
+        .unwrap_or_else(|_| posr_automata::Nfa::empty_language())
+}
+
 /// An atomic string constraint (a literal: the `negated` flag is part of the
 /// atom, so a formula is simply a conjunction of atoms).
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -289,10 +297,7 @@ impl StringAtom {
                 negated,
             } => {
                 let value = strings.get(var).cloned().unwrap_or_default();
-                let nfa = posr_automata::Regex::parse(regex)
-                    .map(|r| r.compile())
-                    .unwrap_or_else(|_| posr_automata::Nfa::empty_language());
-                nfa.accepts_str(&value) != *negated
+                regex_language(regex).accepts_str(&value) != *negated
             }
             StringAtom::PrefixOf {
                 needle,

@@ -28,6 +28,7 @@
 use std::collections::BTreeMap;
 
 use posr_automata::sample::Sampler;
+use posr_automata::Nfa;
 use posr_lia::cancel::CancelToken;
 use posr_lia::formula::Formula;
 use posr_lia::solver::{Solver, SolverConfig};
@@ -38,7 +39,7 @@ use posr_tagauto::tags::{StrVar, VarTable};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use crate::ast::StringFormula;
+use crate::ast::{regex_language, StringAtom, StringFormula};
 use crate::monadic;
 use crate::normal::{self, PositionAtom};
 use crate::solver::{Answer, StringModel};
@@ -91,6 +92,44 @@ impl Strategy for EnumerationSolver {
             .iter()
             .map(|(v, nfa)| (v, Sampler::new(nfa)))
             .collect();
+        // each candidate is checked against the whole formula: compile its
+        // regexes once here, not once per candidate as `StringAtom::eval`
+        // would
+        let languages: Vec<Option<Nfa>> = formula
+            .atoms
+            .iter()
+            .map(|atom| match atom {
+                StringAtom::InRe { regex, .. } => Some(regex_language(regex)),
+                _ => None,
+            })
+            .collect();
+        let holds = |strings: &BTreeMap<String, String>, ints: &BTreeMap<String, i64>| {
+            formula
+                .atoms
+                .iter()
+                .zip(&languages)
+                .all(|(atom, language)| match (atom, language) {
+                    (StringAtom::InRe { var, negated, .. }, Some(nfa)) => {
+                        nfa.accepts_str(strings.get(var).map_or("", String::as_str)) != *negated
+                    }
+                    _ => atom.eval(strings, ints),
+                })
+        };
+        // integer variables: `str.at` indices and length atoms
+        let int_names: Vec<String> = formula
+            .atoms
+            .iter()
+            .flat_map(|a| match a {
+                StringAtom::StrAt { index, .. } => index.int_coeffs.keys().cloned().collect(),
+                StringAtom::Length { lhs, rhs, .. } => lhs
+                    .int_coeffs
+                    .keys()
+                    .chain(rhs.int_coeffs.keys())
+                    .cloned()
+                    .collect(),
+                _ => Vec::new(),
+            })
+            .collect();
         // deterministic pass over short words first, then random sampling
         for bound in 1..=ENUMERATION_MAX_LEN {
             for _ in 0..ENUMERATION_SAMPLES_PER_BOUND {
@@ -117,7 +156,7 @@ impl Strategy for EnumerationSolver {
                 // integer variables: try the values implied by lengths (0 is a
                 // common default; `str.at` indices are searched over a small range)
                 let ints = BTreeMap::new();
-                if formula.eval(&strings, &ints) {
+                if holds(&strings, &ints) {
                     let reported: BTreeMap<String, String> = strings
                         .iter()
                         .filter(|(name, _)| !name.contains('!'))
@@ -126,27 +165,11 @@ impl Strategy for EnumerationSolver {
                     return Answer::Sat(StringModel::new(reported, ints));
                 }
                 // search small index values for formulas with integer variables
-                let int_names: Vec<String> = formula
-                    .atoms
-                    .iter()
-                    .flat_map(|a| match a {
-                        crate::ast::StringAtom::StrAt { index, .. } => {
-                            index.int_coeffs.keys().cloned().collect::<Vec<_>>()
-                        }
-                        crate::ast::StringAtom::Length { lhs, rhs, .. } => lhs
-                            .int_coeffs
-                            .keys()
-                            .chain(rhs.int_coeffs.keys())
-                            .cloned()
-                            .collect(),
-                        _ => Vec::new(),
-                    })
-                    .collect();
                 if !int_names.is_empty() {
                     for value in 0..=(bound as i64) {
                         let ints: BTreeMap<String, i64> =
                             int_names.iter().map(|n| (n.clone(), value)).collect();
-                        if formula.eval(&strings, &ints) {
+                        if holds(&strings, &ints) {
                             let reported: BTreeMap<String, String> = strings
                                 .iter()
                                 .filter(|(name, _)| !name.contains('!'))

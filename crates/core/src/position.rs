@@ -122,30 +122,38 @@ pub struct PositionProblem<'a> {
 pub fn solve_position(problem: &PositionProblem<'_>, options: &PositionOptions) -> PositionOutcome {
     let mut vars = VarTable::new();
     let mut automata: BTreeMap<StrVar, Nfa> = BTreeMap::new();
-    for (name, nfa) in problem.languages {
-        let v = vars.intern(name);
-        // content-keyed preparation cache: the refined languages of the
-        // monadic cases are intersection automata with no pattern string,
-        // and across cases / racing strategies / CEGAR rounds the same
-        // intersections recur — `prepared_for` interns their ε-free trimmed
-        // forms process-wide instead of recomputing them per case
-        let trimmed = posr_automata::cache::prepared_for(nfa);
-        if trimmed.is_empty_language() {
-            return PositionOutcome::Unsat;
+    {
+        let _span = posr_obs::span!("automata", "automata.prepare");
+        for (name, nfa) in problem.languages {
+            let v = vars.intern(name);
+            // content-keyed preparation cache: the refined languages of the
+            // monadic cases are intersection automata with no pattern
+            // string, and across cases / racing strategies / CEGAR rounds
+            // the same intersections recur — `prepared_for` interns their
+            // ε-free trimmed forms process-wide instead of recomputing them
+            // per case
+            let trimmed = posr_automata::cache::prepared_for(nfa);
+            if trimmed.is_empty_language() {
+                return PositionOutcome::Unsat;
+            }
+            automata.insert(v, (*trimmed).clone());
         }
-        automata.insert(v, (*trimmed).clone());
     }
 
     // short-witness sampling before any encoding work; `Sat` answers from
     // here are validated concretely and therefore sound.  The trimmed
     // automata computed above are reused so sampling does not redo the
     // ε-removal per attempt.
-    let trimmed_by_name: Vec<(&String, &Nfa)> = problem
-        .languages
-        .keys()
-        .map(|name| (name, &automata[&vars.lookup(name).expect("interned above")]))
-        .collect();
-    if let Some(outcome) = sampling_assist(problem, &trimmed_by_name) {
+    let sampled = {
+        let _span = posr_obs::span!("automata", "automata.sample");
+        let trimmed_by_name: Vec<(&String, &Nfa)> = problem
+            .languages
+            .keys()
+            .map(|name| (name, &automata[&vars.lookup(name).expect("interned above")]))
+            .collect();
+        sampling_assist(problem, &trimmed_by_name)
+    };
+    if let Some(outcome) = sampled {
         return outcome;
     }
 
@@ -231,6 +239,7 @@ pub fn solve_position(problem: &PositionProblem<'_>, options: &PositionOptions) 
             right,
         } = &system_constraints[0]
         {
+            let _span = posr_obs::span!("automata", "automata.onecounter");
             if !single_diseq_satisfiable(left, right, &automata) {
                 return PositionOutcome::Unsat;
             }

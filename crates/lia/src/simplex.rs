@@ -31,9 +31,9 @@
 //!   is a `SparseRow`: column-sorted `i128` numerators over one
 //!   positive row denominator `D`, `x_b = Σ (c_k / D)·x_k`, divided by
 //!   their content so that `gcd(D, c_1, …, c_m) = 1` — the unique integer
-//!   form of the row's rationals.  Rows are drawn from a per-tableau
-//!   arena and recycled across pivots instead of cloned.  A **column
-//!   occurrence index** (`col_rows[j]` = the basic
+//!   form of the row's rationals.  A row is allocated at the size its
+//!   construction bounds it to and freed when a pivot replaces it.  A
+//!   **column occurrence index** (`col_rows[j]` = the basic
 //!   variables whose rows mention column `j`) is maintained through every
 //!   pivot and assignment update, so `update`, `pivot_and_update` and
 //!   `pivot` touch only the rows that actually contain the moving column
@@ -53,11 +53,21 @@
 //!   holds, so the pivot sequence, `β`, the models and the cores are
 //!   too.  `β`, the bounds and `θ` stay [`Rat`]s; a coefficient becomes
 //!   `c / D` only where a rational is needed (assignment updates), and
-//!   the Bland candidate test and the Farkas
+//!   the entering-candidate test and the Farkas
 //!   core read signs only.  A merge that overflows `i128` is recomputed
 //!   exactly in [`crate::bigint::BigInt`], reduced by its content and
 //!   counted on `lia.rat.slow_lane`; only a reduced row that needs more
 //!   than 127 bits raises the overflow marker.
+//! * **Pivots keep the rows sparse.**  The leaving variable is the
+//!   smallest violating basic.  The entering variable is the suitable
+//!   nonbasic of its row that occurs in the fewest rows (ties to the
+//!   smallest column), the fill-reducing choice of Markowitz: a pivot
+//!   substitutes the entering row into every row its column occurs in, so
+//!   the fewer those are, the less the tableau fills in.  After
+//!   `OCCURRENCE_RULE_PIVOTS` pivots without a verdict the check falls
+//!   back to Bland's rule (the smallest suitable column) for the rest of
+//!   that check, which guarantees termination.  The count spans a
+//!   budgeted check's slices and resets only at a verdict.
 //! * **Backtracking** is stack-shaped: [`IncrementalSimplex::retract_to`]
 //!   unwinds the bound trail to a given assertion count (the CDCL engine
 //!   keeps assertions aligned with its theory-literal trail).  Retraction
@@ -103,6 +113,11 @@ pub fn obs_pivot_counter() -> posr_obs::Counter {
 pub fn obs_row_touch_counter() -> posr_obs::Counter {
     *OBS_ROW_TOUCHES
 }
+
+/// Pivots of one check that enter the suitable column occurring in the
+/// fewest rows; the rest of the check enters by Bland's rule, which
+/// guarantees termination.
+const OCCURRENCE_RULE_PIVOTS: u64 = 64;
 
 /// Relation of a simplex constraint `expr ⋈ bound`.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -180,28 +195,24 @@ fn core_to_indices(core: Vec<u32>) -> Vec<usize> {
 /// The tableau variable that owns a canonicalised constraint form.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 enum Owner {
-    /// The form had no variables; `true` iff the (constant) constraint
-    /// evaluated to a satisfied comparison at preparation time is decided
-    /// per bound at assert time instead — this variant only records that
-    /// there is nothing to assert on.
-    Constant,
+    /// The form had no variables: there is nothing to assert on, and the
+    /// flag says whether the constant comparison holds.
+    Constant(bool),
     /// Internal tableau variable (problem column or slack).
-    Tableau(usize),
+    Tableau(u32),
 }
 
 /// A constraint pre-compiled against a tableau: the owning variable plus
-/// the bound(s) it asserts, ready for O(1) assertion.  Produced by
+/// the bound it asserts, ready for O(1) assertion.  Produced by
 /// [`IncrementalSimplex::prepare`]; the CDCL engine caches one per theory
-/// literal at registration time.
+/// literal at registration time, so it holds one bound and its relation
+/// rather than two optional bounds.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct PreparedBound {
     owner: Owner,
-    /// `owner ≥ lo` to assert (already sign/scale-normalised).
-    lo: Option<Rat>,
-    /// `owner ≤ hi` to assert.
-    hi: Option<Rat>,
-    /// For `Owner::Constant`: whether the constraint holds.
-    const_sat: bool,
+    /// `owner rel bound` to assert (already sign/scale-normalised).
+    rel: Rel,
+    bound: Rat,
 }
 
 /// One undone bound change: which side of which variable, and the value
@@ -215,9 +226,9 @@ struct UndoEntry {
 /// A flat sparse row over one denominator: `x = Σ (coeffs[i] / den)·x_{cols[i]}`
 /// with columns strictly ascending, numerators nonzero, `den > 0` and
 /// `gcd(den, coeffs…) = 1`.  Every numerator and the denominator fit in
-/// 127 bits (never `i128::MIN`), so negation cannot overflow.  Rows are
-/// recycled through the tableau's arena instead of being reallocated per
-/// pivot.
+/// 127 bits (never `i128::MIN`), so negation cannot overflow.  Each row is
+/// allocated at the size its construction bounds it to, and freed when it
+/// is replaced: a recycled buffer would keep the widest row it ever held.
 #[derive(Clone, Debug, PartialEq, Eq)]
 struct SparseRow {
     cols: Vec<u32>,
@@ -225,21 +236,14 @@ struct SparseRow {
     den: i128,
 }
 
-impl Default for SparseRow {
-    fn default() -> SparseRow {
+impl SparseRow {
+    /// An empty row (denominator 1) with room for `n` entries.
+    fn with_capacity(n: usize) -> SparseRow {
         SparseRow {
-            cols: Vec::new(),
-            coeffs: Vec::new(),
+            cols: Vec::with_capacity(n),
+            coeffs: Vec::with_capacity(n),
             den: 1,
         }
-    }
-}
-
-impl SparseRow {
-    fn clear(&mut self) {
-        self.cols.clear();
-        self.coeffs.clear();
-        self.den = 1;
     }
 
     fn len(&self) -> usize {
@@ -375,8 +379,6 @@ pub struct IncrementalSimplex {
     /// Occurrence index: `col_rows[j]` lists the basic variables whose
     /// rows contain column `j` (unordered, duplicate-free).
     col_rows: Vec<Vec<u32>>,
-    /// Arena of retired rows, recycled by the next pivot or slack.
-    row_pool: Vec<SparseRow>,
     /// Lower bounds per variable, tagged with the asserting constraint.
     lower: Vec<Option<(Rat, u32)>>,
     /// Upper bounds per variable, tagged with the asserting constraint.
@@ -398,6 +400,10 @@ pub struct IncrementalSimplex {
     suspect_flag: Vec<bool>,
     /// Cumulative pivot count (never reset; the engine reads deltas).
     pivots: u64,
+    /// Pivots of the check in progress, across its budget slices; reset
+    /// when a check reaches a verdict.  Past [`OCCURRENCE_RULE_PIVOTS`]
+    /// the entering column is chosen by Bland's rule.
+    check_pivots: u64,
     /// Rows visited through the occurrence index (cumulative).
     row_touches: u64,
     /// High-water marks of what `flush_obs` already pushed to the
@@ -421,7 +427,6 @@ impl IncrementalSimplex {
             forms: HashMap::new(),
             rows: Vec::new(),
             col_rows: Vec::new(),
-            row_pool: Vec::new(),
             lower: Vec::new(),
             upper: Vec::new(),
             beta: Vec::new(),
@@ -430,6 +435,7 @@ impl IncrementalSimplex {
             suspect: Vec::new(),
             suspect_flag: Vec::new(),
             pivots: 0,
+            check_pivots: 0,
             row_touches: 0,
             obs_pivots_flushed: 0,
             obs_touches_flushed: 0,
@@ -455,20 +461,6 @@ impl IncrementalSimplex {
     /// Number of tableau variables (problem columns plus slacks).
     pub fn num_tableau_vars(&self) -> usize {
         self.beta.len()
-    }
-
-    fn alloc_row(&mut self) -> SparseRow {
-        match self.row_pool.pop() {
-            Some(mut row) => {
-                row.clear();
-                row
-            }
-            None => SparseRow::default(),
-        }
-    }
-
-    fn free_row(&mut self, row: SparseRow) {
-        self.row_pool.push(row);
     }
 
     fn add_var(&mut self, problem: Option<Var>) -> usize {
@@ -542,7 +534,7 @@ impl IncrementalSimplex {
         let den = row.values().fold(1i128, |l, a| {
             mul_add(l / gcd(l, a.denom()), a.denom(), 0).unwrap_or_else(|| overflow_panic())
         });
-        let mut frozen = self.alloc_row();
+        let mut frozen = SparseRow::with_capacity(row.len());
         frozen.den = den;
         for (&j, &a) in &row {
             let num = mul_add(a.numer(), den / a.denom(), 0).unwrap_or_else(|| overflow_panic());
@@ -570,10 +562,9 @@ impl IncrementalSimplex {
                 Rel::Eq => k == 0,
             };
             return PreparedBound {
-                owner: Owner::Constant,
-                lo: None,
-                hi: None,
-                const_sat,
+                owner: Owner::Constant(const_sat),
+                rel: constraint.rel,
+                bound: Rat::ZERO,
             };
         }
         // canonical form: coefficients divided by their gcd, first
@@ -603,20 +594,14 @@ impl IncrementalSimplex {
             // canonical single-term forms have coefficient 1: the problem
             // column itself owns the bound, no slack row is needed
             let v = form.variables().next().expect("single term");
-            Owner::Tableau(self.col_of(v))
+            self.col_of(v)
         } else {
-            Owner::Tableau(self.slack_of(&form))
-        };
-        let (lo, hi) = match rel {
-            Rel::Le => (None, Some(bound)),
-            Rel::Ge => (Some(bound), None),
-            Rel::Eq => (Some(bound), Some(bound)),
+            self.slack_of(&form)
         };
         PreparedBound {
-            owner,
-            lo,
-            hi,
-            const_sat: true,
+            owner: Owner::Tableau(owner as u32),
+            rel,
+            bound,
         }
     }
 
@@ -628,16 +613,20 @@ impl IncrementalSimplex {
     pub fn assert_prepared(&mut self, prepared: &PreparedBound, tag: u32) -> Result<(), Vec<u32>> {
         let mark = self.undo.len();
         let x = match prepared.owner {
-            Owner::Constant => {
-                if prepared.const_sat {
-                    self.assert_marks.push(mark);
-                    return Ok(());
-                }
-                return Err(vec![tag]);
+            Owner::Constant(true) => {
+                self.assert_marks.push(mark);
+                return Ok(());
             }
-            Owner::Tableau(x) => x,
+            Owner::Constant(false) => return Err(vec![tag]),
+            Owner::Tableau(x) => x as usize,
         };
-        if let Some(lo) = prepared.lo {
+        let bound = Some(prepared.bound);
+        let (lo, hi) = match prepared.rel {
+            Rel::Le => (None, bound),
+            Rel::Ge => (bound, None),
+            Rel::Eq => (bound, bound),
+        };
+        if let Some(lo) = lo {
             if let Some((hi, hi_tag)) = self.upper[x] {
                 if lo > hi {
                     return Err(vec![hi_tag, tag]);
@@ -659,7 +648,7 @@ impl IncrementalSimplex {
                 }
             }
         }
-        if let Some(hi) = prepared.hi {
+        if let Some(hi) = hi {
             if let Some((lo, lo_tag)) = self.lower[x] {
                 if hi < lo {
                     // roll back a lower bound this same assertion recorded
@@ -780,8 +769,7 @@ impl IncrementalSimplex {
     }
 
     /// Structural pivot: `b` leaves the basis, `n` enters it.  Touches only
-    /// the rows the occurrence index lists for `n`; `row_b` is consumed and
-    /// recycled through the arena.
+    /// the rows the occurrence index lists for `n`; `row_b` is consumed.
     fn pivot(&mut self, b: usize, n: usize, row_b: SparseRow, c_bn: i128) {
         // b's row disappears: drop b from the occurrence lists of its
         // columns first, so the index never points at a missing row (this
@@ -794,7 +782,7 @@ impl IncrementalSimplex {
         // position
         let sign = c_bn.signum();
         let own = sign * row_b.den;
-        let mut new_row_n = self.alloc_row();
+        let mut new_row_n = SparseRow::with_capacity(row_b.len());
         new_row_n.den = c_bn.abs();
         let mut b_inserted = false;
         for (k, c_bk) in row_b.iter() {
@@ -818,7 +806,6 @@ impl IncrementalSimplex {
             debug_assert_ne!(other, b, "b was removed from the index above");
             let old = self.rows[other].take().expect("occurrence owner is basic");
             let merged = self.substitute(other, &old, n, &new_row_n);
-            self.free_row(old);
             self.rows[other] = Some(merged);
         }
         // n becomes basic; register its row in the occurrence index
@@ -826,7 +813,6 @@ impl IncrementalSimplex {
             self.col_rows[k].push(n as u32);
         }
         self.rows[n] = Some(new_row_n);
-        self.free_row(row_b);
     }
 
     /// `old` with `drop_col` replaced by `sub` (the entering variable's
@@ -847,7 +833,8 @@ impl IncrementalSimplex {
         let c_on = old.get(drop_col).expect("indexed row contains the column");
         let g = if sub.den == 1 { 1 } else { gcd(sub.den, c_on) };
         let (m, f) = (sub.den / g, c_on / g);
-        let mut out = self.alloc_row();
+        // `old` loses `drop_col` and gains at most every column of `sub`
+        let mut out = SparseRow::with_capacity(old.len() - 1 + sub.len());
         // an entry past 127 bits gets a placeholder and sends the whole
         // row to the exact recomputation below
         let mut overflowed = false;
@@ -905,14 +892,20 @@ impl IncrementalSimplex {
             }
             _ => substitute_exact(old, m, f, sub, &mut out),
         }
+        // the bound above counts shared columns twice
+        out.cols.shrink_to_fit();
+        out.coeffs.shrink_to_fit();
         out
     }
 
-    /// Runs the check loop (Bland's rule for termination), warm-starting
-    /// from the current basis and assignment.  `Err` carries the tags of a
-    /// Farkas certificate — an irreducible jointly-infeasible subset of the
-    /// asserted bounds (the stuck row's violated bound plus the blocking
-    /// bounds of its nonbasics).
+    /// Runs the check loop, warm-starting from the current basis and
+    /// assignment: the smallest violating basic leaves, and the suitable
+    /// column occurring in the fewest rows enters, until a check has
+    /// pivoted `OCCURRENCE_RULE_PIVOTS` times; from then on Bland's rule
+    /// picks the entering column, for termination.  `Err` carries the tags
+    /// of a Farkas certificate — an irreducible jointly-infeasible subset
+    /// of the asserted bounds (the stuck row's violated bound plus the
+    /// blocking bounds of its nonbasics).
     pub fn check(&mut self) -> Result<(), Vec<u32>> {
         self.check_budgeted(u64::MAX)
             .expect("an unbounded check always reaches a verdict")
@@ -921,9 +914,11 @@ impl IncrementalSimplex {
     /// [`IncrementalSimplex::check`] with a pivot budget: `None` means the
     /// budget ran out before a verdict.  The tableau is left in a
     /// consistent mid-loop state (invariants hold, remaining violations
-    /// stay queued in the suspect set), so a later call resumes the pivot
-    /// sequence where this one stopped — the CDCL leaf check slices its
-    /// pivots this way to poll for cancellation between slices.
+    /// stay queued in the suspect set, and the check's pivot count, which
+    /// decides when Bland's rule takes over, carries over), so a later
+    /// call resumes the pivot sequence where this one stopped — the CDCL
+    /// leaf check slices its pivots this way to poll for cancellation
+    /// between slices.
     pub fn check_budgeted(&mut self, max_pivots: u64) -> Option<Result<(), Vec<u32>>> {
         let _span = posr_obs::span!("simplex", "simplex.pivot-session");
         // chaos-test injection point: a leaf check may panic (unwinds to
@@ -979,6 +974,7 @@ impl IncrementalSimplex {
                 }
             }
             let Some(b) = min_violating else {
+                self.check_pivots = 0;
                 return Some(Ok(()));
             };
             if budget == 0 {
@@ -998,27 +994,43 @@ impl IncrementalSimplex {
             } else {
                 self.upper[b].expect("violated upper bound exists").0
             };
-            // Bland's rule: the *smallest* suitable nonbasic — rows keep
-            // their columns sorted, so the first hit is the smallest.  A
-            // lower violation needs β(b) to rise: a > 0 nonbasics must be
-            // free to increase (below their upper bound), a < 0 free to
-            // decrease — and dually for an upper violation.
+            // the suitable nonbasics of b's row: a lower violation needs
+            // β(b) to rise, so a > 0 nonbasics must be free to increase
+            // (below their upper bound) and a < 0 free to decrease — and
+            // dually for an upper violation
             let row = self.rows[b].as_ref().expect("basic");
-            let candidate = row
-                .iter()
-                .find(|&(n, c)| {
-                    debug_assert!(!self.is_basic(n));
-                    if lower_violation == (c > 0) {
-                        self.upper[n].is_none_or(|(u, _)| self.beta[n] < u)
-                    } else {
-                        self.lower[n].is_none_or(|(l, _)| self.beta[n] > l)
-                    }
-                })
-                .map(|(n, _)| n);
-            match candidate {
-                None => return Some(Err(self.conflict_core(b, lower_violation))),
-                Some(n) => self.pivot_and_update(b, n, target),
+            let suitable = row.iter().filter(|&(n, c)| {
+                debug_assert!(!self.is_basic(n));
+                if lower_violation == (c > 0) {
+                    self.upper[n].is_none_or(|(u, _)| self.beta[n] < u)
+                } else {
+                    self.lower[n].is_none_or(|(l, _)| self.beta[n] > l)
+                }
+            });
+            match self.entering(suitable.map(|(n, _)| n)) {
+                None => {
+                    self.check_pivots = 0;
+                    return Some(Err(self.conflict_core(b, lower_violation)));
+                }
+                Some(n) => {
+                    self.pivot_and_update(b, n, target);
+                    self.check_pivots += 1;
+                }
             }
+        }
+    }
+
+    /// The entering column among the `suitable` ones, which come in
+    /// ascending order: the one occurring in the fewest rows, so the pivot
+    /// substitutes into as few rows as it can, ties to the smallest
+    /// (`min_by_key` keeps the first minimum).  Once the check has pivoted
+    /// `OCCURRENCE_RULE_PIVOTS` times, Bland's rule — the smallest — ends
+    /// it.
+    fn entering(&self, mut suitable: impl Iterator<Item = usize>) -> Option<usize> {
+        if self.check_pivots < OCCURRENCE_RULE_PIVOTS {
+            suitable.min_by_key(|&n| self.col_rows[n].len())
+        } else {
+            suitable.next()
         }
     }
 
@@ -1324,6 +1336,135 @@ mod tests {
         check_invariants(&simplex);
     }
 
+    /// The entering rule on a hand-built tableau: `s = a + b + c`, with
+    /// `a` also in the row of `t = a + d`.  Bland's rule would enter `a`,
+    /// the smallest column; the occurrence rule enters `b`, which occurs in
+    /// `s`'s row alone and ties with `c` (the smaller column wins).  Past
+    /// the pivot threshold the same check enters `a`.
+    #[test]
+    fn entering_column_is_the_one_in_the_fewest_rows() {
+        let mut pool = VarPool::new();
+        let [a, b, c, d] = ["a", "b", "c", "d"].map(|n| pool.fresh(n));
+        let sum = LinExpr::var(a) + LinExpr::var(b) + LinExpr::var(c);
+        let build = || {
+            let mut s = IncrementalSimplex::new();
+            // t's row first, so a's column is the smallest of s's row
+            s.prepare(&ge(LinExpr::var(a) + LinExpr::var(d)));
+            s.assert_constraint(&ge(sum.clone() - LinExpr::constant(1)), 0)
+                .unwrap();
+            s
+        };
+        let mut fresh = build();
+        let col = |v: Var| fresh.var_cols[&v];
+        let (ca, cb, cc) = (col(a), col(b), col(c));
+        assert!(ca < cb && cb < cc, "columns a < b < c");
+        assert_eq!(fresh.col_rows[ca].len(), 2);
+        assert_eq!((fresh.col_rows[cb].len(), fresh.col_rows[cc].len()), (1, 1));
+        assert!(fresh.check().is_ok());
+        assert_eq!(fresh.pivots(), 1);
+        assert!(
+            fresh.is_basic(cb),
+            "the fewest-occurrence column, smallest on a tie"
+        );
+        assert!(!fresh.is_basic(ca) && !fresh.is_basic(cc));
+        assert_eq!(fresh.check_pivots, 0, "a verdict resets the rule's count");
+        check_invariants(&fresh);
+
+        let mut late = build();
+        late.check_pivots = OCCURRENCE_RULE_PIVOTS;
+        assert!(late.check().is_ok());
+        assert!(
+            late.is_basic(ca),
+            "past the threshold, Bland's smallest column"
+        );
+        assert!(!late.is_basic(cb) && !late.is_basic(cc));
+        assert_eq!(late.check_pivots, 0);
+        check_invariants(&late);
+    }
+
+    /// A check that needs more pivots than the entering rule's threshold,
+    /// run one pivot per budget slice, reaches the unsliced check's
+    /// verdict, pivot count, model and core, and the dense oracle's too:
+    /// the rule's pivot count spans the slices and resets only at the
+    /// verdict.  Both systems are random (45 constraints of 2–4 terms over
+    /// 30 variables) and need the fallback: entering by occurrence count
+    /// alone, the check of the first (infeasible) one does not end within
+    /// 5 000 pivots, and the second (feasible) one takes a different pivot
+    /// sequence.
+    #[test]
+    fn sliced_check_past_the_threshold_matches_the_unsliced_one() {
+        let mut pool = VarPool::new();
+        let vars: Vec<Var> = (0..30).map(|i| pool.fresh(&format!("x{i}"))).collect();
+        for (seed, feasible) in [(73u64, false), (275, true)] {
+            let mut rng = Rng(seed.wrapping_mul(0x9e37_79b9_7f4a_7c15));
+            let cs: Vec<SimplexConstraint> = (0..45)
+                .map(|_| {
+                    let n_terms = 2 + rng.below(3);
+                    let mut expr = LinExpr::constant(rng.int(-30, 30));
+                    for _ in 0..n_terms {
+                        let v = vars[rng.below(vars.len() as u64) as usize];
+                        expr.add_term(v, Some(rng.int(-3, 3)).filter(|&c| c != 0).unwrap_or(1));
+                    }
+                    let rel = [Rel::Le, Rel::Ge, Rel::Eq][rng.below(3) as usize];
+                    SimplexConstraint { expr, rel }
+                })
+                .collect();
+            let mut whole = IncrementalSimplex::new();
+            let mut sliced = IncrementalSimplex::new();
+            let mut oracle = dense::DenseSimplex::new();
+            for (i, c) in cs.iter().enumerate() {
+                let tag = i as u32;
+                whole.assert_constraint(c, tag).expect("no bound clash");
+                sliced.assert_constraint(c, tag).expect("no bound clash");
+                oracle.assert_constraint(c, tag).expect("no bound clash");
+            }
+            let expected = whole
+                .check_budgeted(100 * OCCURRENCE_RULE_PIVOTS)
+                .expect("Bland's rule ends the check");
+            assert_eq!(expected.is_ok(), feasible, "verdict (seed {seed})");
+            assert!(
+                whole.pivots() > OCCURRENCE_RULE_PIVOTS,
+                "the check must pass the threshold ({} pivots)",
+                whole.pivots()
+            );
+            assert_eq!(oracle.check(), expected);
+            assert_eq!(oracle.pivots(), whole.pivots());
+            assert_eq!(oracle.model(), whole.model());
+            // a per-slice reset would never reach Bland's rule, and the
+            // first system would not end: bound the slices
+            let mut result = None;
+            for _ in 0..=whole.pivots() {
+                result = sliced.check_budgeted(1);
+                if result.is_some() {
+                    break;
+                }
+                assert_eq!(
+                    sliced.check_pivots,
+                    sliced.pivots(),
+                    "the rule's pivot count must not reset per slice"
+                );
+                check_invariants(&sliced);
+            }
+            assert_eq!(
+                result,
+                Some(expected.clone()),
+                "sliced verdict (seed {seed})"
+            );
+            assert_eq!(sliced.pivots(), whole.pivots());
+            assert_eq!(sliced.model(), whole.model());
+            assert_eq!(sliced.check_pivots, 0, "a verdict resets the rule's count");
+            check_invariants(&sliced);
+            match expected {
+                Ok(()) => check_model(&cs, &sliced.model()),
+                Err(core) => {
+                    let sub: Vec<SimplexConstraint> =
+                        core.iter().map(|&t| cs[t as usize].clone()).collect();
+                    assert!(!check_feasibility(&sub).is_feasible());
+                }
+            }
+        }
+    }
+
     /// Structural invariants of the sparse layout: rows sorted with
     /// nonzero coefficients over nonbasic columns, the occurrence index
     /// exact (no stale or missing entries, no duplicates), and every basic
@@ -1379,13 +1520,15 @@ mod tests {
         }
     }
 
-    /// The retired dense `BTreeMap` tableau, kept verbatim as the
-    /// differential oracle for the sparse rewrite.  Pivot selection is
-    /// identical (Bland's rule over column-sorted rows), so a correct
+    /// The retired dense `BTreeMap` tableau, kept as the differential
+    /// oracle for the sparse rewrite.  Pivot selection is identical (the
+    /// smallest violating basic leaves; the suitable column with the
+    /// fewest nonzeros among the basic rows enters, ties to the smallest,
+    /// with Bland's rule past the same pivot threshold), so a correct
     /// sparse tableau reproduces its pivot count, model, and cores
     /// *exactly* — not just its verdicts.
     mod dense {
-        use super::super::{core_to_indices, Rel, SimplexConstraint};
+        use super::super::{core_to_indices, Rel, SimplexConstraint, OCCURRENCE_RULE_PIVOTS};
         use crate::rational::{gcd, Rat};
         use crate::term::{LinExpr, Var};
         use std::collections::{BTreeMap, HashMap};
@@ -1663,6 +1806,7 @@ mod tests {
             }
 
             pub fn check(&mut self) -> Result<(), Vec<u32>> {
+                let mut check_pivots = 0;
                 loop {
                     let violating = (0..self.beta.len()).find(|&v| {
                         self.is_basic(v) && (self.violates_lower(v) || self.violates_upper(v))
@@ -1674,28 +1818,50 @@ mod tests {
                     let lower_violation = self.violates_lower(b);
                     if lower_violation {
                         let target = self.lower[b].expect("violated lower bound exists").0;
-                        let candidate = row.iter().find(|(&n, &a)| {
+                        let suitable = row.iter().filter(|(&n, &a)| {
                             (a.is_positive() && self.upper[n].is_none_or(|(u, _)| self.beta[n] < u))
                                 || (a.is_negative()
                                     && self.lower[n].is_none_or(|(l, _)| self.beta[n] > l))
                         });
-                        match candidate {
+                        match self.entering(suitable.map(|(&n, _)| n), check_pivots) {
                             None => return Err(self.conflict_core(b, &row, true)),
-                            Some((&n, _)) => self.pivot_and_update(b, n, target),
+                            Some(n) => self.pivot_and_update(b, n, target),
                         }
                     } else {
                         let target = self.upper[b].expect("violated upper bound exists").0;
-                        let candidate = row.iter().find(|(&n, &a)| {
+                        let suitable = row.iter().filter(|(&n, &a)| {
                             (a.is_negative() && self.upper[n].is_none_or(|(u, _)| self.beta[n] < u))
                                 || (a.is_positive()
                                     && self.lower[n].is_none_or(|(l, _)| self.beta[n] > l))
                         });
-                        match candidate {
+                        match self.entering(suitable.map(|(&n, _)| n), check_pivots) {
                             None => return Err(self.conflict_core(b, &row, false)),
-                            Some((&n, _)) => self.pivot_and_update(b, n, target),
+                            Some(n) => self.pivot_and_update(b, n, target),
                         }
                     }
+                    check_pivots += 1;
                 }
+            }
+
+            /// The entering column among the ascending `suitable` ones:
+            /// the one with the fewest nonzeros among the basic rows, ties
+            /// to the smallest, until the check has pivoted
+            /// `OCCURRENCE_RULE_PIVOTS` times; then Bland's smallest.
+            fn entering(
+                &self,
+                mut suitable: impl Iterator<Item = usize>,
+                check_pivots: u64,
+            ) -> Option<usize> {
+                if check_pivots >= OCCURRENCE_RULE_PIVOTS {
+                    return suitable.next();
+                }
+                suitable.min_by_key(|&n| {
+                    self.rows
+                        .iter()
+                        .flatten()
+                        .filter(|row| row.contains_key(&n))
+                        .count()
+                })
             }
 
             fn conflict_core(
