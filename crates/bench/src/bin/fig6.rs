@@ -1,24 +1,21 @@
 //! Regenerates the data behind Fig. 6: per-instance scatter comparisons of
 //! the production solver against each baseline.  CSV files are written to
-//! `bench-results/`.
+//! `bench-results/`.  Usage: `fig6 [--count N]`; a bad argument exits 2.
 
 use std::time::Duration;
 
 use posr_bench::report::{fig6_csv, fig6_summary};
-use posr_bench::{run_suite, suite, suite_names, SolverKind};
+use posr_bench::{run_suite, suite, BinArgs, SolverKind};
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let count: usize = args
-        .iter()
-        .position(|a| a == "--count")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(20);
-    let timeout = Duration::from_millis(3000);
+    let BinArgs {
+        count,
+        timeout,
+        suites,
+    } = BinArgs::defaults(20, Duration::from_millis(3000)).from_env_or_exit("fig6", false);
     let solvers = SolverKind::all();
     let mut results = Vec::new();
-    for name in suite_names() {
+    for name in suites {
         results.extend(run_suite(&suite(name, count, 2025), &solvers, timeout));
     }
     std::fs::create_dir_all("bench-results").expect("create bench-results directory");

@@ -1,23 +1,21 @@
 //! Regenerates the data behind Fig. 7: the cactus plot of sorted runtimes of
 //! all solvers over all families.  CSV is written to `bench-results/`.
+//! Usage: `fig7 [--count N]`; a bad argument exits 2.
 
 use std::time::Duration;
 
 use posr_bench::report::{fig7_csv, solved_counts};
-use posr_bench::{run_suite, suite, suite_names, SolverKind};
+use posr_bench::{run_suite, suite, BinArgs, SolverKind};
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let count: usize = args
-        .iter()
-        .position(|a| a == "--count")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(20);
-    let timeout = Duration::from_millis(3000);
+    let BinArgs {
+        count,
+        timeout,
+        suites,
+    } = BinArgs::defaults(20, Duration::from_millis(3000)).from_env_or_exit("fig7", false);
     let solvers = SolverKind::all();
     let mut results = Vec::new();
-    for name in suite_names() {
+    for name in suites {
         results.extend(run_suite(&suite(name, count, 2025), &solvers, timeout));
     }
     std::fs::create_dir_all("bench-results").expect("create bench-results directory");

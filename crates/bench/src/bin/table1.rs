@@ -1,34 +1,20 @@
 //! Regenerates the shape of Table 1: per-family OOR / Unk / Time / TimeAll
 //! for the production solver and the three baselines.
 //!
-//! Usage: `table1 [--count N] [--timeout-ms MS] [--suite NAME]`
+//! Usage: `table1 [--count N] [--timeout-ms MS] [--suite NAME]`; a bad
+//! argument exits 2 with a usage line that names the suites.
 
 use std::time::Duration;
 
 use posr_bench::report::{render_table1, table1};
-use posr_bench::{run_suite, suite, suite_names, SolverKind};
+use posr_bench::{run_suite, suite, BinArgs, SolverKind};
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let get = |flag: &str, default: u64| -> u64 {
-        args.iter()
-            .position(|a| a == flag)
-            .and_then(|i| args.get(i + 1))
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(default)
-    };
-    let count = get("--count", 30) as usize;
-    let timeout = Duration::from_millis(get("--timeout-ms", 3000));
-    let only: Option<String> = args
-        .iter()
-        .position(|a| a == "--suite")
-        .and_then(|i| args.get(i + 1))
-        .cloned();
-
-    let suites: Vec<&str> = suite_names()
-        .into_iter()
-        .filter(|s| only.as_deref().is_none_or(|o| o == *s))
-        .collect();
+    let BinArgs {
+        count,
+        timeout,
+        suites,
+    } = BinArgs::defaults(30, Duration::from_millis(3000)).from_env_or_exit("table1", true);
     let solvers = SolverKind::all();
     let mut all_results = Vec::new();
     for name in &suites {

@@ -262,7 +262,8 @@ mod tests {
     #[test]
     fn position_hard_instances_contain_position_constraints() {
         for inst in suite("position-hard", 10, 1) {
-            assert!(posr_core::solver::has_position_constraints(&inst.formula));
+            let nf = posr_core::normal::normalize(&inst.formula).unwrap();
+            assert!(!nf.positions.is_empty());
         }
     }
 }

@@ -9,13 +9,16 @@
 //! substitution argument.  [`runner`] drives the production solver and the
 //! three baselines over those families with a per-instance timeout, and
 //! [`report`] renders Table-1-style rows and the CSV series behind the
-//! scatter (Fig. 6) and cactus (Fig. 7) plots.
+//! scatter (Fig. 6) and cactus (Fig. 7) plots; [`args`] is the command
+//! line of the bins that print them.
 
+pub mod args;
 pub mod gen;
 pub mod json;
 pub mod obsreport;
 pub mod report;
 pub mod runner;
 
+pub use args::BinArgs;
 pub use gen::{suite, suite_names, Instance};
 pub use runner::{run_suite, InstanceResult, SolverKind, Status};

@@ -11,7 +11,7 @@ use std::collections::BTreeMap;
 use posr_automata::Regex;
 use posr_bench::obsreport::render_blackbox;
 use posr_core::ast::{LenCmp, LenTerm};
-use posr_core::normal::PositionAtom;
+use posr_core::normal::{PositionAtom, PositionKind};
 use posr_core::position::{solve_position, PositionOptions, PositionProblem};
 use posr_lia::CancelToken;
 
@@ -31,7 +31,8 @@ fn killed_solve_leaves_a_dump_that_obs_report_renders() {
     for name in ["x", "y"] {
         languages.insert(name.to_string(), Regex::parse("(ab)*").unwrap().compile());
     }
-    let positions = vec![PositionAtom::Diseq(
+    let positions = vec![PositionAtom::new(
+        PositionKind::Diseq,
         vec!["x".to_string()],
         vec!["y".to_string()],
     )];

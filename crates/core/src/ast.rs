@@ -351,46 +351,41 @@ impl StringAtom {
         }
     }
 
-    /// String variables mentioned by the atom.
-    pub fn variables(&self) -> Vec<String> {
-        let mut out = Vec::new();
-        let push_term = |t: &StringTerm, out: &mut Vec<String>| {
-            for v in t.variables() {
-                out.push(v.to_string());
-            }
-        };
-        match self {
-            StringAtom::Equation { lhs, rhs, .. } => {
-                push_term(lhs, &mut out);
-                push_term(rhs, &mut out);
-            }
-            StringAtom::InRe { var, .. } => out.push(var.clone()),
+    /// The string terms of the atom, in argument order.
+    pub(crate) fn terms(&self) -> impl Iterator<Item = &StringTerm> {
+        let terms = match self {
+            StringAtom::Equation { lhs, rhs, .. } => [Some(lhs), Some(rhs)],
             StringAtom::PrefixOf {
                 needle, haystack, ..
             }
             | StringAtom::SuffixOf {
                 needle, haystack, ..
-            } => {
-                push_term(needle, &mut out);
-                push_term(haystack, &mut out);
-            }
+            } => [Some(needle), Some(haystack)],
             StringAtom::Contains {
                 haystack, needle, ..
-            } => {
-                push_term(haystack, &mut out);
-                push_term(needle, &mut out);
-            }
-            StringAtom::StrAt {
-                var, term, index, ..
-            } => {
-                out.push(var.clone());
-                push_term(term, &mut out);
-                out.extend(index.len_coeffs.keys().cloned());
-            }
+            } => [Some(haystack), Some(needle)],
+            StringAtom::StrAt { term, .. } => [Some(term), None],
+            StringAtom::InRe { .. } | StringAtom::Length { .. } => [None, None],
+        };
+        terms.into_iter().flatten()
+    }
+
+    /// String variables mentioned by the atom.
+    pub fn variables(&self) -> Vec<String> {
+        let mut out = Vec::new();
+        if let StringAtom::InRe { var, .. } | StringAtom::StrAt { var, .. } = self {
+            out.push(var.clone());
+        }
+        for term in self.terms() {
+            out.extend(term.variables().map(String::from));
+        }
+        match self {
+            StringAtom::StrAt { index, .. } => out.extend(index.len_coeffs.keys().cloned()),
             StringAtom::Length { lhs, rhs, .. } => {
                 out.extend(lhs.len_coeffs.keys().cloned());
                 out.extend(rhs.len_coeffs.keys().cloned());
             }
+            _ => {}
         }
         out
     }

@@ -19,6 +19,13 @@
 //!   conclusive and `Unknown` otherwise, mirroring solvers that time out or
 //!   give up on genuine position reasoning.
 //!
+//! The baselines share the production pipeline's translations:
+//! [`NaiveOrderSolver`] maps each position atom to its tag-automaton
+//! constraint as [`crate::position`] does, [`LengthAbstractionSolver`]
+//! encodes the same per-variable length counters and translates length
+//! atoms into LIA with the same helper, and [`EnumerationSolver`] reports
+//! its models with the same step (`NormalForm::reported_strings`).
+//!
 //! None of them is in the default portfolio of `posr-portfolio`, which runs
 //! the production pipeline alone.  They are what `table1`, `fig6` and
 //! `fig7` compare against, and a portfolio built with `with_strategies`
@@ -33,7 +40,7 @@ use posr_lia::cancel::CancelToken;
 use posr_lia::formula::Formula;
 use posr_lia::solver::{Solver, SolverConfig};
 use posr_lia::term::VarPool;
-use posr_tagauto::system::{PositionConstraint, PredicateKind, SystemEncoder};
+use posr_tagauto::system::{PositionConstraint, SystemEncoder};
 use posr_tagauto::system_naive::{encode_naive, solve_naive};
 use posr_tagauto::tags::{StrVar, VarTable};
 use rand::rngs::StdRng;
@@ -41,7 +48,8 @@ use rand::SeedableRng;
 
 use crate::ast::{regex_language, StringAtom, StringFormula};
 use crate::monadic;
-use crate::normal::{self, PositionAtom};
+use crate::normal::{self, PositionKind};
+use crate::position::{length_eqs, system_constraint, LiaLengths};
 use crate::solver::{Answer, StringModel};
 
 /// One decision procedure over string formulas: what the portfolio races
@@ -157,11 +165,7 @@ impl Strategy for EnumerationSolver {
                 // common default; `str.at` indices are searched over a small range)
                 let ints = BTreeMap::new();
                 if holds(&strings, &ints) {
-                    let reported: BTreeMap<String, String> = strings
-                        .iter()
-                        .filter(|(name, _)| !name.contains('!'))
-                        .map(|(k, v)| (k.clone(), v.clone()))
-                        .collect();
+                    let reported = nf.reported_strings(strings, &BTreeMap::new());
                     return Answer::Sat(StringModel::new(reported, ints));
                 }
                 // search small index values for formulas with integer variables
@@ -170,11 +174,7 @@ impl Strategy for EnumerationSolver {
                         let ints: BTreeMap<String, i64> =
                             int_names.iter().map(|n| (n.clone(), value)).collect();
                         if holds(&strings, &ints) {
-                            let reported: BTreeMap<String, String> = strings
-                                .iter()
-                                .filter(|(name, _)| !name.contains('!'))
-                                .map(|(k, v)| (k.clone(), v.clone()))
-                                .collect();
+                            let reported = nf.reported_strings(strings, &BTreeMap::new());
                             return Answer::Sat(StringModel::new(reported, ints));
                         }
                     }
@@ -218,27 +218,14 @@ impl Strategy for NaiveOrderSolver {
             // only disequalities, ¬prefix and ¬suffix are supported; anything
             // else (str.at, ¬contains, length constraints) makes this baseline
             // give up, which is part of what the comparison measures.
-            let mut constraints = Vec::new();
-            let mut unsupported = false;
-            for p in &nf.positions {
-                let (kind, l, r) = match p {
-                    PositionAtom::Diseq(l, r) => (PredicateKind::Diseq, l, r),
-                    PositionAtom::NotPrefix(l, r) => (PredicateKind::NotPrefixOf, l, r),
-                    PositionAtom::NotSuffix(l, r) => (PredicateKind::NotSuffixOf, l, r),
-                    _ => {
-                        unsupported = true;
-                        break;
-                    }
-                };
-                constraints.push(PositionConstraint {
-                    kind,
-                    left: case.apply(l).iter().map(|v| vars.intern(v)).collect(),
-                    right: case.apply(r).iter().map(|v| vars.intern(v)).collect(),
-                });
-            }
-            if unsupported || !nf.lengths.is_empty() {
+            let constraints: Option<Vec<PositionConstraint>> = nf
+                .positions
+                .iter()
+                .map(|p| system_constraint(&p.substituted(case), &mut vars, |_| None))
+                .collect();
+            let Some(constraints) = constraints.filter(|_| nf.lengths.is_empty()) else {
                 return Answer::Unknown("outside the naive baseline's fragment".to_string());
-            }
+            };
             if constraints.len() > 3 {
                 return Answer::Unknown("too many constraints for order enumeration".to_string());
             }
@@ -255,10 +242,7 @@ impl Strategy for NaiveOrderSolver {
                     return Answer::Sat(StringModel::default());
                 }
                 posr_lia::solver::SolverResult::Unsat => {}
-                posr_lia::solver::SolverResult::Unknown(r) => {
-                    saw_unknown = true;
-                    let _ = r;
-                }
+                posr_lia::solver::SolverResult::Unknown(_) => saw_unknown = true,
             }
         }
         if saw_unknown {
@@ -305,58 +289,22 @@ impl Strategy for LengthAbstractionSolver {
             return Answer::Sat(StringModel::default());
         }
         // diseq of syntactically identical sides is unsat regardless of lengths
-        for p in &nf.positions {
-            if let PositionAtom::Diseq(l, r) = p {
-                if l == r {
-                    return Answer::Unsat;
-                }
-            }
+        if nf
+            .positions
+            .iter()
+            .any(|p| p.kind == PositionKind::Diseq && p.left == p.right)
+        {
+            return Answer::Unsat;
         }
+        // the system is the length counters alone, one per variable
         let encoder = SystemEncoder::new(&automata, &vars);
         let mut pool = VarPool::new();
-        // One `LengthEq` constraint per variable: the encoder only builds
-        // length counters for variables *occurring in constraints*, so
-        // encoding an empty system would abstract every `len(x)` to the
-        // constant 0 and turn satisfiable length constraints into bogus
-        // refutations (`len(x) ≠ len(y)` ⇝ `0 ≠ 0`).
-        let length_constraints: Vec<PositionConstraint> = automata
-            .keys()
-            .map(|&v| PositionConstraint {
-                kind: PredicateKind::LengthEq {
-                    target: pool.fresh("lenabs"),
-                },
-                left: Vec::new(),
-                right: vec![v],
-            })
-            .collect();
-        let encoding = encoder.encode(&length_constraints, &mut pool);
-        let mut int_vars: BTreeMap<String, posr_lia::term::Var> = BTreeMap::new();
+        let system: Vec<PositionConstraint> = length_eqs(&automata, &mut pool).collect();
+        let encoding = encoder.encode(&system, &mut pool);
+        let mut lengths = LiaLengths::new(&encoding, &vars, &mut pool);
         let mut conjuncts = vec![encoding.formula.clone()];
-        for (lhs, cmp, rhs) in &nf.lengths {
-            let mut translate = |t: &crate::ast::LenTerm| {
-                let mut e = posr_lia::term::LinExpr::constant(t.constant as i128);
-                for (name, coeff) in &t.len_coeffs {
-                    if let Some(v) = vars.lookup(name) {
-                        e += encoding.length_of(v) * (*coeff as i128);
-                    }
-                }
-                for (name, coeff) in &t.int_coeffs {
-                    let var = *int_vars
-                        .entry(name.clone())
-                        .or_insert_with(|| pool.named(&format!("int:{name}")));
-                    e += posr_lia::term::LinExpr::scaled_var(var, *coeff as i128);
-                }
-                e
-            };
-            let (l, r) = (translate(lhs), translate(rhs));
-            conjuncts.push(match cmp {
-                crate::ast::LenCmp::Le => Formula::le(l, r),
-                crate::ast::LenCmp::Lt => Formula::lt(l, r),
-                crate::ast::LenCmp::Eq => Formula::eq(l, r),
-                crate::ast::LenCmp::Ne => Formula::ne(l, r),
-                crate::ast::LenCmp::Ge => Formula::ge(l, r),
-                crate::ast::LenCmp::Gt => Formula::gt(l, r),
-            });
+        for atom in &nf.lengths {
+            conjuncts.push(lengths.atom(atom));
         }
         match lia_with_cancel(cancel).solve(&Formula::and(conjuncts)) {
             posr_lia::solver::SolverResult::Unsat => Answer::Unsat,

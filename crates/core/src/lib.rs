@@ -17,7 +17,9 @@
 //!    the tag automata of `posr-tagauto` and discharges the result with the
 //!    DPLL(T) LIA solver of `posr-lia`, handling `¬contains` with a
 //!    model-based instantiation loop ([`notcontains`]),
-//! 4. models are mapped back through the substitution and re-validated
+//! 4. models are mapped back through the substitution, lose the
+//!    normaliser's internal variables
+//!    (`NormalForm::reported_strings`) and are re-validated
 //!    against the original formula before being reported.
 //!
 //! Three baseline solvers ([`baselines`]) reproduce the comparison points of

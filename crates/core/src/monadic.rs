@@ -24,6 +24,7 @@ use std::collections::BTreeMap;
 
 use posr_automata::{ops, Nfa, StateId};
 
+use crate::ast::LenTerm;
 use crate::normal::{Equation, NormalForm};
 
 /// One case of the monadic decomposition.
@@ -44,6 +45,26 @@ impl MonadicCase {
             match self.substitution.get(v) {
                 Some(expansion) => out.extend(expansion.iter().cloned()),
                 None => out.push(v.clone()),
+            }
+        }
+        out
+    }
+
+    /// Applies the substitution to a length term: `len(x)` of an
+    /// eliminated `x` becomes the sum of the lengths of its expansion.
+    pub(crate) fn apply_len(&self, term: &LenTerm) -> LenTerm {
+        let mut out = LenTerm {
+            len_coeffs: BTreeMap::new(),
+            int_coeffs: term.int_coeffs.clone(),
+            constant: term.constant,
+        };
+        for (var, coeff) in &term.len_coeffs {
+            for part in self
+                .substitution
+                .get(var)
+                .map_or(std::slice::from_ref(var), Vec::as_slice)
+            {
+                *out.len_coeffs.entry(part.clone()).or_insert(0) += coeff;
             }
         }
         out

@@ -1,44 +1,27 @@
-//! `¬contains` handling: syntactic shortcuts, flatness analysis, and the
-//! concrete offset check used by the model-based instantiation loop in
-//! [`crate::position`].
+//! `¬contains` handling: the syntactic shortcut and the flatness analysis
+//! behind the model-based instantiation loop in [`crate::position`].
 //!
 //! The paper's φ^NC (Eq. 32) is an ∀∃ LIA formula; its universal quantifier
 //! ranges over the alignment offsets of two words whose lengths are fixed by
 //! the outer existential model.  The instantiation loop therefore proposes a
-//! candidate assignment, checks every offset of the now-concrete words
-//! (exactly the semantics in Fig. 5), and blocks refuted candidates by their
-//! Parikh image — for flat languages the Parikh image determines the words,
-//! so each blocked candidate is a single string assignment and the loop is a
-//! faithful decision procedure for the fragment of Theorem 6.5 (up to the
-//! round limit).  Over non-flat languages only `Sat` answers are trusted.
+//! candidate assignment, checks the goals on the now-concrete words with
+//! `PositionAtom::holds` (exactly the semantics in Fig. 5), and blocks
+//! refuted candidates by their Parikh image — for flat languages the Parikh
+//! image determines the words, so each blocked candidate is a single string
+//! assignment and the loop is a faithful decision procedure for the
+//! fragment of Theorem 6.5 (up to the round limit).  Over non-flat
+//! languages only `Sat` answers are trusted.
+//!
+//! A goal is a [`PositionKind::NotContains`](crate::normal::PositionKind::NotContains)
+//! atom: `left` is its needle and `right` its haystack.
 
 use std::collections::BTreeMap;
 
 use posr_automata::flat::is_flat;
 use posr_automata::Nfa;
-use posr_lia::term::Var;
 use posr_tagauto::tags::{StrVar, VarTable};
 
-use crate::ast::LenTerm;
-
-/// A goal deferred to the instantiation loop.
-#[derive(Clone, Debug)]
-pub enum NotContainsGoal {
-    /// `¬contains(haystack, needle)` over variable-occurrence lists.
-    NotContains {
-        /// Containing term.
-        haystack: Vec<String>,
-        /// Searched term.
-        needle: Vec<String>,
-    },
-    /// The binding `var = ⟦term⟧` of a `str.at` position variable.
-    IndexBinding {
-        /// The LIA variable standing for the position.
-        var: Var,
-        /// The surface-syntax term defining it.
-        term: LenTerm,
-    },
-}
+use crate::normal::PositionAtom;
 
 /// Sound syntactic unsatisfiability checks for a set of `¬contains` goals.
 ///
@@ -48,19 +31,19 @@ pub enum NotContainsGoal {
 ///   under every assignment.
 ///
 /// Returns a description of the offending goal, or `None`.
-pub fn syntactically_unsat(goals: &[(Vec<String>, Vec<String>)]) -> Option<String> {
-    for (haystack, needle) in goals {
+pub fn syntactically_unsat(goals: &[&PositionAtom]) -> Option<String> {
+    for goal in goals {
+        let (needle, haystack) = (&goal.left, &goal.right);
         if needle.is_empty() {
             return Some("¬contains with an empty needle is always false".to_string());
         }
-        if needle.len() <= haystack.len() {
-            let contiguous = (0..=haystack.len() - needle.len())
-                .any(|i| &haystack[i..i + needle.len()] == needle.as_slice());
-            if contiguous {
-                return Some(format!(
-                    "needle {needle:?} occurs syntactically inside haystack {haystack:?}"
-                ));
-            }
+        if haystack
+            .windows(needle.len())
+            .any(|w| w == needle.as_slice())
+        {
+            return Some(format!(
+                "needle {needle:?} occurs syntactically inside haystack {haystack:?}"
+            ));
         }
     }
     None
@@ -69,14 +52,14 @@ pub fn syntactically_unsat(goals: &[(Vec<String>, Vec<String>)]) -> Option<Strin
 /// Checks that every variable of every `¬contains` goal has a flat language
 /// (the precondition of Theorem 6.5).
 pub fn all_flat(
-    goals: &[(Vec<String>, Vec<String>)],
+    goals: &[&PositionAtom],
     vars: &VarTable,
     automata: &BTreeMap<StrVar, Nfa>,
 ) -> bool {
-    goals.iter().all(|(haystack, needle)| {
-        haystack
+    goals.iter().all(|goal| {
+        goal.right
             .iter()
-            .chain(needle.iter())
+            .chain(&goal.left)
             .all(|name| match vars.lookup(name) {
                 Some(v) => automata.get(&v).is_some_and(|nfa| is_flat(&nfa.trim())),
                 None => false,
@@ -84,39 +67,25 @@ pub fn all_flat(
     })
 }
 
-/// Evaluates `¬contains(haystack, needle)` under a concrete assignment.
-pub fn holds_concretely(
-    haystack: &[String],
-    needle: &[String],
-    strings: &BTreeMap<String, String>,
-) -> bool {
-    let build = |occurrences: &[String]| -> String {
-        occurrences
-            .iter()
-            .map(|v| strings.get(v).cloned().unwrap_or_default())
-            .collect()
-    };
-    let h = build(haystack);
-    let n = build(needle);
-    !h.contains(&n)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::normal::PositionKind;
     use posr_automata::Regex;
+
+    fn not_contains(haystack: &[&str], needle: &[&str]) -> PositionAtom {
+        let names = |side: &[&str]| side.iter().map(|v| v.to_string()).collect();
+        PositionAtom::new(PositionKind::NotContains, names(needle), names(haystack))
+    }
 
     #[test]
     fn syntactic_containment_detected() {
-        let goals = vec![(
-            vec!["x".to_string(), "y".to_string(), "x".to_string()],
-            vec!["y".to_string()],
-        )];
-        assert!(syntactically_unsat(&goals).is_some());
-        let fine = vec![(vec!["x".to_string()], vec!["y".to_string()])];
-        assert!(syntactically_unsat(&fine).is_none());
-        let empty_needle = vec![(vec!["x".to_string()], vec![])];
-        assert!(syntactically_unsat(&empty_needle).is_some());
+        let goal = not_contains(&["x", "y", "x"], &["y"]);
+        assert!(syntactically_unsat(&[&goal]).is_some());
+        let fine = not_contains(&["x"], &["y"]);
+        assert!(syntactically_unsat(&[&fine]).is_none());
+        let empty_needle = not_contains(&["x"], &[]);
+        assert!(syntactically_unsat(&[&empty_needle]).is_some());
     }
 
     #[test]
@@ -127,10 +96,10 @@ mod tests {
         let mut automata = BTreeMap::new();
         automata.insert(x, Regex::parse("(ab)*").unwrap().compile());
         automata.insert(y, Regex::parse("(a|b)*").unwrap().compile());
-        let goals = vec![(vec!["x".to_string()], vec!["x".to_string()])];
-        assert!(all_flat(&goals, &vars, &automata));
-        let goals_bad = vec![(vec!["y".to_string()], vec!["x".to_string()])];
-        assert!(!all_flat(&goals_bad, &vars, &automata));
+        let goal = not_contains(&["x"], &["x"]);
+        assert!(all_flat(&[&goal], &vars, &automata));
+        let goal_bad = not_contains(&["y"], &["x"]);
+        assert!(!all_flat(&[&goal_bad], &vars, &automata));
     }
 
     #[test]
@@ -141,12 +110,9 @@ mod tests {
         ]
         .into_iter()
         .collect();
+        let goal = not_contains(&["y"], &["x"]);
         // Fig. 5: aba is not contained in aabba
-        assert!(holds_concretely(
-            &["y".to_string()],
-            &["x".to_string()],
-            &strings
-        ));
+        assert!(goal.holds(&strings, &BTreeMap::new()));
         // but "ab" (a prefix of x·y) is contained in y
         let strings2: BTreeMap<String, String> = [
             ("x".to_string(), "ab".to_string()),
@@ -154,10 +120,6 @@ mod tests {
         ]
         .into_iter()
         .collect();
-        assert!(!holds_concretely(
-            &["y".to_string()],
-            &["x".to_string()],
-            &strings2
-        ));
+        assert!(!goal.holds(&strings2, &BTreeMap::new()));
     }
 }

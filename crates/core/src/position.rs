@@ -5,17 +5,25 @@
 //! constraints and the position constraints (with the substitution already
 //! applied), this module
 //!
-//! 1. encodes all mismatch-style predicates with the tag-automaton
-//!    construction of `posr-tagauto` ([`posr_tagauto::system`]),
-//! 2. translates the length constraints `I` into LIA over the `⟨L,x⟩` tag
-//!    counters,
+//! 1. splits the position atoms in one pass: every `¬contains` atom is a
+//!    goal of the instantiation loop, every other atom becomes one
+//!    constraint of the tag-automaton system of `posr-tagauto`
+//!    ([`posr_tagauto::system`]), a `str.at` atom with a LIA variable for
+//!    its position,
+//! 2. translates the length constraints `I` and the `str.at` index terms
+//!    into LIA over the `⟨L,x⟩` tag counters (`LiaLengths`, which the
+//!    length-abstraction baseline shares),
 //! 3. discharges the conjunction with the CDCL(T) LIA solver, restoring the
 //!    exactness of the Parikh encoding with the shared connectivity-cut
 //!    loop ([`posr_tagauto::system::CutLoop`]),
 //! 4. handles `¬contains` by the model-based instantiation loop of
 //!    [`crate::notcontains`], blocking refuted candidates in the session
 //!    the cut loop solves, and
-//! 5. reconstructs and re-validates a concrete string model on success.
+//! 5. reconstructs a concrete string model on success.
+//!
+//! Candidates are checked with `PositionAtom::holds`, the one concrete
+//! evaluator of a position atom: the short-witness sampling assist checks
+//! every atom, the instantiation loop the `¬contains` goals.
 
 use std::collections::BTreeMap;
 use std::time::{Duration, Instant};
@@ -34,8 +42,8 @@ use posr_tagauto::system::{
 use posr_tagauto::tags::{StrVar, VarTable};
 
 use crate::ast::{LenCmp, LenTerm};
-use crate::normal::PositionAtom;
-use crate::notcontains::{self, NotContainsGoal};
+use crate::normal::{PositionAtom, PositionKind};
+use crate::notcontains;
 
 /// Outcome of the position procedure for one monadic case.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -146,84 +154,32 @@ pub fn solve_position(problem: &PositionProblem<'_>, options: &PositionOptions) 
     // ε-removal per attempt.
     let sampled = {
         let _span = posr_obs::span!("automata", "automata.sample");
-        let trimmed_by_name: Vec<(&String, &Nfa)> = problem
-            .languages
-            .keys()
-            .map(|name| (name, &automata[&vars.lookup(name).expect("interned above")]))
-            .collect();
+        // both maps are in name order: the names were interned in it
+        let trimmed_by_name: Vec<(&String, &Nfa)> =
+            problem.languages.keys().zip(automata.values()).collect();
         sampling_assist(problem, &trimmed_by_name)
     };
     if let Some(outcome) = sampled {
         return outcome;
     }
 
-    let intern = |vars: &mut VarTable, name: &str| vars.intern(name);
-
+    // one pass over the atoms: every ¬contains atom is a goal of the
+    // instantiation loop, every other atom joins the tag-automaton system,
+    // a `str.at` atom with a fresh LIA variable for its position (bound to
+    // the index term once the encoding's length counters exist)
     let mut pool = VarPool::new();
-    // integer variables of the surface syntax get stable names in the pool
-    let mut int_vars: BTreeMap<String, Var> = BTreeMap::new();
-    let int_var = |pool: &mut VarPool, int_vars: &mut BTreeMap<String, Var>, name: &str| {
-        *int_vars
-            .entry(name.to_string())
-            .or_insert_with(|| pool.named(&format!("int:{name}")))
-    };
-
-    // split the position constraints into the system part and the ¬contains goals
-    let mut system_constraints: Vec<PositionConstraint> = Vec::new();
-    let mut contains_goals: Vec<NotContainsGoal> = Vec::new();
+    let mut system: Vec<PositionConstraint> = Vec::new();
+    let mut index_bindings: Vec<(Var, LenTerm)> = Vec::new();
+    let mut not_contains: Vec<&PositionAtom> = Vec::new();
     for atom in problem.positions {
-        match atom {
-            PositionAtom::Diseq(l, r) => {
-                system_constraints.push(PositionConstraint {
-                    kind: PredicateKind::Diseq,
-                    left: l.iter().map(|v| intern(&mut vars, v)).collect(),
-                    right: r.iter().map(|v| intern(&mut vars, v)).collect(),
-                });
-            }
-            PositionAtom::NotPrefix(l, r) => {
-                system_constraints.push(PositionConstraint {
-                    kind: PredicateKind::NotPrefixOf,
-                    left: l.iter().map(|v| intern(&mut vars, v)).collect(),
-                    right: r.iter().map(|v| intern(&mut vars, v)).collect(),
-                });
-            }
-            PositionAtom::NotSuffix(l, r) => {
-                system_constraints.push(PositionConstraint {
-                    kind: PredicateKind::NotSuffixOf,
-                    left: l.iter().map(|v| intern(&mut vars, v)).collect(),
-                    right: r.iter().map(|v| intern(&mut vars, v)).collect(),
-                });
-            }
-            PositionAtom::StrAt {
-                var,
-                term,
-                index,
-                negated,
-            } => {
-                let idx = pool.fresh("stratidx");
-                let kind = if *negated {
-                    PredicateKind::StrAtNe { index: idx }
-                } else {
-                    PredicateKind::StrAtEq { index: idx }
-                };
-                system_constraints.push(PositionConstraint {
-                    kind,
-                    left: vec![intern(&mut vars, var)],
-                    right: term.iter().map(|v| intern(&mut vars, v)).collect(),
-                });
-                // idx = ⟦index⟧ is added once the encoding (and thus the
-                // length counters) exists; remember the binding for later.
-                contains_goals.push(NotContainsGoal::IndexBinding {
-                    var: idx,
-                    term: index.clone(),
-                });
-            }
-            PositionAtom::NotContains { haystack, needle } => {
-                contains_goals.push(NotContainsGoal::NotContains {
-                    haystack: haystack.clone(),
-                    needle: needle.clone(),
-                });
-            }
+        let constraint = system_constraint(atom, &mut vars, |index| {
+            let var = pool.fresh("stratidx");
+            index_bindings.push((var, index.clone()));
+            Some(var)
+        });
+        match constraint {
+            Some(constraint) => system.push(constraint),
+            None => not_contains.push(atom),
         }
     }
 
@@ -232,13 +188,13 @@ pub fn solve_position(problem: &PositionProblem<'_>, options: &PositionOptions) 
     // `Unsat` is final; `Sat` still goes through the LIA encoding below
     // because callers need a concrete model, and the encoding's satisfiable
     // searches are cheap compared to its refutations.
-    if contains_goals.is_empty() && problem.lengths.is_empty() && system_constraints.len() == 1 {
-        if let PositionConstraint {
-            kind: PredicateKind::Diseq,
-            left,
-            right,
-        } = &system_constraints[0]
-        {
+    if let [PositionConstraint {
+        kind: PredicateKind::Diseq,
+        left,
+        right,
+    }] = system.as_slice()
+    {
+        if not_contains.is_empty() && problem.lengths.is_empty() {
             let _span = posr_obs::span!("automata", "automata.onecounter");
             if !single_diseq_satisfiable(left, right, &automata) {
                 return PositionOutcome::Unsat;
@@ -246,100 +202,148 @@ pub fn solve_position(problem: &PositionProblem<'_>, options: &PositionOptions) 
         }
     }
 
-    // Every language variable joins the encoding through a `LengthEq`
-    // constraint, for two reasons: the encoder builds counters only for
-    // variables occurring in constraints, so a variable mentioned in `I`
-    // but not in `P` would otherwise get the constant length 0 (turning
-    // `len(x) = 8` into the bogus `0 = 8`); and the extracted model must
-    // assign every variable, not just the ones position constraints touch.
-    // `LengthEq` needs no mismatch machinery, so `K` is unchanged.
-    let all_var_lengths: Vec<(StrVar, Var)> = problem
-        .languages
-        .keys()
-        .map(|name| {
-            (
-                vars.lookup(name).expect("interned above"),
-                pool.fresh("varlen"),
-            )
-        })
-        .collect();
-    for &(v, target) in &all_var_lengths {
-        system_constraints.push(PositionConstraint {
-            kind: PredicateKind::LengthEq { target },
-            left: Vec::new(),
-            right: vec![v],
-        });
-    }
-
+    system.extend(length_eqs(&automata, &mut pool));
     let encoder = SystemEncoder::new(&automata, &vars);
     let encoding = {
         let _span = posr_obs::span!("core", "encode");
-        encoder.encode(&system_constraints, &mut pool)
+        encoder.encode(&system, &mut pool)
     };
 
-    // translate a LenTerm into LIA over tag counters and integer variables
-    let translate = |t: &LenTerm, pool: &mut VarPool, int_vars: &mut BTreeMap<String, Var>| {
-        let mut e = LinExpr::constant(t.constant as i128);
-        for (name, coeff) in &t.len_coeffs {
-            let v = vars.lookup(name);
-            let len = match v {
-                Some(v) => encoding.length_of(v),
-                None => LinExpr::zero(),
-            };
-            e += len * (*coeff as i128);
-        }
-        for (name, coeff) in &t.int_coeffs {
-            let var = int_var(pool, int_vars, name);
-            e += LinExpr::scaled_var(var, *coeff as i128);
-        }
-        e
-    };
-
+    let mut lengths = LiaLengths::new(&encoding, &vars, &mut pool);
     let mut lia_conjuncts = vec![encoding.formula.clone()];
-    for (lhs, cmp, rhs) in problem.lengths {
-        let l = translate(lhs, &mut pool, &mut int_vars);
-        let r = translate(rhs, &mut pool, &mut int_vars);
-        lia_conjuncts.push(match cmp {
-            LenCmp::Le => Formula::le(l, r),
-            LenCmp::Lt => Formula::lt(l, r),
-            LenCmp::Eq => Formula::eq(l, r),
-            LenCmp::Ne => Formula::ne(l, r),
-            LenCmp::Ge => Formula::ge(l, r),
-            LenCmp::Gt => Formula::gt(l, r),
-        });
+    for atom in problem.lengths {
+        lia_conjuncts.push(lengths.atom(atom));
     }
-    // bind the str.at index variables to their defining terms
-    for goal in &contains_goals {
-        if let NotContainsGoal::IndexBinding { var, term, .. } = goal {
-            let defined = translate(term, &mut pool, &mut int_vars);
-            lia_conjuncts.push(Formula::eq(LinExpr::var(*var), defined));
-        }
+    for (var, index) in &index_bindings {
+        let defined = lengths.term(index);
+        lia_conjuncts.push(Formula::eq(LinExpr::var(*var), defined));
     }
     let base_formula = Formula::and(lia_conjuncts);
 
     // quick syntactic checks and the model-based instantiation loop for ¬contains
-    let contains_only: Vec<(Vec<String>, Vec<String>)> = contains_goals
-        .iter()
-        .filter_map(|g| match g {
-            NotContainsGoal::NotContains { haystack, needle } => {
-                Some((haystack.clone(), needle.clone()))
-            }
-            NotContainsGoal::IndexBinding { .. } => None,
-        })
-        .collect();
-    if notcontains::syntactically_unsat(&contains_only).is_some() {
+    if notcontains::syntactically_unsat(&not_contains).is_some() {
         return PositionOutcome::Unsat;
     }
 
     solve_with_cegar(
         &encoding,
         base_formula,
-        &contains_only,
+        &not_contains,
         &vars,
         &automata,
-        &int_vars,
+        &lengths.ints,
         options,
     )
+}
+
+/// The tag-automaton constraint of a position atom, its sides interned in
+/// `vars`.  A `str.at` atom takes the LIA variable of its position from
+/// `index`, which may decline.  `None` for `¬contains`, which the encoding
+/// does not express, and for a declined `str.at`.
+pub(crate) fn system_constraint(
+    atom: &PositionAtom,
+    vars: &mut VarTable,
+    index: impl FnOnce(&LenTerm) -> Option<Var>,
+) -> Option<PositionConstraint> {
+    let kind = match &atom.kind {
+        PositionKind::Diseq => PredicateKind::Diseq,
+        PositionKind::NotPrefix => PredicateKind::NotPrefixOf,
+        PositionKind::NotSuffix => PredicateKind::NotSuffixOf,
+        PositionKind::NotContains => return None,
+        PositionKind::StrAt {
+            index: term,
+            negated,
+        } => {
+            let index = index(term)?;
+            if *negated {
+                PredicateKind::StrAtNe { index }
+            } else {
+                PredicateKind::StrAtEq { index }
+            }
+        }
+    };
+    Some(PositionConstraint {
+        kind,
+        left: atom.left.iter().map(|v| vars.intern(v)).collect(),
+        right: atom.right.iter().map(|v| vars.intern(v)).collect(),
+    })
+}
+
+/// One `LengthEq` constraint per language variable, in variable order.
+/// The encoder builds length counters only for variables occurring in
+/// constraints, so without these a variable mentioned in `I` but not in
+/// `P` would get the constant length 0 (turning `len(x) = 8` into the
+/// bogus `0 = 8`), and the extracted model would leave it unassigned.
+/// `LengthEq` needs no mismatch machinery, so `K` is unchanged.
+pub(crate) fn length_eqs<'a>(
+    automata: &'a BTreeMap<StrVar, Nfa>,
+    pool: &'a mut VarPool,
+) -> impl Iterator<Item = PositionConstraint> + 'a {
+    automata.keys().map(|&v| PositionConstraint {
+        kind: PredicateKind::LengthEq {
+            target: pool.fresh("varlen"),
+        },
+        left: Vec::new(),
+        right: vec![v],
+    })
+}
+
+/// Length constraints in LIA over an encoding's length counters: `len(x)`
+/// is `x`'s counter (0 for a variable outside the encoding), and the
+/// integer variables of the surface syntax get stable `int:{name}`
+/// variables in the encoding's pool.
+pub(crate) struct LiaLengths<'a> {
+    encoding: &'a SystemEncoding,
+    vars: &'a VarTable,
+    pool: &'a mut VarPool,
+    /// The LIA variable of every integer variable translated so far.
+    pub(crate) ints: BTreeMap<String, Var>,
+}
+
+impl<'a> LiaLengths<'a> {
+    pub(crate) fn new(
+        encoding: &'a SystemEncoding,
+        vars: &'a VarTable,
+        pool: &'a mut VarPool,
+    ) -> LiaLengths<'a> {
+        LiaLengths {
+            encoding,
+            vars,
+            pool,
+            ints: BTreeMap::new(),
+        }
+    }
+
+    /// The LIA image of a length term.
+    pub(crate) fn term(&mut self, t: &LenTerm) -> LinExpr {
+        let mut e = LinExpr::constant(t.constant as i128);
+        for (name, coeff) in &t.len_coeffs {
+            if let Some(v) = self.vars.lookup(name) {
+                e += self.encoding.length_of(v) * (*coeff as i128);
+            }
+        }
+        for (name, coeff) in &t.int_coeffs {
+            let var = *self
+                .ints
+                .entry(name.clone())
+                .or_insert_with(|| self.pool.named(&format!("int:{name}")));
+            e += LinExpr::scaled_var(var, *coeff as i128);
+        }
+        e
+    }
+
+    /// The LIA image of a length atom `lhs ⋈ rhs`.
+    pub(crate) fn atom(&mut self, (lhs, cmp, rhs): &(LenTerm, LenCmp, LenTerm)) -> Formula {
+        let (l, r) = (self.term(lhs), self.term(rhs));
+        match cmp {
+            LenCmp::Le => Formula::le(l, r),
+            LenCmp::Lt => Formula::lt(l, r),
+            LenCmp::Eq => Formula::eq(l, r),
+            LenCmp::Ne => Formula::ne(l, r),
+            LenCmp::Ge => Formula::ge(l, r),
+            LenCmp::Gt => Formula::gt(l, r),
+        }
+    }
 }
 
 /// Sampling assist: satisfiable position constraints overwhelmingly have
@@ -348,9 +352,8 @@ pub fn solve_position(problem: &PositionProblem<'_>, options: &PositionOptions) 
 /// brief randomized guess-and-check pass runs before the LIA encoding.
 /// Every candidate is validated *concretely* against the position and
 /// length constraints, so a `Sat` from here is always sound; failure just
-/// falls through to the exact procedure.  Fragments the concrete check
-/// cannot evaluate (`str.at`, integer variables in lengths) skip the
-/// assist.
+/// falls through to the exact procedure.  Fragments the assist has no
+/// integer values for (`str.at`, integer variables in lengths) skip it.
 fn sampling_assist(
     problem: &PositionProblem<'_>,
     trimmed_languages: &[(&String, &Nfa)],
@@ -367,7 +370,7 @@ fn sampling_assist(
     if problem
         .positions
         .iter()
-        .any(|p| matches!(p, PositionAtom::StrAt { .. }))
+        .any(|p| matches!(p.kind, PositionKind::StrAt { .. }))
     {
         return None;
     }
@@ -376,6 +379,7 @@ fn sampling_assist(
         .iter()
         .map(|&(name, nfa)| (name, Sampler::new(nfa)))
         .collect();
+    let no_ints = BTreeMap::new();
     let mut rng = StdRng::seed_from_u64(0x5EED_CAFE);
     for bound in [2usize, 4, 8] {
         'attempt: for _ in 0..48 {
@@ -388,70 +392,19 @@ fn sampling_assist(
                     None => continue 'attempt,
                 }
             }
-            if satisfies_concretely(problem, &strings) {
-                return Some(PositionOutcome::Sat(strings, BTreeMap::new()));
+            let holds = problem
+                .positions
+                .iter()
+                .all(|p| p.holds(&strings, &no_ints))
+                && problem.lengths.iter().all(|(lhs, cmp, rhs)| {
+                    cmp.eval(lhs.eval(&strings, &no_ints), rhs.eval(&strings, &no_ints))
+                });
+            if holds {
+                return Some(PositionOutcome::Sat(strings, no_ints));
             }
         }
     }
     None
-}
-
-fn concat_occurrences(occurrences: &[String], strings: &BTreeMap<String, String>) -> String {
-    occurrences
-        .iter()
-        .map(|v| strings.get(v).map(String::as_str).unwrap_or(""))
-        .collect()
-}
-
-fn eval_len_term(term: &LenTerm, strings: &BTreeMap<String, String>) -> i64 {
-    let mut total = term.constant;
-    for (var, coeff) in &term.len_coeffs {
-        let len = strings
-            .get(var)
-            .map(|s| s.chars().count() as i64)
-            .unwrap_or(0);
-        total += coeff * len;
-    }
-    total
-}
-
-fn satisfies_concretely(problem: &PositionProblem<'_>, strings: &BTreeMap<String, String>) -> bool {
-    for atom in problem.positions {
-        let holds = match atom {
-            PositionAtom::Diseq(l, r) => {
-                concat_occurrences(l, strings) != concat_occurrences(r, strings)
-            }
-            PositionAtom::NotPrefix(l, r) => {
-                !concat_occurrences(r, strings).starts_with(&concat_occurrences(l, strings))
-            }
-            PositionAtom::NotSuffix(l, r) => {
-                !concat_occurrences(r, strings).ends_with(&concat_occurrences(l, strings))
-            }
-            PositionAtom::NotContains { haystack, needle } => {
-                !concat_occurrences(haystack, strings)
-                    .contains(&concat_occurrences(needle, strings))
-            }
-            PositionAtom::StrAt { .. } => false, // callers filter these out
-        };
-        if !holds {
-            return false;
-        }
-    }
-    for (lhs, cmp, rhs) in problem.lengths {
-        let (l, r) = (eval_len_term(lhs, strings), eval_len_term(rhs, strings));
-        let holds = match cmp {
-            LenCmp::Le => l <= r,
-            LenCmp::Lt => l < r,
-            LenCmp::Eq => l == r,
-            LenCmp::Ne => l != r,
-            LenCmp::Ge => l >= r,
-            LenCmp::Gt => l > r,
-        };
-        if !holds {
-            return false;
-        }
-    }
-    true
 }
 
 /// The `¬contains` instantiation loop around the connectivity-cut loop:
@@ -461,7 +414,7 @@ fn satisfies_concretely(problem: &PositionProblem<'_>, strings: &BTreeMap<String
 fn solve_with_cegar(
     encoding: &SystemEncoding,
     base_formula: Formula,
-    contains_goals: &[(Vec<String>, Vec<String>)],
+    not_contains: &[&PositionAtom],
     vars: &VarTable,
     automata: &BTreeMap<StrVar, Nfa>,
     int_vars: &BTreeMap<String, Var>,
@@ -475,10 +428,14 @@ fn solve_with_cegar(
         proof_logging: options.proof_sink.is_some(),
         ..SolverConfig::default()
     });
-    session.assert_formula(&base_formula);
+    {
+        // clausification and theory registration finish the encoding
+        let _span = posr_obs::span!("core", "encode");
+        session.assert_formula(&base_formula);
+    }
     let mut cut_loop = CutLoop::new(encoding, token.clone());
     let mut rounds = 0usize;
-    let flat = contains_goals.is_empty() || notcontains::all_flat(contains_goals, vars, automata);
+    let flat = not_contains.is_empty() || notcontains::all_flat(not_contains, vars, automata);
     // the stall watchdog (a no-op unless `POSR_BLACKBOX_DIR` is set): a
     // solve past its soft deadline, or one killed by cancellation via
     // `fire_now`, leaves a black-box dump behind
@@ -524,9 +481,10 @@ fn solve_with_cegar(
         // check the ¬contains goals concretely (the universal offset
         // quantifier of φ^NC ranges over finitely many offsets of the
         // concrete words)
-        let refuted = contains_goals
+        let no_ints = BTreeMap::new();
+        let refuted = not_contains
             .iter()
-            .any(|(haystack, needle)| !notcontains::holds_concretely(haystack, needle, &strings));
+            .any(|atom| !atom.holds(&strings, &no_ints));
         if refuted {
             rounds += 1;
             if rounds > MAX_BLOCKED_CANDIDATES {
@@ -607,7 +565,8 @@ mod tests {
         // (ba)* on the right: with (ab)* on both sides the equal-length
         // disequality would be unsatisfiable
         let langs = languages(&[("x", "(ab)*"), ("y", "(ba)*")]);
-        let positions = vec![PositionAtom::Diseq(
+        let positions = vec![PositionAtom::new(
+            PositionKind::Diseq,
             vec!["x".to_string()],
             vec!["y".to_string()],
         )];
@@ -629,7 +588,8 @@ mod tests {
     #[test]
     fn single_diseq_unsat() {
         let langs = languages(&[("x", "ab"), ("y", "ab")]);
-        let positions = vec![PositionAtom::Diseq(
+        let positions = vec![PositionAtom::new(
+            PositionKind::Diseq,
             vec!["x".to_string()],
             vec!["y".to_string()],
         )];
@@ -648,10 +608,11 @@ mod tests {
     fn not_contains_sat_via_instantiation() {
         // ¬contains(y, x): find x ∈ (ab)*, y ∈ (ba)* with x not inside y
         let langs = languages(&[("x", "(ab)+"), ("y", "(ba)+")]);
-        let positions = vec![PositionAtom::NotContains {
-            haystack: vec!["y".to_string()],
-            needle: vec!["x".to_string()],
-        }];
+        let positions = vec![PositionAtom::new(
+            PositionKind::NotContains,
+            vec!["x".to_string()],
+            vec!["y".to_string()],
+        )];
         let problem = PositionProblem {
             languages: &langs,
             positions: &positions,
@@ -669,10 +630,11 @@ mod tests {
     fn not_contains_syntactic_unsat() {
         // ¬contains(x·y·x, y) is unsat: y literally occurs inside the haystack
         let langs = languages(&[("x", "(ab)*"), ("y", "(ab)*")]);
-        let positions = vec![PositionAtom::NotContains {
-            haystack: vec!["x".to_string(), "y".to_string(), "x".to_string()],
-            needle: vec!["y".to_string()],
-        }];
+        let positions = vec![PositionAtom::new(
+            PositionKind::NotContains,
+            vec!["y".to_string()],
+            vec!["x".to_string(), "y".to_string(), "x".to_string()],
+        )];
         let problem = PositionProblem {
             languages: &langs,
             positions: &positions,
@@ -688,7 +650,8 @@ mod tests {
     fn empty_language_is_unsat() {
         let mut langs = languages(&[("x", "a*")]);
         langs.insert("y".to_string(), Nfa::empty_language());
-        let positions = vec![PositionAtom::Diseq(
+        let positions = vec![PositionAtom::new(
+            PositionKind::Diseq,
             vec!["x".to_string()],
             vec!["y".to_string()],
         )];

@@ -8,7 +8,7 @@ use posr_lia::cancel::CancelToken;
 
 use crate::ast::StringFormula;
 use crate::monadic::{self, MonadicCase};
-use crate::normal::{self, PositionAtom};
+use crate::normal::{self, NormalForm, PositionAtom, PositionKind};
 use crate::position::{
     solve_position, PositionOptions, PositionOutcome, PositionProblem, ProofSink,
 };
@@ -185,7 +185,7 @@ impl StringSolver {
                 return Answer::Unknown(token.unknown_reason());
             }
             let _span = posr_obs::span("core", format!("case:{case_index}"));
-            match self.solve_case(formula, &nf.positions, &nf.lengths, case, position_options) {
+            match self.solve_case(formula, &nf, case, position_options) {
                 Answer::Sat(model) => return Answer::Sat(model),
                 Answer::Unsat => {}
                 Answer::Unknown(reason) => saw_unknown = Some(reason),
@@ -200,86 +200,40 @@ impl StringSolver {
     fn solve_case(
         &self,
         original: &StringFormula,
-        positions: &[PositionAtom],
-        lengths: &[(crate::ast::LenTerm, crate::ast::LenCmp, crate::ast::LenTerm)],
+        nf: &NormalForm,
         case: &MonadicCase,
         position_options: &PositionOptions,
     ) -> Answer {
-        // apply the substitution to the position constraints
-        let substituted: Vec<PositionAtom> = positions
-            .iter()
-            .map(|p| match p {
-                PositionAtom::Diseq(l, r) => PositionAtom::Diseq(case.apply(l), case.apply(r)),
-                PositionAtom::NotPrefix(l, r) => {
-                    PositionAtom::NotPrefix(case.apply(l), case.apply(r))
-                }
-                PositionAtom::NotSuffix(l, r) => {
-                    PositionAtom::NotSuffix(case.apply(l), case.apply(r))
-                }
-                PositionAtom::StrAt {
-                    var,
-                    term,
-                    index,
-                    negated,
-                } => PositionAtom::StrAt {
-                    var: var.clone(),
-                    term: case.apply(term),
-                    index: substitute_len_term(index, case),
-                    negated: *negated,
-                },
-                PositionAtom::NotContains { haystack, needle } => PositionAtom::NotContains {
-                    haystack: case.apply(haystack),
-                    needle: case.apply(needle),
-                },
-            })
-            .collect();
         // `str.at` left-hand variables must survive substitution: if the
         // variable was eliminated by an equation we fall outside the fragment
-        for atom in &substituted {
-            if let PositionAtom::StrAt { var, .. } = atom {
-                if case.substitution.contains_key(var) {
-                    return Answer::Unknown(
-                        "str.at applied to a variable eliminated by an equation".to_string(),
-                    );
-                }
-            }
+        let eliminated_str_at = nf.positions.iter().any(|p| {
+            matches!(p.kind, PositionKind::StrAt { .. })
+                && p.left.iter().any(|v| case.substitution.contains_key(v))
+        });
+        if eliminated_str_at {
+            return Answer::Unknown(
+                "str.at applied to a variable eliminated by an equation".to_string(),
+            );
         }
-        let lengths_substituted: Vec<_> = lengths
+        let positions: Vec<PositionAtom> =
+            nf.positions.iter().map(|p| p.substituted(case)).collect();
+        let lengths: Vec<_> = nf
+            .lengths
             .iter()
-            .map(|(l, c, r)| {
-                (
-                    substitute_len_term(l, case),
-                    *c,
-                    substitute_len_term(r, case),
-                )
-            })
+            .map(|(l, c, r)| (case.apply_len(l), *c, case.apply_len(r)))
             .collect();
 
         let problem = PositionProblem {
             languages: &case.languages,
-            positions: &substituted,
-            lengths: &lengths_substituted,
+            positions: &positions,
+            lengths: &lengths,
         };
         match solve_position(&problem, position_options) {
             PositionOutcome::Unsat => Answer::Unsat,
             PositionOutcome::Unknown(reason) => Answer::Unknown(reason),
             PositionOutcome::Sat(strings, ints) => {
-                // map back through the substitution
-                let mut full = strings.clone();
-                for (original_var, expansion) in &case.substitution {
-                    let value: String = expansion
-                        .iter()
-                        .map(|v| strings.get(v).cloned().unwrap_or_default())
-                        .collect();
-                    full.insert(original_var.clone(), value);
-                }
-                // drop the internal literal variables from the reported model
-                let reported: BTreeMap<String, String> = full
-                    .iter()
-                    .filter(|(name, _)| !name.contains('!'))
-                    .map(|(k, v)| (k.clone(), v.clone()))
-                    .collect();
-                let model = StringModel::new(reported, ints);
+                let strings = nf.reported_strings(strings, &case.substitution);
+                let model = StringModel::new(strings, ints);
                 if model.satisfies(original) {
                     Answer::Sat(model)
                 } else {
@@ -292,27 +246,6 @@ impl StringSolver {
     }
 }
 
-fn substitute_len_term(term: &crate::ast::LenTerm, case: &MonadicCase) -> crate::ast::LenTerm {
-    let mut out = crate::ast::LenTerm {
-        len_coeffs: BTreeMap::new(),
-        int_coeffs: term.int_coeffs.clone(),
-        constant: term.constant,
-    };
-    for (var, coeff) in &term.len_coeffs {
-        match case.substitution.get(var) {
-            None => {
-                *out.len_coeffs.entry(var.clone()).or_insert(0) += coeff;
-            }
-            Some(expansion) => {
-                for part in expansion {
-                    *out.len_coeffs.entry(part.clone()).or_insert(0) += coeff;
-                }
-            }
-        }
-    }
-    out
-}
-
 /// Convenience helper used by examples and the benchmark harness: renders an
 /// answer as the usual SMT-LIB result string.
 pub fn answer_status(answer: &Answer) -> &'static str {
@@ -321,19 +254,6 @@ pub fn answer_status(answer: &Answer) -> &'static str {
         Answer::Unsat => "unsat",
         Answer::Unknown(_) => "unknown",
     }
-}
-
-/// Returns `true` if the formula syntactically mentions a position
-/// constraint (used by the benchmark harness to classify instances).
-pub fn has_position_constraints(formula: &StringFormula) -> bool {
-    formula.atoms.iter().any(|a| match a {
-        crate::ast::StringAtom::Equation { negated, .. } => *negated,
-        crate::ast::StringAtom::PrefixOf { negated, .. }
-        | crate::ast::StringAtom::SuffixOf { negated, .. }
-        | crate::ast::StringAtom::Contains { negated, .. } => *negated,
-        crate::ast::StringAtom::StrAt { .. } => true,
-        _ => false,
-    })
 }
 
 #[cfg(test)]
